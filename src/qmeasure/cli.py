@@ -112,7 +112,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_random(args) -> int:
     if args.search_heisenberg_violation:
-        result = heisenberg_form_violation_search([args.dim], args.count, args.seed)
+        result = heisenberg_form_violation_search([args.dim], args.count, args.seed, args.outcomes)
         print(
             f"most negative naive-product margin: eps_A*eta_B - C_AB = {result.margin:+.6g}"
         )

@@ -15,16 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalNumericError, InvalidStrength, NotExpressible
-from .inequalities import InequalityRecord, evaluate_all
+from .inequalities import InequalityRecord, ScenarioContext, evaluate_all
 from .metrics import (
     NoiseReport,
-    delta_A,
-    delta_B,
     epsilon_sq_joint,
-    epsilon_sq_system,
     eta_sq_joint,
     eta_sq_lindblad,
-    eta_sq_system,
     is_qnd,
     is_unbiased,
 )
@@ -36,12 +32,6 @@ from .quasiprob import (
     tmh_error_distribution,
     weak_probe_disturbance_distribution,
     weak_probe_error_distribution,
-)
-from .retrodiction import (
-    interdictive_disturbance,
-    interdictive_joint_distribution,
-    retrodictive_error,
-    retrodictive_state,
 )
 from .scenario import Scenario
 
@@ -88,8 +78,9 @@ def analyze(scenario: Scenario) -> AnalysisReport:
     """
     s = scenario
     inst, rho, obs_a = s.apparatus, s.state, s.observable_A
+    ctx = ScenarioContext(s)
 
-    eps = epsilon_sq_system(inst, s.values_m, obs_a, rho)
+    eps = ctx.epsilon
     err_dist = tmh_error_distribution(rho, obs_a, inst, s.values_m)
     eps_quasi = quasi_mean_squared_difference(err_dist)
     if abs(eps_quasi - eps.mean_squared) > CROSS_CHECK_TOL:
@@ -112,12 +103,11 @@ def analyze(scenario: Scenario) -> AnalysisReport:
     except NotExpressible:
         pass
 
-    d_b = eta = eta_joint = eta_lind = qnd = None
+    eta = eta_joint = eta_lind = qnd = None
     dist_dist = None
     obs_b = s.observable_B
     if obs_b is not None:
-        d_b = delta_B(inst, obs_b, rho)
-        eta = eta_sq_system(inst, obs_b, rho)
+        eta = ctx.eta
         dist_dist = tmh_disturbance_distribution(rho, obs_b, inst)
         eta_quasi = quasi_mean_squared_difference(dist_dist)
         if abs(eta_quasi - eta.mean_squared) > CROSS_CHECK_TOL:
@@ -133,29 +123,24 @@ def analyze(scenario: Scenario) -> AnalysisReport:
                     f"eta^2 mismatch: system {eta.mean_squared!r} vs joint {eta_joint!r}"
                 )
 
+    # Per-outcome values exist for the live outcomes only.
+    eps_b_k = {} if obs_b is None else ctx.eps_B_k
+    eta_b_k = {} if obs_b is None else ctx.eta_B_k
     outcome_reports = []
-    for label in inst.labels:
-        p_k = inst.pom_element(label)
-        pom_trace = float(np.real(np.trace(p_k.matrix)))
-        prob = expectation(p_k, rho)
-        if pom_trace > 1e-12:
-            eps_a_k = retrodictive_error(inst, label, obs_a)
-            eps_b_k = retrodictive_error(inst, label, obs_b) if obs_b is not None else None
-            eta_b_k = interdictive_disturbance(inst, label, obs_b) if obs_b is not None else None
-        else:
-            eps_a_k, eps_b_k, eta_b_k = float("nan"), None, None
+    for label, prob in zip(inst.labels, ctx.outcome_probs):
+        eps_a_k, pom_trace = ctx.eps_A_k.get(label, float("nan")), ctx.pom_traces[label]
         outcome_reports.append(
-            OutcomeReport(label, prob, pom_trace, eps_a_k, eps_b_k, eta_b_k)
+            OutcomeReport(label, float(prob), pom_trace, eps_a_k, eps_b_k.get(label), eta_b_k.get(label))
         )
 
     return AnalysisReport(
-        scenario_digest=s.digest(),
-        delta_A=delta_A(inst, s.values_m, obs_a, rho),
+        scenario_digest=ctx.digest,
+        delta_A=eps.delta,
         epsilon=eps,
         epsilon_joint=eps_joint,
         unbiased=unbiased,
         dispersion_m2=dispersion_m2,
-        delta_B=d_b,
+        delta_B=None if eta is None else eta.delta,
         eta=eta,
         eta_joint=eta_joint,
         eta_lindblad=eta_lind,
@@ -163,7 +148,7 @@ def analyze(scenario: Scenario) -> AnalysisReport:
         error_distribution=err_dist,
         disturbance_distribution=dist_dist,
         outcome_reports=tuple(outcome_reports),
-        inequalities=evaluate_all(s),
+        inequalities=evaluate_all(s, ctx),
         meta=dict(s.meta),
     )
 

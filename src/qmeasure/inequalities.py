@@ -1,4 +1,4 @@
-"""Evaluation of the nine uncertainty relations on a scenario.
+"""Evaluation of the ten uncertainty relations on a scenario.
 
 Relation identifiers:
 
@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MissingIngredient, NegativeRadicand
-from .metrics import epsilon_sq_system, eta_sq_system
+from .errors import MissingIngredient, NegativeRadicand, ZeroPosterior
+from .metrics import NoiseReport, epsilon_sq_system, eta_sq_system
 from .operators import (
     commutator_bound,
     expectation,
@@ -34,6 +34,7 @@ from .operators import (
     spectral_decompose,
 )
 from .retrodiction import (
+    OUTCOME_TRACE_CUTOFF,
     interdictive_disturbance,
     restricted_metrics,
     retrodictive_error,
@@ -43,8 +44,6 @@ from .scenario import Scenario, generate_random, subseed
 
 SATISFACTION_TOL = 1e-9
 RADICAND_FLOOR = -1e-12
-OUTCOME_TRACE_CUTOFF = 1e-12
-POSTERIOR_CUTOFF = 1e-12
 
 RELATION_IDS = (
     "heisenberg",
@@ -91,10 +90,14 @@ class InequalityRecord:
 
 
 class ScenarioContext:
-    """Caches the per-scenario quantities shared by several relations."""
+    """The one owner of the per-scenario quantities that relations and ``analyze`` share."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
+
+    @cached_property
+    def digest(self) -> str:
+        return self.scenario.digest()
 
     @cached_property
     def sigma_A(self) -> float:
@@ -124,9 +127,18 @@ class ScenarioContext:
         return expectation(jordan_product(s.observable_A, self._obs_b), s.state) - mean_a * mean_b
 
     @cached_property
-    def eps_A(self) -> float:
+    def epsilon(self) -> NoiseReport:
         s = self.scenario
-        return math.sqrt(epsilon_sq_system(s.apparatus, s.values_m, s.observable_A, s.state).mean_squared)
+        return epsilon_sq_system(s.apparatus, s.values_m, s.observable_A, s.state)
+
+    @cached_property
+    def eta(self) -> NoiseReport:
+        s = self.scenario
+        return eta_sq_system(s.apparatus, self._obs_b, s.state)
+
+    @property
+    def eps_A(self) -> float:
+        return math.sqrt(self.epsilon.mean_squared)
 
     @cached_property
     def eps_B(self) -> float:
@@ -135,10 +147,9 @@ class ScenarioContext:
             raise MissingIngredient("relation requires a second value assignment values_mB")
         return math.sqrt(epsilon_sq_system(s.apparatus, s.values_mB, self._obs_b, s.state).mean_squared)
 
-    @cached_property
+    @property
     def eta_B(self) -> float:
-        s = self.scenario
-        return math.sqrt(eta_sq_system(s.apparatus, self._obs_b, s.state).mean_squared)
+        return math.sqrt(self.eta.mean_squared)
 
     @cached_property
     def outcome_probs(self) -> np.ndarray:
@@ -153,13 +164,35 @@ class ScenarioContext:
         return math.sqrt(max(var, 0.0))
 
     @cached_property
+    def pom_traces(self) -> dict[str, float]:
+        inst = self.scenario.apparatus
+        return {label: float(np.real(np.trace(inst.pom_element(label).matrix))) for label in inst.labels}
+
+    @cached_property
     def live_outcomes(self) -> list[str]:
-        s = self.scenario
-        return [
-            label
-            for label in s.apparatus.labels
-            if np.real(np.trace(s.apparatus.pom_element(label).matrix)) > OUTCOME_TRACE_CUTOFF
-        ]
+        return [label for label, tr in self.pom_traces.items() if tr > OUTCOME_TRACE_CUTOFF]
+
+    def _per_outcome(self, fn, obs) -> dict[str, float]:
+        return {k: fn(self.scenario.apparatus, k, obs) for k in self.live_outcomes}
+
+    @cached_property
+    def eps_A_k(self) -> dict[str, float]:
+        return self._per_outcome(retrodictive_error, self.scenario.observable_A)
+
+    @cached_property
+    def eps_B_k(self) -> dict[str, float]:
+        return self._per_outcome(retrodictive_error, self._obs_b)
+
+    @cached_property
+    def eta_B_k(self) -> dict[str, float]:
+        return self._per_outcome(interdictive_disturbance, self._obs_b)
+
+    @cached_property
+    def c_ab_k(self) -> dict[str, float]:
+        """Commutator bound C_AB in the retrodictive state of each live outcome."""
+        s, obs_b = self.scenario, self._obs_b
+        retro = {k: retrodictive_state(s.apparatus, k).state for k in self.live_outcomes}
+        return {k: commutator_bound(s.observable_A, obs_b, state) for k, state in retro.items()}
 
 
 def _branciard(eps_a: float, eps_b: float, ctx: ScenarioContext) -> tuple[float, float]:
@@ -175,7 +208,7 @@ def evaluate(relation_id: str, scenario: Scenario, ctx: ScenarioContext | None =
     """Evaluate one relation on a scenario, returning lhs/rhs and margin."""
     if ctx is None:
         ctx = ScenarioContext(scenario)
-    digest = scenario.digest()
+    digest = ctx.digest
     s = scenario
 
     if relation_id == "heisenberg":
@@ -207,50 +240,38 @@ def evaluate(relation_id: str, scenario: Scenario, ctx: ScenarioContext | None =
         lhs, rhs = _branciard(ctx.eps_A, ctx.eta_B, ctx)
         return InequalityRecord("branciard_ed", lhs, rhs, digest)
     if relation_id in ("hofmann1", "hofmann2", "hofmann3"):
-        return _evaluate_hofmann(relation_id, s, ctx, digest)
+        return _evaluate_hofmann(relation_id, ctx)
     raise ValueError(f"unknown relation {relation_id!r}")
 
 
-def _evaluate_hofmann(
-    relation_id: str, s: Scenario, ctx: ScenarioContext, digest: str
-) -> InequalityRecord:
-    obs_a, obs_b = s.observable_A, ctx._obs_b
+def _evaluate_hofmann(relation_id: str, ctx: ScenarioContext) -> InequalityRecord:
+    s, obs_b = ctx.scenario, ctx._obs_b
     subs: list[SubRecord] = []
     if relation_id == "hofmann2":
         spec_b = spectral_decompose(obs_b)
         for label in ctx.live_outcomes:
             for idx in range(len(spec_b.branches)):
                 try:
-                    rm = restricted_metrics(s.apparatus, label, idx, obs_a, obs_b)
-                except Exception:
+                    rm = restricted_metrics(s.apparatus, label, idx, s.observable_A, obs_b)
+                except ZeroPosterior:
                     continue
-                if rm.p_posterior <= POSTERIOR_CUTOFF:
-                    continue
-                subs.append(
-                    SubRecord(f"{label}|b'{idx}", rm.eps_A * rm.eta_B, rm.eps_A * rm.eps_B)
-                )
+                subs.append(SubRecord(f"{label}|b'{idx}", rm.eps_A * rm.eta_B, rm.eps_A * rm.eps_B))
     else:
+        b_k = ctx.eps_B_k if relation_id == "hofmann1" else ctx.eta_B_k
         for label in ctx.live_outcomes:
-            eps_a_k = retrodictive_error(s.apparatus, label, obs_a)
-            retro = retrodictive_state(s.apparatus, label)
-            c_k = commutator_bound(obs_a, obs_b, retro.state)
-            if relation_id == "hofmann1":
-                eps_b_k = retrodictive_error(s.apparatus, label, obs_b)
-                subs.append(SubRecord(label, eps_a_k * eps_b_k, c_k))
-            else:  # hofmann3
-                eta_b_k = interdictive_disturbance(s.apparatus, label, obs_b)
-                subs.append(SubRecord(label, eps_a_k * eta_b_k, c_k))
+            subs.append(SubRecord(label, ctx.eps_A_k[label] * b_k[label], ctx.c_ab_k[label]))
     if not subs:
         raise MissingIngredient(f"{relation_id}: no live outcomes to evaluate")
     worst = min(subs, key=lambda r: r.margin)
-    return InequalityRecord(relation_id, worst.lhs, worst.rhs, digest, tuple(subs))
+    return InequalityRecord(relation_id, worst.lhs, worst.rhs, ctx.digest, tuple(subs))
 
 
-def evaluate_all(scenario: Scenario, relations=RELATION_IDS) -> dict[str, InequalityRecord]:
+def evaluate_all(scenario: Scenario, ctx: ScenarioContext | None = None) -> dict[str, InequalityRecord]:
     """Evaluate every applicable relation; relations lacking ingredients are skipped."""
-    ctx = ScenarioContext(scenario)
+    if ctx is None:
+        ctx = ScenarioContext(scenario)
     records = {}
-    for rid in relations:
+    for rid in RELATION_IDS:
         try:
             records[rid] = evaluate(rid, scenario, ctx)
         except MissingIngredient:
@@ -296,7 +317,7 @@ class ViolationSearchResult:
     ozawa_margin: float
 
 
-def heisenberg_form_violation_search(dims, count: int, seed: int) -> ViolationSearchResult:
+def heisenberg_form_violation_search(dims, count: int, seed: int, n_outcomes: int = 4) -> ViolationSearchResult:
     """Search for scenarios where the naive product eps_A eta_B falls below C_AB.
 
     Always includes the analytic qubit construction (projective measurement
@@ -308,7 +329,7 @@ def heisenberg_form_violation_search(dims, count: int, seed: int) -> ViolationSe
         candidates.append(_projective_violation_scenario())
     for dim in dims:
         for i in range(count):
-            candidates.append(generate_random(dim, 4, subseed(seed, (dim, i))))
+            candidates.append(generate_random(dim, n_outcomes, subseed(seed, (dim, i))))
 
     best: ViolationSearchResult | None = None
     for scenario in candidates:

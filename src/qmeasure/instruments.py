@@ -8,7 +8,7 @@ labels turns the apparatus into an effective observable on the system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -95,10 +95,6 @@ class IndirectModel:
         object.__setattr__(self, "readout_basis", basis)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def joint_dim(self) -> int:
-        return self.system_dim * self.detector_state.dim
-
     def readout_observable(self, values: ValueAssignment) -> np.ndarray:
         """Detector-space observable sum_k m_k |k><k| for the given values."""
         d_d = self.detector_state.dim
@@ -114,12 +110,14 @@ class IndirectModel:
 class Instrument:
     """Validated family of Kraus sets, one per outcome label.
 
-    Build through :meth:`from_kraus` or :meth:`from_indirect`; the
-    constructor enforces completeness and positivity of the induced POM.
+    Build through :meth:`from_kraus` or :meth:`from_indirect`; the constructor
+    enforces completeness and positivity of the induced POM, and keeps it.
     """
 
     outcomes: tuple[KrausSet, ...]
     dim: int
+    _pom: tuple[HermitianOperator, ...] = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = [ks.label for ks in self.outcomes]
@@ -128,19 +126,17 @@ class Instrument:
         dims = {ks.dim for ks in self.outcomes}
         if dims != {self.dim}:
             raise DimensionMismatch(f"Kraus dimensions {sorted(dims)} != declared {self.dim}")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for ks in self.outcomes:
-            for m in ks.operators:
-                total += m.conj().T @ m
-        defect = max_norm(total - np.eye(self.dim))
+        pom = [sum(m.conj().T @ m for m in ks.operators) for ks in self.outcomes]
+        defect = max_norm(sum(pom) - np.eye(self.dim))
         if defect > COMPLETENESS_TOL:
             raise CompletenessViolation(
                 f"sum of M†M deviates from identity by {defect:.3e} > {COMPLETENESS_TOL}"
             )
-        for ks in self.outcomes:
-            p = sum(m.conj().T @ m for m in ks.operators)
+        for label, p in zip(labels, pom):
             if np.linalg.eigvalsh(p).min() < POM_PSD_FLOOR:
-                raise CompletenessViolation(f"POM element {ks.label!r} is not PSD")
+                raise CompletenessViolation(f"POM element {label!r} is not PSD")
+        object.__setattr__(self, "_pom", tuple(HermitianOperator(p) for p in pom))
+        object.__setattr__(self, "_index", {label: i for i, label in enumerate(labels)})
 
     @classmethod
     def from_kraus(cls, sets: Sequence[KrausSet]) -> "Instrument":
@@ -174,20 +170,21 @@ class Instrument:
     def labels(self) -> tuple[str, ...]:
         return tuple(ks.label for ks in self.outcomes)
 
-    def outcome(self, label: str) -> KrausSet:
-        for ks in self.outcomes:
-            if ks.label == label:
-                return ks
-        raise UnknownLabel(f"no outcome labelled {label!r}")
+    def _position(self, label: str) -> int:
+        try:
+            return self._index[label]
+        except KeyError:
+            raise UnknownLabel(f"no outcome labelled {label!r}") from None
 
-    def pom(self) -> list[HermitianOperator]:
+    def outcome(self, label: str) -> KrausSet:
+        return self.outcomes[self._position(label)]
+
+    def pom(self) -> tuple[HermitianOperator, ...]:
         """POM elements P_k = sum_l M†_{k,l} M_{k,l}, in declared outcome order."""
-        return [self.pom_element(ks.label) for ks in self.outcomes]
+        return self._pom
 
     def pom_element(self, label: str) -> HermitianOperator:
-        ks = self.outcome(label)
-        p = sum(m.conj().T @ m for m in ks.operators)
-        return HermitianOperator(p)
+        return self._pom[self._position(label)]
 
     def apply_selective(self, label: str, rho: DensityOperator) -> HermitianOperator:
         """Unnormalized post-measurement operator sum_l M rho M† for one outcome."""
@@ -219,10 +216,10 @@ class Instrument:
     def effective_observable(self, values: ValueAssignment) -> HermitianOperator:
         """Observable sum_k m_k P_k actually estimated by the apparatus."""
         total = np.zeros((self.dim, self.dim), dtype=complex)
-        for ks in self.outcomes:
+        for ks, p in zip(self.outcomes, self._pom):
             if ks.label not in values:
                 raise MissingLabel(f"no value assigned to outcome {ks.label!r}")
-            total += float(values[ks.label]) * self.pom_element(ks.label).matrix
+            total += float(values[ks.label]) * p.matrix
         return HermitianOperator(total)
 
     def contextual_values(self, target: HermitianOperator) -> dict[str, float]:

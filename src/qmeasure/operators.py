@@ -8,6 +8,7 @@ immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import (
 HERMITICITY_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 TRACE_TOL = 1e-9
-DEFAULT_GROUP_TOL = 1e-8
+GROUP_TOL = 1e-8
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -71,6 +72,29 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def spectrum(self) -> "SpectralDecomposition":
+        """Eigen-branches, merging eigenvalues closer than GROUP_TOL * (1 + |λ|)."""
+        try:
+            evals, evecs = np.linalg.eigh(self.matrix)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+            raise InternalNumericError(f"eigendecomposition failed: {exc}") from exc
+        order = np.argsort(evals)[::-1]
+        evals, evecs = evals[order], evecs[:, order]
+
+        branches: list[tuple[float, HermitianOperator]] = []
+        i = 0
+        n = len(evals)
+        while i < n:
+            j = i + 1
+            while j < n and abs(evals[j] - evals[i]) <= GROUP_TOL * (1 + abs(evals[i])):
+                j += 1
+            vecs = evecs[:, i:j]
+            proj = vecs @ vecs.conj().T
+            branches.append((float(np.mean(evals[i:j])), HermitianOperator(proj)))
+            i = j
+        return SpectralDecomposition(tuple(branches))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)
@@ -123,11 +147,10 @@ class SpectralDecomposition:
     """Eigenvalue branches of a Hermitian operator with grouped projectors.
 
     ``branches`` is ordered by descending eigenvalue; eigenvalues closer
-    than ``group_tol * (1 + |eigenvalue|)`` share one summed projector.
+    than ``GROUP_TOL * (1 + |eigenvalue|)`` share one summed projector.
     """
 
     branches: tuple[tuple[float, HermitianOperator], ...]
-    group_tol: float
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -184,28 +207,9 @@ def expectation_and_variance(a: HermitianOperator, rho: DensityOperator) -> tupl
     return mean, max(var, 0.0)
 
 
-def spectral_decompose(a: HermitianOperator, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposition:
-    """Eigen-branches of ``a``, merging numerically degenerate eigenvalues."""
-    am = _matrix_of(a)
-    try:
-        evals, evecs = np.linalg.eigh(am)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise InternalNumericError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(evals)[::-1]
-    evals, evecs = evals[order], evecs[:, order]
-
-    branches: list[tuple[float, HermitianOperator]] = []
-    i = 0
-    n = len(evals)
-    while i < n:
-        j = i + 1
-        while j < n and abs(evals[j] - evals[i]) <= group_tol * (1 + abs(evals[i])):
-            j += 1
-        vecs = evecs[:, i:j]
-        proj = vecs @ vecs.conj().T
-        branches.append((float(np.mean(evals[i:j])), HermitianOperator(proj)))
-        i = j
-    return SpectralDecomposition(tuple(branches), group_tol)
+def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
+    """Eigen-branches of ``a``, computed once per operator and kept on it."""
+    return a.spectrum
 
 
 def tensor_product(x, y) -> np.ndarray:

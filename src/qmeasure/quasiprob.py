@@ -19,7 +19,6 @@ from .errors import (
 from .instruments import (
     HermitianOperator,
     Instrument,
-    KrausSet,
     ValueAssignment,
     solve_contextual_values,
 )
@@ -113,11 +112,6 @@ class WeakProbe:
 
     def calibration(self) -> tuple[float, float]:
         return self.value_plus, self.value_minus
-
-    def instrument(self) -> Instrument:
-        return Instrument.from_kraus(
-            [KrausSet("+", (self.kraus_plus,)), KrausSet("-", (self.kraus_minus,))]
-        )
 
 
 def tmh_error_distribution(

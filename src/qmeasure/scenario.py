@@ -24,6 +24,8 @@ from .errors import (
 from .instruments import IndirectModel, Instrument, KrausSet
 from .operators import DensityOperator, HermitianOperator
 
+SCENARIO_KEYS = {"dimension", "state", "observable_A", "observable_B", "apparatus", "values_m", "values_mB", "meta"}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -34,30 +36,18 @@ class Scenario:
     values_m: dict[str, float]
     observable_B: HermitianOperator | None = None
     indirect: IndirectModel | None = None
-    values_m2: dict[str, float] | None = None
     values_mB: dict[str, float] | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         labels = set(self.apparatus.labels)
-        for name, values in (
-            ("values_m", self.values_m),
-            ("values_m2", self.values_m2),
-            ("values_mB", self.values_mB),
-        ):
+        for name, values in (("values_m", self.values_m), ("values_mB", self.values_mB)):
             if values is None:
                 continue
             if set(values) != labels:
                 raise MissingLabel(
                     f"{name} labels {sorted(values)} do not match outcomes {sorted(labels)}"
                 )
-
-    @property
-    def effective_m2(self) -> dict[str, float]:
-        """Squared spectrum used by the noise second moment; defaults to m_k^2."""
-        if self.values_m2 is not None:
-            return dict(self.values_m2)
-        return {k: float(v) ** 2 for k, v in self.values_m.items()}
 
     def to_dict(self) -> dict:
         doc = {
@@ -86,8 +76,6 @@ class Scenario:
                     for ks in self.apparatus.outcomes
                 ],
             }
-        if self.values_m2 is not None:
-            doc["values_m2"] = {k: float(v) for k, v in sorted(self.values_m2.items())}
         if self.values_mB is not None:
             doc["values_mB"] = {k: float(v) for k, v in sorted(self.values_mB.items())}
         return doc
@@ -126,10 +114,21 @@ def _vector_from_json(doc, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _reject_unknown(doc: dict, known: set[str], where: str) -> None:
+    unknown = set(doc) - known
+    if unknown:
+        raise ParseError(f"unknown {where} key(s) {sorted(unknown)}")
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Build and fully validate a scenario from its JSON document."""
+    """Build and fully validate a scenario from its JSON document.
+
+    Unknown keys, at the top level, in the apparatus and in each Kraus
+    outcome, are rejected rather than ignored.
+    """
     if not isinstance(doc, dict):
         raise ParseError("top-level scenario document must be an object")
+    _reject_unknown(doc, SCENARIO_KEYS, "scenario")
     try:
         dimension = int(doc["dimension"])
         state_doc = doc["state"]
@@ -165,8 +164,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     indirect = None
     app_type = apparatus_doc.get("type")
     if app_type == "kraus":
+        _reject_unknown(apparatus_doc, {"type", "outcomes"}, "apparatus")
         sets = []
         for outcome in apparatus_doc.get("outcomes", []):
+            _reject_unknown(outcome, {"label", "kraus"}, "Kraus outcome")
             label = str(outcome["label"])
             kraus = tuple(
                 _matrix_from_json(m, f"kraus[{label}]") for m in outcome["kraus"]
@@ -174,6 +175,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             sets.append(_wrap("InvalidKraus", lambda l=label, k=kraus: KrausSet(l, k)))
         apparatus = _wrap("CompletenessViolation", lambda: Instrument.from_kraus(sets))
     elif app_type == "indirect":
+        _reject_unknown(apparatus_doc, {"type", "unitary", "detector_state", "readout_basis", "labels"}, "apparatus")
         detector = _wrap(
             "InvalidState",
             lambda: DensityOperator(
@@ -204,9 +206,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if obs_b is not None and obs_b.dim != dimension:
         raise ValidationError("DimensionMismatch", "observable_B dimension mismatch")
 
-    values_m2 = None
-    if "values_m2" in doc:
-        values_m2 = {str(k): float(v) for k, v in doc["values_m2"].items()}
     values_mB = None
     if "values_mB" in doc:
         values_mB = {str(k): float(v) for k, v in doc["values_mB"].items()}
@@ -219,7 +218,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
             apparatus=apparatus,
             indirect=indirect,
             values_m=values_m,
-            values_m2=values_m2,
             values_mB=values_mB,
             meta=dict(doc.get("meta", {})),
         )

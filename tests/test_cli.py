@@ -4,6 +4,7 @@ import os
 import pytest
 
 from qmeasure.cli import main
+from qmeasure.scenario import load_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 THETA_POM = os.path.join(SCENARIO_DIR, "theta_pom.json")
@@ -22,6 +23,23 @@ class TestValidate:
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate", str(bad)]) == 1
         assert "TraceNotOne" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(observable_b=doc.pop("observable_B")),
+            lambda doc: doc["apparatus"].update(outcome=doc["apparatus"].pop("outcomes")),
+            lambda doc: doc.update(values_m2={"+": 123.0, "-": 123.0}),
+        ],
+        ids=["top-level-typo", "apparatus-typo", "values_m2"],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.json"
+        doc = json.load(open(THETA_POM, encoding="utf-8"))
+        edit(doc)
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(bad)]) == 1
+        assert "unknown" in capsys.readouterr().err
 
     def test_unparseable_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -89,6 +107,12 @@ class TestRandom:
         assert code == 0
         out = capsys.readouterr().out
         assert "Ozawa margin" in out
+
+    def test_violation_search_honours_outcomes(self, capsys, tmp_path):
+        out = tmp_path / "f.json"
+        args = ["random", "--dim", "3", "--outcomes", "2", "--count", "3", "--seed", "1"]
+        assert main([*args, "--search-heisenberg-violation", "--out", str(out)]) == 0
+        assert len(load_scenario(out).apparatus.labels) == 2
 
     def test_byte_identical_output(self, capsys):
         args = ["random", "--dim", "2", "--count", "4", "--seed", "9"]

@@ -12,8 +12,9 @@ from qmeasure.harness import (
     write_distribution_csv,
     write_sweep_csv,
 )
+from qmeasure.inequalities import evaluate_all
 from qmeasure.operators import SIGMA_Z, expectation
-from qmeasure.scenario import load_scenario
+from qmeasure.scenario import Scenario, load_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -87,6 +88,18 @@ class TestAnalyze:
         assert doc["schema_version"] == "1"
         json.dumps(doc)  # must be serializable as-is
         assert doc["epsilon"]["mean_squared"] == pytest.approx(3.0, abs=1e-10)
+
+    def test_digest_computed_once(self, theta_pom_scenario, monkeypatch):
+        calls = []
+        digest = Scenario.digest
+        monkeypatch.setattr(Scenario, "digest", lambda self: calls.append(1) or digest(self))
+        analyze(theta_pom_scenario)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+    def test_inequalities_match_evaluate_all(self, name):
+        s = load_scenario(os.path.join(SCENARIO_DIR, name))
+        assert analyze(s).inequalities == evaluate_all(s)
 
 
 class TestSample:

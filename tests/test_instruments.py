@@ -49,6 +49,11 @@ class TestConstruction:
         assert np.allclose(inst.pom_element("up").matrix, np.diag([1.0, 0.0]))
         assert inst.labels == ("up", "down")
 
+    def test_pom_is_stored_once(self):
+        inst = projective_z()
+        for i, label in enumerate(inst.labels):
+            assert inst.pom_element(label) is inst.pom()[i]
+
     def test_theta_pom_completeness_any_theta(self):
         for theta in (0.0, 0.3, np.pi / 3, np.pi / 2, 2.9):
             inst = theta_pom_instrument(theta)

@@ -103,6 +103,9 @@ class TestSpectralDecompose:
         assert np.allclose(spec.projectors[0].matrix, np.diag([1.0, 0.0]))
         assert np.allclose(spec.projectors[1].matrix, np.diag([0.0, 1.0]))
 
+    def test_spectrum_is_computed_once_per_operator(self, sz):
+        assert spectral_decompose(sz) is spectral_decompose(sz)
+
     def test_full_degeneracy_merges(self):
         spec = spectral_decompose(HermitianOperator(np.eye(3)))
         assert len(spec.branches) == 1
