@@ -22,6 +22,7 @@ from .harness import (
 )
 from .inequalities import heisenberg_form_violation_search, random_sweep
 from .scenario import generate_random, load_scenario, save_scenario, subseed
+from .tolerances import SATISFACTION_TOL
 
 
 def _print_report(report):
@@ -126,10 +127,9 @@ def cmd_random(args) -> int:
     print(f"evaluated {len(sweep.records)} relation records on {args.count} scenarios (d={args.dim})")
     violated = 0
     for rid, margin in sorted(sweep.min_margins.items()):
-        flag = "ok" if margin >= -1e-9 else "VIOLATED"
-        if margin < -1e-9:
-            violated += 1
-        print(f"  {rid:13s} min margin {margin:+.3e}  {flag}")
+        ok = margin >= -SATISFACTION_TOL
+        violated += not ok
+        print(f"  {rid:13s} min margin {margin:+.3e}  {'ok' if ok else 'VIOLATED'}")
     if args.out:
         scenario = generate_random(args.dim, args.outcomes, subseed(args.seed, (args.dim, 0)))
         save_scenario(scenario, args.out)

@@ -41,10 +41,6 @@ class NotExpressible(QMeasureError):
     """Target observable lies outside the span of the POM elements."""
 
 
-class NoJointModel(QMeasureError):
-    """Joint-picture quantity requested but only Kraus sets are available."""
-
-
 class BiasedInstrument(QMeasureError):
     """Operation requires an unbiased estimation but the assignment is biased."""
 

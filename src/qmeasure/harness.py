@@ -34,9 +34,9 @@ from .quasiprob import (
     weak_probe_error_distribution,
 )
 from .scenario import Scenario
+from .tolerances import CROSS_CHECK_TOL, POM_PSD_FLOOR, SLOPE_FLOOR
 
 SCHEMA_VERSION = "1"
-CROSS_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def analyze(scenario: Scenario) -> AnalysisReport:
 
     The quasiprobability forms of epsilon^2 and eta^2 are recomputed from
     the TMH tables and compared with the direct forms; disagreement beyond
-    1e-9 raises an internal-consistency error.
+    CROSS_CHECK_TOL raises an internal-consistency error.
     """
     s = scenario
     inst, rho, obs_a = s.apparatus, s.state, s.observable_A
@@ -255,6 +255,8 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     uniforms is a pure function of (seed, draw index), so runs with the same
     seed are bitwise identical.  When observable_B is present the draws are
     (outcome, posterior-branch) pairs from p(k, b') = Tr[Π_b' A_k(rho)].
+    A cell probability below POM_PSD_FLOOR raises InternalNumericError;
+    round-off in [POM_PSD_FLOOR, 0) is set to 0 before renormalizing.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -265,34 +267,28 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     uniforms = rng.random(shots)
 
-    pair_counts = None
     if s.observable_B is not None:
         spec_b = spectral_decompose(s.observable_B)
-        pairs = []
-        probs = []
+        cells, probs = [], []
         for label in labels:
             after = inst.apply_selective(label, rho).matrix
             for j, proj in enumerate(spec_b.projectors):
-                pairs.append((label, f"b'{j}"))
-                probs.append(max(float(np.real(np.trace(np.asarray(proj) @ after))), 0.0))
-        probs = np.array(probs)
-        probs /= probs.sum()
-        draw = np.searchsorted(np.cumsum(probs), uniforms, side="right")
-        draw = np.minimum(draw, len(pairs) - 1)
-        pair_counts = {}
-        outcome_counts = dict.fromkeys(labels, 0)
-        binned = np.bincount(draw, minlength=len(pairs))
-        for (label, post), n in zip(pairs, binned):
-            pair_counts[(label, post)] = int(n)
-            outcome_counts[label] += int(n)
+                cells.append((label, f"b'{j}"))
+                probs.append(float(np.real(np.trace(np.asarray(proj) @ after))))
     else:
-        probs = np.array([expectation(p, rho) for p in inst.pom()])
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        draw = np.searchsorted(np.cumsum(probs), uniforms, side="right")
-        draw = np.minimum(draw, len(labels) - 1)
-        binned = np.bincount(draw, minlength=len(labels))
-        outcome_counts = {label: int(n) for label, n in zip(labels, binned)}
+        cells = [(label, None) for label in labels]
+        probs = [expectation(p, rho) for p in inst.pom()]
+    probs = np.array(probs)
+    if probs.min() < POM_PSD_FLOOR:
+        raise InternalNumericError(f"cell probability {probs.min():.3e} below {POM_PSD_FLOOR}")
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum()
+    draw = np.searchsorted(np.cumsum(probs), uniforms, side="right")
+    binned = np.bincount(np.minimum(draw, len(cells) - 1), minlength=len(cells))
+    outcome_counts = dict.fromkeys(labels, 0)
+    for (label, _), n in zip(cells, binned):
+        outcome_counts[label] += int(n)
+    pair_counts = None if s.observable_B is None else {cell: int(n) for cell, n in zip(cells, binned)}
 
     p_hat = np.array([outcome_counts[label] / shots for label in labels])
     m = np.array([float(s.values_m[label]) for label in labels])
@@ -303,18 +299,19 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     eps_sq = eps_sq_se = None
     try:
         am = np.asarray(s.observable_A)
-        moments = {}
         power = np.eye(s.dimension, dtype=complex)
+        m_n = {}
         for n in range(1, 5):
             power = power @ am
-            m_n = inst.contextual_values(HermitianOperator((power + power.conj().T) / 2))
-            moments[n] = float(np.array([m_n[l] for l in labels]) @ p_hat)
-        m2 = inst.contextual_values(HermitianOperator(am @ am))
-        v = m**2 - np.array([m2[l] for l in labels])
+            cv = inst.contextual_values(HermitianOperator((power + power.conj().T) / 2))
+            m_n[n] = np.array([cv[l] for l in labels])
+        moments = {n: float(v @ p_hat) for n, v in m_n.items()}
+        # eps^2 = sum_k (m_k^2 - m^(2)_k) p_k, with m^(2) the n = 2 moment values.
+        v = m**2 - m_n[2]
         eps_sq = float(v @ p_hat)
         eps_sq_se = _stream_se(v, p_hat, shots)
     except NotExpressible:
-        moments = None
+        pass
 
     return SampleRun(
         seed=int(seed),
@@ -391,7 +388,7 @@ def weak_sweep(scenario: Scenario, g_list) -> WeakSweep:
 def _loglog_slope(g_values, errors) -> float | None:
     if len(errors) != len(g_values) or len(errors) < 2:
         return None
-    if any(e <= 1e-14 for e in errors):
+    if any(e <= SLOPE_FLOOR for e in errors):
         return None
     slope, _ = np.polyfit(np.log(np.asarray(g_values)), np.log(np.asarray(errors)), 1)
     return float(slope)

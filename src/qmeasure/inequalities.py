@@ -34,16 +34,13 @@ from .operators import (
     spectral_decompose,
 )
 from .retrodiction import (
-    OUTCOME_TRACE_CUTOFF,
     interdictive_disturbance,
     restricted_metrics,
     retrodictive_error,
     retrodictive_state,
 )
 from .scenario import Scenario, generate_random, subseed
-
-SATISFACTION_TOL = 1e-9
-RADICAND_FLOOR = -1e-12
+from .tolerances import ROUNDOFF_FLOOR, SATISFACTION_TOL, ZERO_WEIGHT
 
 RELATION_IDS = (
     "heisenberg",
@@ -170,7 +167,7 @@ class ScenarioContext:
 
     @cached_property
     def live_outcomes(self) -> list[str]:
-        return [label for label, tr in self.pom_traces.items() if tr > OUTCOME_TRACE_CUTOFF]
+        return [label for label, tr in self.pom_traces.items() if tr > ZERO_WEIGHT]
 
     def _per_outcome(self, fn, obs) -> dict[str, float]:
         return {k: fn(self.scenario.apparatus, k, obs) for k in self.live_outcomes}
@@ -197,7 +194,7 @@ class ScenarioContext:
 
 def _branciard(eps_a: float, eps_b: float, ctx: ScenarioContext) -> tuple[float, float]:
     radicand = ctx.sigma_A**2 * ctx.sigma_B**2 - ctx.c_ab**2
-    if radicand < RADICAND_FLOOR:
+    if radicand < ROUNDOFF_FLOOR:
         raise NegativeRadicand(f"sigma_A^2 sigma_B^2 - C^2 = {radicand:.3e}")
     root = math.sqrt(max(radicand, 0.0))
     lhs = eps_a**2 * ctx.sigma_B**2 + ctx.sigma_A**2 * eps_b**2 + 2 * eps_a * eps_b * root

@@ -27,11 +27,7 @@ from .operators import (
     as_complex_matrix,
     max_norm,
 )
-
-COMPLETENESS_TOL = 1e-9
-POM_PSD_FLOOR = -1e-10
-DETECTOR_BRANCH_CUTOFF = 1e-12
-CV_RESIDUAL_TOL = 1e-8
+from .tolerances import CV_RESIDUAL_TOL, IDENTITY_TOL, POM_PSD_FLOOR, ZERO_WEIGHT
 
 # Value assignments are plain mappings from outcome label to real value.
 ValueAssignment = Mapping[str, float]
@@ -78,14 +74,14 @@ class IndirectModel:
             raise DimensionMismatch(
                 f"unitary dimension {u.shape[0]} != system * detector = {d_s * d_d}"
             )
-        if max_norm(u.conj().T @ u - np.eye(d_s * d_d)) > 1e-9:
-            raise CompletenessViolation("coupling matrix is not unitary to 1e-9")
+        if max_norm(u.conj().T @ u - np.eye(d_s * d_d)) > IDENTITY_TOL:
+            raise CompletenessViolation(f"coupling matrix is not unitary to {IDENTITY_TOL}")
         basis = tuple(np.asarray(v, dtype=complex).reshape(d_d) for v in self.readout_basis)
         if len(basis) != d_d:
             raise DimensionMismatch(f"readout basis has {len(basis)} vectors, need {d_d}")
         gram = np.array([[vi.conj() @ vj for vj in basis] for vi in basis])
-        if max_norm(gram - np.eye(d_d)) > 1e-9:
-            raise CompletenessViolation("readout basis is not orthonormal to 1e-9")
+        if max_norm(gram - np.eye(d_d)) > IDENTITY_TOL:
+            raise CompletenessViolation(f"readout basis is not orthonormal to {IDENTITY_TOL}")
         labels = tuple(str(l) for l in self.labels)
         if len(labels) != d_d:
             raise DimensionMismatch(f"{len(labels)} labels for {d_d} readout vectors")
@@ -128,9 +124,9 @@ class Instrument:
             raise DimensionMismatch(f"Kraus dimensions {sorted(dims)} != declared {self.dim}")
         pom = [sum(m.conj().T @ m for m in ks.operators) for ks in self.outcomes]
         defect = max_norm(sum(pom) - np.eye(self.dim))
-        if defect > COMPLETENESS_TOL:
+        if defect > IDENTITY_TOL:
             raise CompletenessViolation(
-                f"sum of M†M deviates from identity by {defect:.3e} > {COMPLETENESS_TOL}"
+                f"sum of M†M deviates from identity by {defect:.3e} > {IDENTITY_TOL}"
             )
         for label, p in zip(labels, pom):
             if np.linalg.eigvalsh(p).min() < POM_PSD_FLOOR:
@@ -149,7 +145,7 @@ class Instrument:
     def from_indirect(cls, model: IndirectModel) -> "Instrument":
         """Kraus operators M_{k,l} = sqrt(p_l) <k|U|l> over detector eigenbranches.
 
-        Eigenbranches with weight below ``DETECTOR_BRANCH_CUTOFF`` are dropped.
+        Eigenbranches with weight at or below ``ZERO_WEIGHT`` are dropped.
         """
         d_s, d_d = model.system_dim, model.detector_state.dim
         p_l, vecs = np.linalg.eigh(model.detector_state.matrix)
@@ -158,7 +154,7 @@ class Instrument:
         for label, k_vec in zip(model.labels, model.readout_basis):
             ops = []
             for l in range(d_d):
-                if p_l[l] <= DETECTOR_BRANCH_CUTOFF:
+                if p_l[l] <= ZERO_WEIGHT:
                     continue
                 l_vec = vecs[:, l]
                 block = np.einsum("b,ibjd,d->ij", k_vec.conj(), u4, l_vec)

@@ -2,8 +2,8 @@
 
 The same quantities are computable in the joint system-detector picture
 (from an explicit unitary model) and in the reduced system picture (from
-the instrument alone); the two must agree to 1e-9, which the test suite
-exercises as a cross-picture oracle.
+the instrument alone); the two must agree to ``CROSS_CHECK_TOL``, which the
+test suite exercises as a cross-picture oracle.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ from .operators import (
     spectral_decompose,
     tensor_product,
 )
-
-UNBIASED_TOL = 1e-8
-QND_TOL = 1e-9
-SECOND_MOMENT_FLOOR = -1e-9
+from .tolerances import CROSS_CHECK_TOL, CV_RESIDUAL_TOL, IDENTITY_TOL, SECOND_MOMENT_FLOOR
 
 
 @dataclass(frozen=True)
@@ -184,17 +181,17 @@ def eta_sq_lindblad(inst: Instrument, b: HermitianOperator, rho: DensityOperator
 
 
 def is_unbiased(inst: Instrument, values: ValueAssignment, a: HermitianOperator) -> bool:
-    """True iff A_e[m] = A as operators (to the 1e-8 gate)."""
+    """True iff A_e[m] = A as operators (to CV_RESIDUAL_TOL)."""
     a_e = inst.effective_observable(values)
-    return max_norm(a_e.matrix - np.asarray(a)) <= UNBIASED_TOL
+    return max_norm(a_e.matrix - np.asarray(a)) <= CV_RESIDUAL_TOL
 
 
 def is_qnd(inst: Instrument, b: HermitianOperator) -> bool:
-    """True iff every Kraus operator commutes with B (to the 1e-9 gate)."""
+    """True iff every Kraus operator commutes with B (to IDENTITY_TOL)."""
     bm = np.asarray(b)
     for ks in inst.outcomes:
         for m in ks.operators:
-            if max_norm(m @ bm - bm @ m) > QND_TOL:
+            if max_norm(m @ bm - bm @ m) > IDENTITY_TOL:
                 return False
     return True
 
@@ -204,7 +201,7 @@ def unbiased_dispersion(
 ) -> float:
     """Dispersion of the mean for an unbiased estimation.
 
-    Computed two independent ways and cross-checked to 1e-9:
+    Computed two independent ways and cross-checked to CROSS_CHECK_TOL:
     - eigen side: sum_k m_k^2 p_k - sum_a A_a^2 p_a;
     - contextual side: sum_k [m_k^2 - m^(2)_k] p_k with m^(2) solved
       against A^2 by the contextual-value solver.
@@ -222,7 +219,7 @@ def unbiased_dispersion(
     m2 = inst.contextual_values(HermitianOperator(am @ am))
     m2_k = np.array([m2[label] for label in inst.labels])
     contextual_side = float((m_k**2 - m2_k) @ p_k)
-    if abs(eigen_side - contextual_side) > 1e-9:
+    if abs(eigen_side - contextual_side) > CROSS_CHECK_TOL:
         raise InternalNumericError(
             f"dispersion mismatch: eigen {eigen_side!r} vs contextual {contextual_side!r}"
         )

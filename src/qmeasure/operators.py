@@ -18,11 +18,7 @@ from .errors import (
     InternalNumericError,
     StateValidationError,
 )
-
-HERMITICITY_TOL = 1e-9
-EIGENVALUE_FLOOR = -1e-9
-TRACE_TOL = 1e-9
-GROUP_TOL = 1e-8
+from .tolerances import EIGENVALUE_FLOOR, GROUP_TOL, IDENTITY_TOL, ROUNDOFF_FLOOR, TRACE_TOL
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -52,7 +48,7 @@ class HermitianOperator:
     """A Hermitian matrix, symmetrized to (M + M†)/2 at construction.
 
     Construction rejects inputs whose anti-Hermitian part exceeds
-    ``HERMITICITY_TOL`` in max-norm; smaller deviations (file round-trips)
+    ``IDENTITY_TOL`` in max-norm; smaller deviations (file round-trips)
     are silently symmetrized away.
     """
 
@@ -61,9 +57,9 @@ class HermitianOperator:
     def __post_init__(self):
         m = as_complex_matrix(self.matrix, square=True)
         defect = max_norm(m - m.conj().T)
-        if defect > HERMITICITY_TOL:
+        if defect > IDENTITY_TOL:
             raise HermiticityViolation(
-                f"anti-Hermitian part has max-norm {defect:.3e} > {HERMITICITY_TOL}"
+                f"anti-Hermitian part has max-norm {defect:.3e} > {IDENTITY_TOL}"
             )
         sym = (m + m.conj().T) / 2
         sym.setflags(write=False)
@@ -104,9 +100,9 @@ class HermitianOperator:
 class DensityOperator:
     """Positive-semidefinite unit-trace operator.
 
-    Eigenvalues in [-1e-9, 0) are clipped to zero and the state is
-    renormalized; genuinely negative eigenvalues or a trace off by more
-    than 1e-9 are rejected.
+    Eigenvalues in [EIGENVALUE_FLOOR, 0) are clipped to zero and the state
+    is renormalized; genuinely negative eigenvalues or a trace off by more
+    than TRACE_TOL are rejected.
     """
 
     op: HermitianOperator
@@ -196,13 +192,13 @@ def expectation(x, rho) -> float:
 
 
 def expectation_and_variance(a: HermitianOperator, rho: DensityOperator) -> tuple[float, float]:
-    """Mean Tr(A rho) and variance Tr(A^2 rho) - mean^2 (clipped at 0)."""
+    """Mean Tr(A rho) and variance Tr(A^2 rho) - mean^2; round-off down to ROUNDOFF_FLOOR reads 0."""
     am, rm = _matrix_of(a), _matrix_of(rho)
     _check_same_dim(am, rm)
     mean = float(np.real(np.trace(am @ rm)))
     second = float(np.real(np.trace(am @ am @ rm)))
     var = second - mean * mean
-    if var < -1e-12:
+    if var < ROUNDOFF_FLOOR:
         raise InternalNumericError(f"variance {var:.3e} below round-off floor")
     return mean, max(var, 0.0)
 

@@ -29,8 +29,7 @@ from .operators import (
     max_norm,
     spectral_decompose,
 )
-
-MASS_TOL = 1e-10
+from .tolerances import CV_RESIDUAL_TOL, IDENTITY_TOL, MASS_TOL, ZERO_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class QuasiDistribution:
 
     ``row_values`` / ``col_values`` attach the physical values (eigenvalues
     or assigned outcome values) used in mean-squared differences.  Total
-    mass must be 1 to 1e-10.
+    mass must be 1 to MASS_TOL.
     """
 
     row_labels: tuple[str, ...]
@@ -94,7 +93,7 @@ class WeakProbe:
         if not 0.0 < g <= 1.0:
             raise InvalidStrength(f"probe strength {g!r} outside (0, 1]")
         pm = np.asarray(projector)
-        if max_norm(pm @ pm - pm) > 1e-9:
+        if max_norm(pm @ pm - pm) > IDENTITY_TOL:
             raise InternalNumericError("probe target is not idempotent")
         ident = np.eye(pm.shape[0])
         comp = ident - pm
@@ -103,7 +102,7 @@ class WeakProbe:
         pom = [HermitianOperator(m_plus.conj().T @ m_plus), HermitianOperator(m_minus.conj().T @ m_minus)]
         n = solve_contextual_values(pom, projector)
         closed = np.array([(1 + 1 / g) / 2, (1 - 1 / g) / 2])
-        if max_norm(n - closed) > 1e-8 * (1 + 1 / g):
+        if max_norm(n - closed) > CV_RESIDUAL_TOL * (1 + 1 / g):
             raise InternalNumericError("probe calibration disagrees with closed form")
         return cls(projector, float(g), m_plus, m_minus, float(closed[0]), float(closed[1]))
 
@@ -170,7 +169,7 @@ def conditional_weak_value(
     """Generalized weak value Re Tr(P_k Π rho) / Tr(P_k rho); may leave [0, 1]."""
     p_k, pi, rm = np.asarray(pom_element), np.asarray(projector), np.asarray(rho)
     denom = float(np.real(np.trace(p_k @ rm)))
-    if denom <= 1e-12:
+    if denom <= ZERO_WEIGHT:
         raise ZeroProbabilityConditioning(f"outcome probability {denom!r} too small")
     return float(np.real(np.trace(p_k @ pi @ rm))) / denom
 

@@ -21,8 +21,7 @@ from .operators import (
     spectral_decompose,
 )
 from .quasiprob import QuasiDistribution
-
-OUTCOME_TRACE_CUTOFF = 1e-12
+from .tolerances import ZERO_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,6 @@ class RetrodictiveState:
     from outcome k under a uniform prior."""
 
     state: DensityOperator
-    source_outcome: str
     source_trace: float
 
 
@@ -54,7 +52,7 @@ class InterdictiveState:
 
 def _outcome_trace(inst: Instrument, label: str) -> float:
     tr = float(np.real(np.trace(inst.pom_element(label).matrix)))
-    if tr <= OUTCOME_TRACE_CUTOFF:
+    if tr <= ZERO_WEIGHT:
         raise NullOutcome(f"outcome {label!r} has POM trace {tr!r}")
     return tr
 
@@ -63,7 +61,7 @@ def retrodictive_state(inst: Instrument, label: str) -> RetrodictiveState:
     tr = _outcome_trace(inst, label)
     p_k = inst.pom_element(label)
     state = DensityOperator(HermitianOperator(p_k.matrix / tr))
-    return RetrodictiveState(state=state, source_outcome=label, source_trace=tr)
+    return RetrodictiveState(state=state, source_trace=tr)
 
 
 def interdictive_state(inst: Instrument, label: str) -> InterdictiveState:
@@ -144,7 +142,7 @@ def restricted_metrics(
     b_val, proj_bp = spec.branches[posterior_index]
     back = inst.adjoint_apply(label, proj_bp).matrix / tr
     p_post = float(np.real(np.trace(back)))
-    if p_post <= OUTCOME_TRACE_CUTOFF:
+    if p_post <= ZERO_WEIGHT:
         raise ZeroPosterior(f"posterior branch {posterior_index} has probability {p_post!r}")
     state = DensityOperator(HermitianOperator(back / p_post))
     mean_b, var_b = expectation_and_variance(b, state)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     MissingLabel,
     NotExpressible,
     ParseError,
@@ -23,6 +24,7 @@ from .errors import (
 )
 from .instruments import IndirectModel, Instrument, KrausSet
 from .operators import DensityOperator, HermitianOperator
+from .tolerances import TRACE_TOL
 
 SCENARIO_KEYS = {"dimension", "state", "observable_A", "observable_B", "apparatus", "values_m", "values_mB", "meta"}
 
@@ -40,6 +42,16 @@ class Scenario:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        dims = {
+            "state": self.state.dim,
+            "observable_A": self.observable_A.dim,
+            "observable_B": None if self.observable_B is None else self.observable_B.dim,
+            "apparatus": self.apparatus.dim,
+            "indirect": None if self.indirect is None else self.indirect.system_dim,
+        }
+        wrong = {name: d for name, d in dims.items() if d not in (None, self.dimension)}
+        if wrong:
+            raise DimensionMismatch(f"declared dimension {self.dimension} inconsistent with {wrong}")
         labels = set(self.apparatus.labels)
         for name, values in (("values_m", self.values_m), ("values_mB", self.values_mB)):
             if values is None:
@@ -135,9 +147,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         a_doc = doc["observable_A"]
         apparatus_doc = doc["apparatus"]
         values_m = {str(k): float(v) for k, v in doc["values_m"].items()}
+        values_mB = None
+        if "values_mB" in doc:
+            values_mB = {str(k): float(v) for k, v in doc["values_mB"].items()}
     except KeyError as exc:
         raise ParseError(f"missing required key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed scenario field: {exc}") from exc
 
     def _wrap(kind, fn, *args):
@@ -150,7 +165,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     state_m = _matrix_from_json(state_doc, "state")
     tr = float(np.real(np.trace(state_m)))
-    if abs(tr - 1.0) > 1e-9:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError("TraceNotOne", f"state trace is {tr!r}")
     state = _wrap("InvalidState", lambda: DensityOperator(HermitianOperator(state_m)))
     obs_a = _wrap("InvalidObservable", lambda: HermitianOperator(_matrix_from_json(a_doc, "observable_A")))
@@ -198,17 +213,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     else:
         raise ParseError(f"apparatus type must be 'kraus' or 'indirect', got {app_type!r}")
 
-    if state.dim != dimension or obs_a.dim != dimension or apparatus.dim != dimension:
-        raise ValidationError(
-            "DimensionMismatch",
-            f"declared dimension {dimension} inconsistent with components",
-        )
-    if obs_b is not None and obs_b.dim != dimension:
-        raise ValidationError("DimensionMismatch", "observable_B dimension mismatch")
-
-    values_mB = None
-    if "values_mB" in doc:
-        values_mB = {str(k): float(v) for k, v in doc["values_mB"].items()}
     try:
         return Scenario(
             dimension=dimension,
@@ -221,8 +225,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             values_mB=values_mB,
             meta=dict(doc.get("meta", {})),
         )
-    except MissingLabel as exc:
-        raise ValidationError("MissingLabel", str(exc)) from exc
+    except (DimensionMismatch, MissingLabel) as exc:
+        raise ValidationError(type(exc).__name__, str(exc)) from exc
 
 
 def load_scenario(path) -> Scenario:

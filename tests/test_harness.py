@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from qmeasure import harness
+from qmeasure.errors import InternalNumericError
 from qmeasure.harness import (
     analyze,
     report_to_dict,
@@ -13,8 +15,10 @@ from qmeasure.harness import (
     write_sweep_csv,
 )
 from qmeasure.inequalities import evaluate_all
-from qmeasure.operators import SIGMA_Z, expectation
+from qmeasure.instruments import Instrument
+from qmeasure.operators import SIGMA_Z, HermitianOperator, expectation
 from qmeasure.scenario import Scenario, load_scenario
+from qmeasure.tolerances import POM_PSD_FLOOR
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -139,6 +143,43 @@ class TestSample:
     def test_shots_gate(self, theta_pom_scenario):
         with pytest.raises(ValueError):
             sample(theta_pom_scenario, 0, 1)
+
+    @staticmethod
+    def _tamper_first_probability(monkeypatch, value):
+        """Make the first outcome probability of the per-outcome path ``value``."""
+        real = harness.expectation
+        calls = []
+
+        def fake(x, rho):
+            calls.append(x)
+            return value if len(calls) == 1 else real(x, rho)
+
+        monkeypatch.setattr(harness, "expectation", fake)
+
+    def test_negative_probability_below_floor_raises(self, weak_probe_scenario, monkeypatch):
+        assert weak_probe_scenario.observable_B is None
+        self._tamper_first_probability(monkeypatch, 2 * POM_PSD_FLOOR)
+        with pytest.raises(InternalNumericError):
+            sample(weak_probe_scenario, 1000, 1)
+
+    def test_roundoff_probability_is_zeroed(self, weak_probe_scenario, monkeypatch):
+        self._tamper_first_probability(monkeypatch, POM_PSD_FLOOR / 2)
+        run = sample(weak_probe_scenario, 1000, 1)
+        first = weak_probe_scenario.apparatus.labels[0]
+        assert run.counts[first] == 0
+        assert sum(run.counts.values()) == 1000
+
+    def test_negative_pair_probability_raises(self, theta_pom_scenario, monkeypatch):
+        real = Instrument.apply_selective
+        first = theta_pom_scenario.apparatus.labels[0]
+
+        def negated(self, label, rho):
+            out = real(self, label, rho)
+            return HermitianOperator(-out.matrix) if label == first else out
+
+        monkeypatch.setattr(Instrument, "apply_selective", negated)
+        with pytest.raises(InternalNumericError):
+            sample(theta_pom_scenario, 1000, 1)
 
 
 class TestWeakSweep:

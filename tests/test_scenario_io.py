@@ -1,16 +1,18 @@
 import copy
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from qmeasure.errors import ParseError, ValidationError
+from qmeasure.errors import DimensionMismatch, ParseError, ValidationError
 from qmeasure.operators import max_norm
 from qmeasure.scenario import (
     Scenario,
     generate_random,
     load_scenario,
+    random_indirect_model,
     save_scenario,
     scenario_from_dict,
     subseed,
@@ -78,6 +80,20 @@ class TestValidationKinds:
             scenario_from_dict(doc)
         assert err.value.kind == "DimensionMismatch"
 
+    def test_observable_b_dimension_mismatch(self):
+        doc = load_doc(THETA_POM)
+        doc["observable_B"] = [[[1.0, 0.0]] * 3] * 3
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        assert err.value.kind == "DimensionMismatch"
+
+    @pytest.mark.parametrize("field, value", [("values_mB", {"+": "abc", "-": 1.0}), ("values_m", [2.0, -2.0])])
+    def test_malformed_values_are_parse_errors(self, field, value):
+        doc = load_doc(THETA_POM)
+        doc[field] = value
+        with pytest.raises(ParseError):
+            scenario_from_dict(doc)
+
     def test_missing_value_label(self):
         doc = load_doc(THETA_POM)
         doc["values_m"] = {"+": 2.0}
@@ -91,6 +107,19 @@ class TestValidationKinds:
         with pytest.raises(ValidationError) as err:
             scenario_from_dict(doc)
         assert err.value.kind == "InvalidObservable"
+
+
+class TestConstructorDimensions:
+    """The public constructor, not only the parser, checks every part against ``dimension``."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"dimension": 3}, {"indirect": random_indirect_model(3, np.random.default_rng(0))}],
+        ids=["dimension", "indirect"],
+    )
+    def test_parts_must_match_declared_dimension(self, change):
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(load_scenario(THETA_POM), **change)
 
 
 class TestRoundTrip:
