@@ -24,7 +24,7 @@ from .metrics import (
     is_qnd,
     is_unbiased,
 )
-from .operators import HermitianOperator, expectation, max_norm, spectral_decompose
+from .operators import clip_at_floor, max_norm, spectral_decompose
 from .quasiprob import (
     QuasiDistribution,
     quasi_mean_squared_difference,
@@ -34,7 +34,7 @@ from .quasiprob import (
     weak_probe_error_distribution,
 )
 from .scenario import Scenario
-from .tolerances import CROSS_CHECK_TOL, POM_PSD_FLOOR, SLOPE_FLOOR
+from .tolerances import CROSS_CHECK_TOL, POM_PSD_FLOOR, ROUNDOFF_FLOOR, SLOPE_FLOOR
 
 SCHEMA_VERSION = "1"
 
@@ -98,8 +98,7 @@ def analyze(scenario: Scenario) -> AnalysisReport:
     unbiased = is_unbiased(inst, s.values_m, obs_a)
     dispersion_m2 = None
     try:
-        am = np.asarray(obs_a)
-        dispersion_m2 = inst.contextual_values(HermitianOperator(am @ am))
+        dispersion_m2 = inst.moment_values(obs_a, 2)
     except NotExpressible:
         pass
 
@@ -128,7 +127,7 @@ def analyze(scenario: Scenario) -> AnalysisReport:
     eta_b_k = {} if obs_b is None else ctx.eta_B_k
     outcome_reports = []
     for label, prob in zip(inst.labels, ctx.outcome_probs):
-        eps_a_k, pom_trace = ctx.eps_A_k.get(label, float("nan")), ctx.pom_traces[label]
+        eps_a_k, pom_trace = ctx.eps_A_k.get(label, float("nan")), inst.pom_trace(label)
         outcome_reports.append(
             OutcomeReport(label, float(prob), pom_trace, eps_a_k, eps_b_k.get(label), eta_b_k.get(label))
         )
@@ -272,12 +271,12 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
         cells, probs = [], []
         for label in labels:
             after = inst.apply_selective(label, rho).matrix
-            for j, proj in enumerate(spec_b.projectors):
-                cells.append((label, f"b'{j}"))
+            for posterior, proj in zip(spec_b.labels("b'"), spec_b.projectors):
+                cells.append((label, posterior))
                 probs.append(float(np.real(np.trace(np.asarray(proj) @ after))))
     else:
         cells = [(label, None) for label in labels]
-        probs = [expectation(p, rho) for p in inst.pom()]
+        probs = inst.outcome_probabilities(rho)
     probs = np.array(probs)
     if probs.min() < POM_PSD_FLOOR:
         raise InternalNumericError(f"cell probability {probs.min():.3e} below {POM_PSD_FLOOR}")
@@ -298,12 +297,9 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     moments = None
     eps_sq = eps_sq_se = None
     try:
-        am = np.asarray(s.observable_A)
-        power = np.eye(s.dimension, dtype=complex)
         m_n = {}
         for n in range(1, 5):
-            power = power @ am
-            cv = inst.contextual_values(HermitianOperator((power + power.conj().T) / 2))
+            cv = inst.moment_values(s.observable_A, n)
             m_n[n] = np.array([cv[l] for l in labels])
         moments = {n: float(v @ p_hat) for n, v in m_n.items()}
         # eps^2 = sum_k (m_k^2 - m^(2)_k) p_k, with m^(2) the n = 2 moment values.
@@ -328,7 +324,7 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
 
 def _stream_se(values: np.ndarray, p_hat: np.ndarray, shots: int) -> float:
     var = float(values**2 @ p_hat - (values @ p_hat) ** 2)
-    return math.sqrt(max(var, 0.0) / shots)
+    return math.sqrt(clip_at_floor(var, ROUNDOFF_FLOOR, "variance") / shots)
 
 
 # ---------------------------------------------------------------------------

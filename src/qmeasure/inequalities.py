@@ -27,20 +27,16 @@ import numpy as np
 from .errors import MissingIngredient, NegativeRadicand, ZeroPosterior
 from .metrics import NoiseReport, epsilon_sq_system, eta_sq_system
 from .operators import (
+    clip_at_floor,
     commutator_bound,
     expectation,
     expectation_and_variance,
     jordan_product,
     spectral_decompose,
 )
-from .retrodiction import (
-    interdictive_disturbance,
-    restricted_metrics,
-    retrodictive_error,
-    retrodictive_state,
-)
+from .retrodiction import interdictive_disturbance, restricted_metrics, retrodictive_error
 from .scenario import Scenario, generate_random, subseed
-from .tolerances import ROUNDOFF_FLOOR, SATISFACTION_TOL, ZERO_WEIGHT
+from .tolerances import ROUNDOFF_FLOOR, SATISFACTION_TOL
 
 RELATION_IDS = (
     "heisenberg",
@@ -150,27 +146,18 @@ class ScenarioContext:
 
     @cached_property
     def outcome_probs(self) -> np.ndarray:
-        s = self.scenario
-        return np.array([expectation(p, s.state) for p in s.apparatus.pom()])
+        return self.scenario.apparatus.outcome_probabilities(self.scenario.state)
 
     def sigma_est(self, values: dict[str, float]) -> float:
         """Spread of the assigned values in the recorded data stream."""
         m = np.array([values[label] for label in self.scenario.apparatus.labels])
         p = self.outcome_probs
         var = float(m**2 @ p - (m @ p) ** 2)
-        return math.sqrt(max(var, 0.0))
-
-    @cached_property
-    def pom_traces(self) -> dict[str, float]:
-        inst = self.scenario.apparatus
-        return {label: float(np.real(np.trace(inst.pom_element(label).matrix))) for label in inst.labels}
-
-    @cached_property
-    def live_outcomes(self) -> list[str]:
-        return [label for label, tr in self.pom_traces.items() if tr > ZERO_WEIGHT]
+        return math.sqrt(clip_at_floor(var, ROUNDOFF_FLOOR, "variance"))
 
     def _per_outcome(self, fn, obs) -> dict[str, float]:
-        return {k: fn(self.scenario.apparatus, k, obs) for k in self.live_outcomes}
+        inst = self.scenario.apparatus
+        return {k: fn(inst, k, obs) for k in inst.live_labels}
 
     @cached_property
     def eps_A_k(self) -> dict[str, float]:
@@ -188,7 +175,7 @@ class ScenarioContext:
     def c_ab_k(self) -> dict[str, float]:
         """Commutator bound C_AB in the retrodictive state of each live outcome."""
         s, obs_b = self.scenario, self._obs_b
-        retro = {k: retrodictive_state(s.apparatus, k).state for k in self.live_outcomes}
+        retro = {k: s.apparatus.retrodicted_state(k) for k in s.apparatus.live_labels}
         return {k: commutator_bound(s.observable_A, obs_b, state) for k, state in retro.items()}
 
 
@@ -245,17 +232,17 @@ def _evaluate_hofmann(relation_id: str, ctx: ScenarioContext) -> InequalityRecor
     s, obs_b = ctx.scenario, ctx._obs_b
     subs: list[SubRecord] = []
     if relation_id == "hofmann2":
-        spec_b = spectral_decompose(obs_b)
-        for label in ctx.live_outcomes:
-            for idx in range(len(spec_b.branches)):
+        posteriors = spectral_decompose(obs_b).labels("b'")
+        for label in s.apparatus.live_labels:
+            for idx, posterior in enumerate(posteriors):
                 try:
                     rm = restricted_metrics(s.apparatus, label, idx, s.observable_A, obs_b)
                 except ZeroPosterior:
                     continue
-                subs.append(SubRecord(f"{label}|b'{idx}", rm.eps_A * rm.eta_B, rm.eps_A * rm.eps_B))
+                subs.append(SubRecord(f"{label}|{posterior}", rm.eps_A * rm.eta_B, rm.eps_A * rm.eps_B))
     else:
         b_k = ctx.eps_B_k if relation_id == "hofmann1" else ctx.eta_B_k
-        for label in ctx.live_outcomes:
+        for label in s.apparatus.live_labels:
             subs.append(SubRecord(label, ctx.eps_A_k[label] * b_k[label], ctx.c_ab_k[label]))
     if not subs:
         raise MissingIngredient(f"{relation_id}: no live outcomes to evaluate")

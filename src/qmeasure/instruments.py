@@ -9,6 +9,7 @@ labels turns the apparatus into an effective observable on the system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     DuplicateLabel,
     MissingLabel,
     NotExpressible,
+    NullOutcome,
     UnknownLabel,
 )
 from .operators import (
@@ -107,13 +109,17 @@ class Instrument:
     """Validated family of Kraus sets, one per outcome label.
 
     Build through :meth:`from_kraus` or :meth:`from_indirect`; the constructor
-    enforces completeness and positivity of the induced POM, and keeps it.
+    enforces completeness and positivity of the induced POM, and keeps it
+    with the trace Tr P_k of each element.  An outcome is null when its
+    trace is at most ``ZERO_WEIGHT``; every other outcome is live.
     """
 
     outcomes: tuple[KrausSet, ...]
     dim: int
     _pom: tuple[HermitianOperator, ...] = field(init=False, repr=False, compare=False)
+    _traces: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _retrodicted: dict[str, DensityOperator] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = [ks.label for ks in self.outcomes]
@@ -131,8 +137,11 @@ class Instrument:
         for label, p in zip(labels, pom):
             if np.linalg.eigvalsh(p).min() < POM_PSD_FLOOR:
                 raise CompletenessViolation(f"POM element {label!r} is not PSD")
-        object.__setattr__(self, "_pom", tuple(HermitianOperator(p) for p in pom))
+        pom = tuple(HermitianOperator(p) for p in pom)
+        object.__setattr__(self, "_pom", pom)
+        object.__setattr__(self, "_traces", tuple(float(np.real(np.trace(p.matrix))) for p in pom))
         object.__setattr__(self, "_index", {label: i for i, label in enumerate(labels)})
+        object.__setattr__(self, "_retrodicted", {})
 
     @classmethod
     def from_kraus(cls, sets: Sequence[KrausSet]) -> "Instrument":
@@ -182,6 +191,38 @@ class Instrument:
     def pom_element(self, label: str) -> HermitianOperator:
         return self._pom[self._position(label)]
 
+    def pom_trace(self, label: str) -> float:
+        """Tr P_k of one outcome."""
+        return self._traces[self._position(label)]
+
+    @cached_property
+    def live_labels(self) -> tuple[str, ...]:
+        """Labels of the live outcomes, Tr P_k > ZERO_WEIGHT, in declared order."""
+        return tuple(label for label, tr in zip(self.labels, self._traces) if tr > ZERO_WEIGHT)
+
+    def live_trace(self, label: str) -> float:
+        """Tr P_k of a live outcome; a null outcome raises NullOutcome."""
+        tr = self.pom_trace(label)
+        if label not in self.live_labels:
+            raise NullOutcome(f"outcome {label!r} has POM trace {tr!r}")
+        return tr
+
+    def retrodicted_state(self, label: str) -> DensityOperator:
+        """P_k / Tr P_k: the state inferred backward from a live outcome under
+        a uniform prior.  Built on first use and kept."""
+        if label not in self._retrodicted:
+            tr = self.live_trace(label)
+            state = DensityOperator(HermitianOperator(self.pom_element(label).matrix / tr))
+            self._retrodicted[label] = state
+        return self._retrodicted[label]
+
+    def outcome_probabilities(self, rho) -> np.ndarray:
+        """Tr(P_k rho) per outcome, in declared order; ``rho`` may be unnormalized."""
+        rm = np.asarray(rho)
+        if rm.shape != (self.dim, self.dim):
+            raise DimensionMismatch(f"state shape {rm.shape} != ({self.dim}, {self.dim})")
+        return np.array([float(np.real(np.trace(p.matrix @ rm))) for p in self._pom])
+
     def apply_selective(self, label: str, rho: DensityOperator) -> HermitianOperator:
         """Unnormalized post-measurement operator sum_l M rho M† for one outcome."""
         ks = self.outcome(label)
@@ -222,6 +263,18 @@ class Instrument:
         """Minimum-norm values solving sum_k m_k P_k = target, keyed by label."""
         m = solve_contextual_values(self.pom(), target)
         return {label: float(v) for label, v in zip(self.labels, m)}
+
+    def moment_values(self, a: HermitianOperator, n: int) -> dict[str, float]:
+        """Contextual values m^(n) of the n-th moment, the symmetrized power
+        (A^n + A^n†)/2; only that power is solved.  Raises NotExpressible if
+        it lies outside the POM span."""
+        if n < 1:
+            raise ValueError(f"moment order must be >= 1, got {n}")
+        am = np.asarray(a)
+        power = am
+        for _ in range(n - 1):
+            power = power @ am
+        return self.contextual_values(HermitianOperator((power + power.conj().T) / 2))
 
 
 def squared_values(values: ValueAssignment) -> dict[str, float]:

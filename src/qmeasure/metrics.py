@@ -17,6 +17,7 @@ from .instruments import IndirectModel, Instrument, ValueAssignment, squared_val
 from .operators import (
     DensityOperator,
     HermitianOperator,
+    clip_at_floor,
     expectation,
     jordan_product,
     max_norm,
@@ -41,12 +42,6 @@ class NoiseReport:
     components: tuple[float, float, float]
 
 
-def _clip_second_moment(value: float) -> float:
-    if value < SECOND_MOMENT_FLOOR:
-        raise InternalNumericError(f"second moment {value:.3e} below {SECOND_MOMENT_FLOOR}")
-    return max(value, 0.0)
-
-
 def delta_A(
     inst: Instrument, values: ValueAssignment, a: HermitianOperator, rho: DensityOperator
 ) -> float:
@@ -68,7 +63,7 @@ def epsilon_sq_system(
     first = expectation(a_e_sq, rho)
     second = expectation(HermitianOperator(np.asarray(a) @ np.asarray(a)), rho)
     cross = 2 * expectation(jordan_product(a_e, a), rho)
-    eps_sq = _clip_second_moment(first + second - cross)
+    eps_sq = clip_at_floor(first + second - cross, SECOND_MOMENT_FLOOR, "second moment")
     return NoiseReport(
         delta=delta_A(inst, values, a, rho),
         mean_squared=eps_sq,
@@ -91,7 +86,7 @@ def epsilon_sq_joint(
     noise_op = u.conj().T @ joint_m @ u - tensor_product(a, np.eye(d_d))
     joint_state = tensor_product(rho_s, model.detector_state)
     value = float(np.real(np.trace(noise_op @ noise_op @ joint_state)))
-    return _clip_second_moment(value)
+    return clip_at_floor(value, SECOND_MOMENT_FLOOR, "second moment")
 
 
 def three_state_cross_term(
@@ -129,7 +124,7 @@ def eta_sq_system(inst: Instrument, b: HermitianOperator, rho: DensityOperator) 
     first = expectation(b_sq_prime, rho)
     second = expectation(b_sq, rho)
     cross = 2 * expectation(jordan_product(b_prime, b), rho)
-    eta_sq = _clip_second_moment(first + second - cross)
+    eta_sq = clip_at_floor(first + second - cross, SECOND_MOMENT_FLOOR, "second moment")
     return NoiseReport(
         delta=delta_B(inst, b, rho),
         mean_squared=eta_sq,
@@ -146,7 +141,7 @@ def eta_sq_joint(model: IndirectModel, b: HermitianOperator, rho_s: DensityOpera
     diff_op = u.conj().T @ joint_b @ u - joint_b
     joint_state = tensor_product(rho_s, model.detector_state)
     value = float(np.real(np.trace(diff_op @ diff_op @ joint_state)))
-    return _clip_second_moment(value)
+    return clip_at_floor(value, SECOND_MOMENT_FLOOR, "second moment")
 
 
 def lindblad_term(m: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,7 +172,7 @@ def eta_sq_lindblad(inst: Instrument, b: HermitianOperator, rho: DensityOperator
         l_b2 = sum(lindblad_term(m, b_sq) for m in ks.operators)
         term = l_b2 - (bm @ l_b + l_b @ bm)
         total += float(np.real(np.trace(term @ np.asarray(rho))))
-    return _clip_second_moment(total)
+    return clip_at_floor(total, SECOND_MOMENT_FLOOR, "second moment")
 
 
 def is_unbiased(inst: Instrument, values: ValueAssignment, a: HermitianOperator) -> bool:
@@ -208,19 +203,17 @@ def unbiased_dispersion(
     """
     if not is_unbiased(inst, values, a):
         raise BiasedInstrument("dispersion is defined only for unbiased estimations")
-    pom = inst.pom()
-    p_k = np.array([expectation(p, rho) for p in pom])
+    p_k = inst.outcome_probabilities(rho)
     m_k = np.array([float(values[label]) for label in inst.labels])
     spec = spectral_decompose(a)
     p_a = np.array([expectation(pi, rho) for pi in spec.projectors])
     eigen_side = float(m_k**2 @ p_k - spec.eigenvalues**2 @ p_a)
 
-    am = np.asarray(a)
-    m2 = inst.contextual_values(HermitianOperator(am @ am))
+    m2 = inst.moment_values(a, 2)
     m2_k = np.array([m2[label] for label in inst.labels])
     contextual_side = float((m_k**2 - m2_k) @ p_k)
     if abs(eigen_side - contextual_side) > CROSS_CHECK_TOL:
         raise InternalNumericError(
             f"dispersion mismatch: eigen {eigen_side!r} vs contextual {contextual_side!r}"
         )
-    return _clip_second_moment(eigen_side)
+    return clip_at_floor(eigen_side, SECOND_MOMENT_FLOOR, "second moment")

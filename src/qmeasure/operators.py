@@ -156,6 +156,11 @@ class SpectralDecomposition:
     def projectors(self) -> list[HermitianOperator]:
         return [p for _, p in self.branches]
 
+    def labels(self, prefix: str) -> tuple[str, ...]:
+        """Branch labels ``prefix0``, ``prefix1``, ... in branch order: ``a`` for
+        the branches of A, ``b`` for B before the measurement, ``b'`` after it."""
+        return tuple(f"{prefix}{i}" for i in range(len(self.branches)))
+
 
 def _matrix_of(x) -> np.ndarray:
     if isinstance(x, (HermitianOperator, DensityOperator)):
@@ -197,10 +202,15 @@ def expectation_and_variance(a: HermitianOperator, rho: DensityOperator) -> tupl
     _check_same_dim(am, rm)
     mean = float(np.real(np.trace(am @ rm)))
     second = float(np.real(np.trace(am @ am @ rm)))
-    var = second - mean * mean
-    if var < ROUNDOFF_FLOOR:
-        raise InternalNumericError(f"variance {var:.3e} below round-off floor")
-    return mean, max(var, 0.0)
+    return mean, clip_at_floor(second - mean * mean, ROUNDOFF_FLOOR, "variance")
+
+
+def clip_at_floor(value: float, floor: float, what: str) -> float:
+    """A quantity that is nonnegative in exact arithmetic: round-off in
+    [floor, 0) reads 0, and a value below ``floor`` raises InternalNumericError."""
+    if value < floor:
+        raise InternalNumericError(f"{what} {value:.3e} below {floor}")
+    return max(value, 0.0)
 
 
 def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:

@@ -126,7 +126,7 @@ def tmh_error_distribution(
         [[expectation(jordan_product(proj, p_k), rho) for p_k in pom] for proj in spec.projectors]
     )
     return QuasiDistribution(
-        row_labels=tuple(f"a{i}" for i in range(len(spec.branches))),
+        row_labels=spec.labels("a"),
         col_labels=inst.labels,
         table=table,
         row_values=spec.eigenvalues,
@@ -146,11 +146,9 @@ def tmh_disturbance_distribution(
             for q_bp in q
         ]
     )
-    labels_after = tuple(f"b'{i}" for i in range(len(spec.branches)))
-    labels_before = tuple(f"b{i}" for i in range(len(spec.branches)))
     return QuasiDistribution(
-        row_labels=labels_after,
-        col_labels=labels_before,
+        row_labels=spec.labels("b'"),
+        col_labels=spec.labels("b"),
         table=table,
         row_values=spec.eigenvalues,
         col_values=spec.eigenvalues,
@@ -188,18 +186,16 @@ def weak_probe_error_distribution(
     that scales as (1 - sqrt(1 - g^2)) times the coherence cross term.
     """
     spec = spectral_decompose(a)
-    pom = inst.pom()
     rm = np.asarray(rho)
     rows = []
     for proj in spec.projectors:
         probe = WeakProbe.build(proj, g)
-        row = np.zeros(len(pom))
+        row = np.zeros(len(inst.labels))
         for m_l, n_l in zip(probe.kraus(), probe.calibration()):
-            sigma = m_l @ rm @ m_l.conj().T
-            row += n_l * np.array([float(np.real(np.trace(np.asarray(p) @ sigma))) for p in pom])
+            row += n_l * inst.outcome_probabilities(m_l @ rm @ m_l.conj().T)
         rows.append(row)
     return QuasiDistribution(
-        row_labels=tuple(f"a{i}" for i in range(len(spec.branches))),
+        row_labels=spec.labels("a"),
         col_labels=inst.labels,
         table=np.array(rows),
         row_values=spec.eigenvalues,
@@ -228,11 +224,9 @@ def weak_probe_disturbance_distribution(
             )
             for i, proj_bp in enumerate(spec.projectors):
                 table[i, j] += n_l * float(np.real(np.trace(np.asarray(proj_bp) @ after)))
-    labels_after = tuple(f"b'{i}" for i in range(len(spec.branches)))
-    labels_before = tuple(f"b{i}" for i in range(len(spec.branches)))
     return QuasiDistribution(
-        row_labels=labels_after,
-        col_labels=labels_before,
+        row_labels=spec.labels("b'"),
+        col_labels=spec.labels("b"),
         table=table,
         row_values=spec.eigenvalues,
         col_values=spec.eigenvalues,

@@ -12,16 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NullOutcome, ZeroPosterior
+from .errors import ZeroPosterior
 from .instruments import Instrument
 from .operators import (
     DensityOperator,
     HermitianOperator,
+    clip_at_floor,
     expectation_and_variance,
     spectral_decompose,
 )
 from .quasiprob import QuasiDistribution
-from .tolerances import ZERO_WEIGHT
+from .tolerances import SECOND_MOMENT_FLOOR, ZERO_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -50,23 +51,12 @@ class InterdictiveState:
         return HermitianOperator(out.matrix / self.normalizer)
 
 
-def _outcome_trace(inst: Instrument, label: str) -> float:
-    tr = float(np.real(np.trace(inst.pom_element(label).matrix)))
-    if tr <= ZERO_WEIGHT:
-        raise NullOutcome(f"outcome {label!r} has POM trace {tr!r}")
-    return tr
-
-
 def retrodictive_state(inst: Instrument, label: str) -> RetrodictiveState:
-    tr = _outcome_trace(inst, label)
-    p_k = inst.pom_element(label)
-    state = DensityOperator(HermitianOperator(p_k.matrix / tr))
-    return RetrodictiveState(state=state, source_trace=tr)
+    return RetrodictiveState(state=inst.retrodicted_state(label), source_trace=inst.pom_trace(label))
 
 
 def interdictive_state(inst: Instrument, label: str) -> InterdictiveState:
-    tr = _outcome_trace(inst, label)
-    return InterdictiveState(outcome=label, instrument=inst, normalizer=tr)
+    return InterdictiveState(outcome=label, instrument=inst, normalizer=inst.live_trace(label))
 
 
 def retrodictive_error(inst: Instrument, label: str, a: HermitianOperator) -> float:
@@ -75,8 +65,7 @@ def retrodictive_error(inst: Instrument, label: str, a: HermitianOperator) -> fl
     This is the resolution of the outcome: it depends only on P_k and A,
     never on a preparation.
     """
-    retro = retrodictive_state(inst, label)
-    _, var = expectation_and_variance(a, retro.state)
+    _, var = expectation_and_variance(a, inst.retrodicted_state(label))
     return float(np.sqrt(var))
 
 
@@ -87,17 +76,18 @@ def interdictive_joint_distribution(
 
     Rows index the preparation branch b, columns the posterior branch b'.
     """
-    tr = _outcome_trace(inst, label)
+    # Each trace is divided by the normalizer, not A_k(Π_b) before the trace
+    # as InterdictiveState.apply does: the two orders round differently.
+    tr = interdictive_state(inst, label).normalizer
     spec = spectral_decompose(b)
     table = np.empty((len(spec.branches), len(spec.branches)))
     for i, proj_b in enumerate(spec.projectors):
         after = inst.apply_selective(label, proj_b).matrix
         for j, proj_bp in enumerate(spec.projectors):
             table[i, j] = float(np.real(np.trace(np.asarray(proj_bp) @ after))) / tr
-    n = len(spec.branches)
     return QuasiDistribution(
-        row_labels=tuple(f"b{i}" for i in range(n)),
-        col_labels=tuple(f"b'{j}" for j in range(n)),
+        row_labels=spec.labels("b"),
+        col_labels=spec.labels("b'"),
         table=table,
         row_values=spec.eigenvalues,
         col_values=spec.eigenvalues,
@@ -109,7 +99,8 @@ def interdictive_disturbance(inst: Instrument, label: str, b: HermitianOperator)
     bracketing outcome k: sqrt(sum (B_b - B_b')^2 p(b, b' | k))."""
     dist = interdictive_joint_distribution(inst, label, b)
     diff = dist.row_values[:, None] - dist.col_values[None, :]
-    return float(np.sqrt(max(np.sum(diff**2 * dist.table), 0.0)))
+    eta_sq = clip_at_floor(np.sum(diff**2 * dist.table), SECOND_MOMENT_FLOOR, "second moment")
+    return float(np.sqrt(eta_sq))
 
 
 @dataclass(frozen=True)
@@ -135,12 +126,12 @@ def restricted_metrics(
     The conditioned state is rho_{k,b'} = A*_k(Π_b') / (Tr(P_k) p(b'|k)).
     The disturbance obeys eta^2 = eps_B^2 + (B_b' - <B>)^2 exactly.
     """
-    tr = _outcome_trace(inst, label)
+    inter = interdictive_state(inst, label)
     spec = spectral_decompose(b)
     if not 0 <= posterior_index < len(spec.branches):
         raise ZeroPosterior(f"no eigen-branch with index {posterior_index}")
     b_val, proj_bp = spec.branches[posterior_index]
-    back = inst.adjoint_apply(label, proj_bp).matrix / tr
+    back = inter.adjoint_apply(proj_bp).matrix
     p_post = float(np.real(np.trace(back)))
     if p_post <= ZERO_WEIGHT:
         raise ZeroPosterior(f"posterior branch {posterior_index} has probability {p_post!r}")

@@ -27,6 +27,9 @@ from .operators import DensityOperator, HermitianOperator
 from .tolerances import TRACE_TOL
 
 SCENARIO_KEYS = {"dimension", "state", "observable_A", "observable_B", "apparatus", "values_m", "values_mB", "meta"}
+REQUIRED_SCENARIO_KEYS = ("dimension", "state", "observable_A", "apparatus", "values_m")
+KRAUS_OUTCOME_KEYS = ("label", "kraus")
+INDIRECT_KEYS = ("type", "unitary", "detector_state", "readout_basis", "labels")
 
 
 @dataclass(frozen=True)
@@ -126,34 +129,44 @@ def _vector_from_json(doc, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def _reject_unknown(doc: dict, known: set[str], where: str) -> None:
-    unknown = set(doc) - known
+def _check_keys(doc, known, where: str, required=()) -> None:
+    """``doc`` must be an object with every ``required`` key and no key outside ``known``."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where} must be an object, got {type(doc).__name__}")
+    unknown = set(doc) - set(known)
     if unknown:
         raise ParseError(f"unknown {where} key(s) {sorted(unknown)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ParseError(f"missing required {where} key(s) {missing}")
+
+
+def _list(doc, where: str) -> list:
+    if not isinstance(doc, list):
+        raise ParseError(f"{where} must be a list, got {type(doc).__name__}")
+    return doc
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build and fully validate a scenario from its JSON document.
 
     Unknown keys, at the top level, in the apparatus and in each Kraus
-    outcome, are rejected rather than ignored.
+    outcome, are rejected rather than ignored; so are missing keys and
+    objects or lists of the wrong shape.
     """
-    if not isinstance(doc, dict):
-        raise ParseError("top-level scenario document must be an object")
-    _reject_unknown(doc, SCENARIO_KEYS, "scenario")
+    _check_keys(doc, SCENARIO_KEYS, "scenario", REQUIRED_SCENARIO_KEYS)
     try:
         dimension = int(doc["dimension"])
-        state_doc = doc["state"]
-        a_doc = doc["observable_A"]
-        apparatus_doc = doc["apparatus"]
         values_m = {str(k): float(v) for k, v in doc["values_m"].items()}
         values_mB = None
         if "values_mB" in doc:
             values_mB = {str(k): float(v) for k, v in doc["values_mB"].items()}
-    except KeyError as exc:
-        raise ParseError(f"missing required key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed scenario field: {exc}") from exc
+    state_doc, a_doc, apparatus_doc = doc["state"], doc["observable_A"], doc["apparatus"]
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParseError(f"meta must be an object, got {type(meta).__name__}")
 
     def _wrap(kind, fn, *args):
         try:
@@ -177,20 +190,23 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
 
     indirect = None
+    if not isinstance(apparatus_doc, dict):
+        raise ParseError(f"apparatus must be an object, got {type(apparatus_doc).__name__}")
     app_type = apparatus_doc.get("type")
     if app_type == "kraus":
-        _reject_unknown(apparatus_doc, {"type", "outcomes"}, "apparatus")
+        _check_keys(apparatus_doc, {"type", "outcomes"}, "apparatus")
         sets = []
-        for outcome in apparatus_doc.get("outcomes", []):
-            _reject_unknown(outcome, {"label", "kraus"}, "Kraus outcome")
+        for outcome in _list(apparatus_doc.get("outcomes", []), "outcomes"):
+            _check_keys(outcome, KRAUS_OUTCOME_KEYS, "Kraus outcome", KRAUS_OUTCOME_KEYS)
             label = str(outcome["label"])
-            kraus = tuple(
-                _matrix_from_json(m, f"kraus[{label}]") for m in outcome["kraus"]
-            )
+            where = f"kraus[{label}]"
+            kraus = tuple(_matrix_from_json(m, where) for m in _list(outcome["kraus"], where))
             sets.append(_wrap("InvalidKraus", lambda l=label, k=kraus: KrausSet(l, k)))
         apparatus = _wrap("CompletenessViolation", lambda: Instrument.from_kraus(sets))
     elif app_type == "indirect":
-        _reject_unknown(apparatus_doc, {"type", "unitary", "detector_state", "readout_basis", "labels"}, "apparatus")
+        _check_keys(apparatus_doc, INDIRECT_KEYS, "apparatus", INDIRECT_KEYS)
+        basis_doc = _list(apparatus_doc["readout_basis"], "readout_basis")
+        labels_doc = _list(apparatus_doc["labels"], "labels")
         detector = _wrap(
             "InvalidState",
             lambda: DensityOperator(
@@ -203,10 +219,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 system_dim=dimension,
                 detector_state=detector,
                 unitary=_matrix_from_json(apparatus_doc["unitary"], "unitary"),
-                readout_basis=tuple(
-                    _vector_from_json(v, "readout_basis") for v in apparatus_doc["readout_basis"]
-                ),
-                labels=tuple(str(l) for l in apparatus_doc["labels"]),
+                readout_basis=tuple(_vector_from_json(v, "readout_basis") for v in basis_doc),
+                labels=tuple(str(l) for l in labels_doc),
             ),
         )
         apparatus = _wrap("CompletenessViolation", lambda: Instrument.from_indirect(indirect))
@@ -223,7 +237,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             indirect=indirect,
             values_m=values_m,
             values_mB=values_mB,
-            meta=dict(doc.get("meta", {})),
+            meta=dict(meta),
         )
     except (DimensionMismatch, MissingLabel) as exc:
         raise ValidationError(type(exc).__name__, str(exc)) from exc

@@ -27,20 +27,25 @@ exact arithmetic; a larger defect is an error, a smaller one is round-off.
 
 Floors (negative) bound how far below zero a quantity that is nonnegative
 in exact arithmetic may fall.  Below its floor the value is rejected; in
-[floor, 0) it is round-off and is set to 0.
+[floor, 0) it is round-off and is set to 0 (``operators.clip_at_floor``
+applies this to a single number).
 
 - ``EIGENVALUE_FLOOR``: eigenvalues of a density operator (the state is
   then renormalized).
 - ``POM_PSD_FLOOR``: eigenvalues of a POM element, and the cell
   probabilities that ``sample`` draws from (renormalized after the clip).
-- ``SECOND_MOMENT_FLOOR``: ε², η² and the unbiased dispersion.
-- ``ROUNDOFF_FLOOR``: a variance Tr(A²ρ) − ⟨A⟩² and the Branciard radicand
+- ``SECOND_MOMENT_FLOOR``: ε², η², the unbiased dispersion, and the
+  per-outcome interdictive disturbance Σ (B_b − B_b')² p(b, b' | k).
+- ``ROUNDOFF_FLOOR``: a variance: Tr(A²ρ) − ⟨A⟩², the spread of the
+  assigned values in the data stream (σ_est), and the spread of a sampled
+  stream behind its standard error; and the Branciard radicand
   σ_A² σ_B² − C_AB².
 
 Zero weights (positive) are the value at or below which a nonnegative
 weight counts as zero, so its outcome or branch is absent.
 
-- ``ZERO_WEIGHT``: the POM trace of an outcome, the weight of a detector
+- ``ZERO_WEIGHT``: the POM trace of an outcome (at or below it the
+  outcome is null, see ``Instrument.live_labels``), the weight of a detector
   eigen-branch, a posterior-branch probability, and the outcome
   probability a weak value is conditioned on.
 - ``SLOPE_FLOOR``: a weak-sweep error at or below it is round-off, so no

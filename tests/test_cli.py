@@ -9,6 +9,7 @@ from qmeasure.scenario import load_scenario
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 THETA_POM = os.path.join(SCENARIO_DIR, "theta_pom.json")
 WEAK_PROBE = os.path.join(SCENARIO_DIR, "weak_probe.json")
+CNOT = os.path.join(SCENARIO_DIR, "cnot_projective.json")
 
 
 class TestValidate:
@@ -40,6 +41,47 @@ class TestValidate:
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate", str(bad)]) == 1
         assert "unknown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, edit",
+        [
+            (THETA_POM, lambda doc: doc["apparatus"]["outcomes"][0].pop("label")),
+            (THETA_POM, lambda doc: doc["apparatus"]["outcomes"][0].pop("kraus")),
+            (THETA_POM, lambda doc: doc["apparatus"]["outcomes"].__setitem__(0, 5)),
+            (THETA_POM, lambda doc: doc.update(apparatus=[1])),
+            (THETA_POM, lambda doc: doc.update(meta=[1, 2])),
+            (CNOT, lambda doc: doc["apparatus"].pop("unitary")),
+            (CNOT, lambda doc: doc["apparatus"].pop("detector_state")),
+            (CNOT, lambda doc: doc["apparatus"].pop("readout_basis")),
+            (CNOT, lambda doc: doc["apparatus"].pop("labels")),
+            (THETA_POM, lambda doc: doc["apparatus"].update(outcomes=5)),
+            (THETA_POM, lambda doc: doc["apparatus"]["outcomes"][0].update(kraus=5)),
+            (CNOT, lambda doc: doc["apparatus"].update(readout_basis=5)),
+            (CNOT, lambda doc: doc["apparatus"].update(labels=5)),
+        ],
+        ids=[
+            "outcome-without-label",
+            "outcome-without-kraus",
+            "outcome-not-an-object",
+            "apparatus-not-an-object",
+            "meta-not-an-object",
+            "indirect-without-unitary",
+            "indirect-without-detector_state",
+            "indirect-without-readout_basis",
+            "indirect-without-labels",
+            "outcomes-not-a-list",
+            "kraus-not-a-list",
+            "readout_basis-not-a-list",
+            "labels-not-a-list",
+        ],
+    )
+    def test_malformed_shape_is_parse_error(self, tmp_path, capsys, path, edit):
+        bad = tmp_path / "bad.json"
+        doc = json.load(open(path, encoding="utf-8"))
+        edit(doc)
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(bad)]) == 1
+        assert "error (ParseError)" in capsys.readouterr().err
 
     def test_unparseable_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

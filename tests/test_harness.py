@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -16,7 +17,7 @@ from qmeasure.harness import (
 )
 from qmeasure.inequalities import evaluate_all
 from qmeasure.instruments import Instrument
-from qmeasure.operators import SIGMA_Z, HermitianOperator, expectation
+from qmeasure.operators import SIGMA_X, SIGMA_Z, HermitianOperator, expectation
 from qmeasure.scenario import Scenario, load_scenario
 from qmeasure.tolerances import POM_PSD_FLOOR
 
@@ -147,14 +148,14 @@ class TestSample:
     @staticmethod
     def _tamper_first_probability(monkeypatch, value):
         """Make the first outcome probability of the per-outcome path ``value``."""
-        real = harness.expectation
-        calls = []
+        real = Instrument.outcome_probabilities
 
-        def fake(x, rho):
-            calls.append(x)
-            return value if len(calls) == 1 else real(x, rho)
+        def fake(self, rho):
+            probs = real(self, rho)
+            probs[0] = value
+            return probs
 
-        monkeypatch.setattr(harness, "expectation", fake)
+        monkeypatch.setattr(Instrument, "outcome_probabilities", fake)
 
     def test_negative_probability_below_floor_raises(self, weak_probe_scenario, monkeypatch):
         assert weak_probe_scenario.observable_B is None
@@ -168,6 +169,17 @@ class TestSample:
         first = weak_probe_scenario.apparatus.labels[0]
         assert run.counts[first] == 0
         assert sum(run.counts.values()) == 1000
+
+    def test_negative_stream_variance_below_floor_raises(self):
+        # Relative frequencies (2, -1) with values (1, -1): variance 1 - 3^2 = -8.
+        with pytest.raises(InternalNumericError):
+            harness._stream_se(np.array([1.0, -1.0]), np.array([2.0, -1.0]), 10)
+
+    def test_moments_need_every_power_in_the_span(self, theta_pom_scenario):
+        # sigma_x is outside the span of the theta-POM, sigma_x^2 = 1 is inside.
+        s = dataclasses.replace(theta_pom_scenario, observable_A=HermitianOperator(SIGMA_X))
+        assert analyze(s).dispersion_m2 == pytest.approx({"+": 1.0, "-": 1.0}, abs=1e-12)
+        assert sample(s, 1000, 1).empirical_moments is None
 
     def test_negative_pair_probability_raises(self, theta_pom_scenario, monkeypatch):
         real = Instrument.apply_selective

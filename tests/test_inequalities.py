@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmeasure.errors import MissingIngredient
+from qmeasure.errors import InternalNumericError, MissingIngredient
 from qmeasure.inequalities import (
     RELATION_IDS,
     ScenarioContext,
@@ -17,6 +17,7 @@ from qmeasure.operators import (
     DensityOperator,
     HermitianOperator,
 )
+from qmeasure.instruments import Instrument
 from qmeasure.scenario import Scenario, projective_instrument, theta_pom_instrument
 
 THETA = np.pi / 3
@@ -107,6 +108,14 @@ class TestSingleRelations:
     def test_unknown_relation(self):
         with pytest.raises(ValueError):
             evaluate("galois", theta_scenario(np.eye(2) / 2))
+
+
+    def test_negative_stream_variance_below_floor_raises(self, monkeypatch):
+        # p = (2, -1) with values (1, -1): variance 1 - 3^2 = -8.
+        monkeypatch.setattr(Instrument, "outcome_probabilities", lambda self, rho: np.array([2.0, -1.0]))
+        ctx = ScenarioContext(theta_scenario(np.eye(2) / 2))
+        with pytest.raises(InternalNumericError):
+            ctx.sigma_est({"+": 1.0, "-": -1.0})
 
 
 class TestEvaluateAll:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qmeasure.errors import NullOutcome, ZeroPosterior
+from qmeasure import retrodiction
+from qmeasure.errors import InternalNumericError, NullOutcome, ZeroPosterior
 from qmeasure.instruments import Instrument, KrausSet
 from qmeasure.operators import (
     SIGMA_X,
@@ -10,6 +11,7 @@ from qmeasure.operators import (
     commutator_bound,
     max_norm,
 )
+from qmeasure.quasiprob import QuasiDistribution
 from qmeasure.retrodiction import (
     interdictive_disturbance,
     interdictive_joint_distribution,
@@ -56,6 +58,10 @@ class TestRetrodictiveState:
     def test_null_outcome_raises(self):
         with pytest.raises(NullOutcome):
             retrodictive_state(near_null_instrument(), "tiny")
+
+    def test_state_is_built_once_per_outcome(self):
+        inst = theta_pom_instrument(np.pi / 3)
+        assert retrodictive_state(inst, "+").state is retrodictive_state(inst, "+").state
 
 
 class TestRetrodictiveError:
@@ -106,6 +112,19 @@ class TestInterdictive:
         inst = theta_pom_instrument(0.8)
         for label in inst.labels:
             assert interdictive_disturbance(inst, label, SZ) == pytest.approx(0.0, abs=1e-10)
+
+    def test_negative_second_moment_below_floor_raises(self, monkeypatch):
+        # sum (B_b - B_b')^2 p(b, b'|k) = 4 * (-0.1): far below SECOND_MOMENT_FLOOR.
+        tampered = QuasiDistribution(
+            row_labels=("b0", "b1"),
+            col_labels=("b'0", "b'1"),
+            table=np.array([[0.6, -0.1], [0.0, 0.5]]),
+            row_values=np.array([1.0, -1.0]),
+            col_values=np.array([1.0, -1.0]),
+        )
+        monkeypatch.setattr(retrodiction, "interdictive_joint_distribution", lambda *args: tampered)
+        with pytest.raises(InternalNumericError):
+            interdictive_disturbance(theta_pom_instrument(0.4), "+", SZ)
 
     def test_table_is_true_probability(self):
         rng = _rng(52)
