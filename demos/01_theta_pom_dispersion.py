@@ -33,7 +33,7 @@ for theta in (np.pi / 6, np.pi / 4, np.pi / 3, 1.2):
     # A random preparation: the numbers below do not depend on it.
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     w = g @ g.conj().T
-    rho = DensityOperator(HermitianOperator(w / np.real(np.trace(w))))
+    rho = DensityOperator(w / np.real(np.trace(w)))
 
     bias = delta_A(inst, values, sz, rho)
     eps_sq = epsilon_sq_system(inst, values, sz, rho).mean_squared

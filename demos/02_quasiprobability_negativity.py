@@ -25,7 +25,7 @@ inst = theta_pom_instrument(theta)
 values = {"+": 2.0, "-": -2.0}
 
 # Co-diagonal case: estimating sigma_z with a z-diagonal POM stays classical.
-rho = DensityOperator(HermitianOperator(np.array([[0.8, 0.4], [0.4, 0.2]])))
+rho = DensityOperator(np.array([[0.8, 0.4], [0.4, 0.2]]))
 sz, sx = HermitianOperator(SIGMA_Z), HermitianOperator(SIGMA_X)
 
 d = tmh_error_distribution(rho, sz, inst, values)

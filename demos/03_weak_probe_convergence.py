@@ -9,7 +9,7 @@ quarters the error -- a log-log slope of 2.
 
 import numpy as np
 
-from qmeasure import DensityOperator, HermitianOperator, load_scenario, weak_sweep
+from qmeasure import DensityOperator, load_scenario, weak_sweep
 from qmeasure.quasiprob import tmh_error_distribution, weak_probe_error_distribution
 
 scenario = load_scenario("scenarios/weak_probe.json")
@@ -26,7 +26,7 @@ print(f"\nfitted log-log slope: {sweep.error_slope:.3f} (expected 2)")
 # fully conditioned (and everywhere nonnegative) joint distribution.  With
 # a preparation that makes the exact table negative, the difference shows:
 s = scenario
-rho = DensityOperator(HermitianOperator(np.array([[0.8, 0.4], [0.4, 0.2]])))
+rho = DensityOperator(np.array([[0.8, 0.4], [0.4, 0.2]]))
 strong = weak_probe_error_distribution(rho, s.observable_A, s.apparatus, s.values_m, 1.0)
 exact = tmh_error_distribution(rho, s.observable_A, s.apparatus, s.values_m)
 print(f"\nexact table minimum:      {exact.table.min():+.4f}")

@@ -46,13 +46,11 @@ from .quasiprob import (
 )
 from .retrodiction import (
     InterdictiveState,
-    RetrodictiveState,
     interdictive_disturbance,
     interdictive_joint_distribution,
     interdictive_state,
     restricted_metrics,
     retrodictive_error,
-    retrodictive_state,
 )
 from .inequalities import (
     InequalityRecord,

@@ -24,7 +24,7 @@ from .metrics import (
     is_qnd,
     is_unbiased,
 )
-from .operators import clip_at_floor, max_norm, spectral_decompose
+from .operators import max_norm, spectral_decompose, value_variance
 from .quasiprob import (
     QuasiDistribution,
     quasi_mean_squared_difference,
@@ -34,7 +34,7 @@ from .quasiprob import (
     weak_probe_error_distribution,
 )
 from .scenario import Scenario
-from .tolerances import CROSS_CHECK_TOL, POM_PSD_FLOOR, ROUNDOFF_FLOOR, SLOPE_FLOOR
+from .tolerances import CROSS_CHECK_TOL, POM_PSD_FLOOR, SLOPE_FLOOR
 
 SCHEMA_VERSION = "1"
 
@@ -323,8 +323,7 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
 
 
 def _stream_se(values: np.ndarray, p_hat: np.ndarray, shots: int) -> float:
-    var = float(values**2 @ p_hat - (values @ p_hat) ** 2)
-    return math.sqrt(clip_at_floor(var, ROUNDOFF_FLOOR, "variance") / shots)
+    return math.sqrt(value_variance(values, p_hat) / shots)
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,12 @@ import numpy as np
 from .errors import MissingIngredient, NegativeRadicand, ZeroPosterior
 from .metrics import NoiseReport, epsilon_sq_system, eta_sq_system
 from .operators import (
-    clip_at_floor,
     commutator_bound,
     expectation,
     expectation_and_variance,
     jordan_product,
     spectral_decompose,
+    value_variance,
 )
 from .retrodiction import interdictive_disturbance, restricted_metrics, retrodictive_error
 from .scenario import Scenario, generate_random, subseed
@@ -151,9 +151,7 @@ class ScenarioContext:
     def sigma_est(self, values: dict[str, float]) -> float:
         """Spread of the assigned values in the recorded data stream."""
         m = np.array([values[label] for label in self.scenario.apparatus.labels])
-        p = self.outcome_probs
-        var = float(m**2 @ p - (m @ p) ** 2)
-        return math.sqrt(clip_at_floor(var, ROUNDOFF_FLOOR, "variance"))
+        return math.sqrt(value_variance(m, self.outcome_probs))
 
     def _per_outcome(self, fn, obs) -> dict[str, float]:
         inst = self.scenario.apparatus
@@ -336,7 +334,7 @@ def _projective_violation_scenario() -> Scenario:
 
     obs_a = HermitianOperator(SIGMA_Z)
     inst = projective_instrument(obs_a)
-    state = DensityOperator(HermitianOperator((np.eye(2) + 0.8 * SIGMA_Y) / 2))
+    state = DensityOperator((np.eye(2) + 0.8 * SIGMA_Y) / 2)
     return Scenario(
         dimension=2,
         state=state,

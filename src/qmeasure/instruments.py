@@ -212,7 +212,7 @@ class Instrument:
         a uniform prior.  Built on first use and kept."""
         if label not in self._retrodicted:
             tr = self.live_trace(label)
-            state = DensityOperator(HermitianOperator(self.pom_element(label).matrix / tr))
+            state = DensityOperator(self.pom_element(label).matrix / tr)
             self._retrodicted[label] = state
         return self._retrodicted[label]
 
@@ -223,7 +223,7 @@ class Instrument:
             raise DimensionMismatch(f"state shape {rm.shape} != ({self.dim}, {self.dim})")
         return np.array([float(np.real(np.trace(p.matrix @ rm))) for p in self._pom])
 
-    def apply_selective(self, label: str, rho: DensityOperator) -> HermitianOperator:
+    def apply_selective(self, label: str, rho: HermitianOperator) -> HermitianOperator:
         """Unnormalized post-measurement operator sum_l M rho M† for one outcome."""
         ks = self.outcome(label)
         rm = np.asarray(rho)
@@ -232,10 +232,11 @@ class Instrument:
         out = sum(m @ rm @ m.conj().T for m in ks.operators)
         return HermitianOperator(out)
 
-    def apply_nonselective(self, rho: DensityOperator) -> DensityOperator:
-        """Post-measurement state with the outcome record discarded."""
+    def apply_nonselective(self, rho: HermitianOperator) -> HermitianOperator:
+        """Post-measurement operator with the outcome record discarded: the sum
+        over all outcomes of M rho M†.  ``rho`` may be unnormalized."""
         total = sum(self.apply_selective(ks.label, rho).matrix for ks in self.outcomes)
-        return DensityOperator(HermitianOperator(total))
+        return HermitianOperator(total)
 
     def adjoint_apply(self, label: str, x: HermitianOperator) -> HermitianOperator:
         """Heisenberg-picture dual sum_l M† X M for one outcome."""

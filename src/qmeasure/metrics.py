@@ -111,7 +111,7 @@ def three_state_cross_term(
 
 def delta_B(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> float:
     """Mean shift Tr[B (rho' - rho)] caused by the nonselective measurement."""
-    rho_after = inst.apply_nonselective(rho)
+    rho_after = DensityOperator(inst.apply_nonselective(rho).matrix)
     return expectation(b, HermitianOperator(rho_after.matrix - rho.matrix))
 
 

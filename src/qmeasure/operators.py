@@ -97,45 +97,29 @@ class HermitianOperator:
 
 
 @dataclass(frozen=True)
-class DensityOperator:
-    """Positive-semidefinite unit-trace operator.
+class DensityOperator(HermitianOperator):
+    """A Hermitian operator that is also positive-semidefinite with unit trace.
 
     Eigenvalues in [EIGENVALUE_FLOOR, 0) are clipped to zero and the state
     is renormalized; genuinely negative eigenvalues or a trace off by more
     than TRACE_TOL are rejected.
     """
 
-    op: HermitianOperator
-
     def __post_init__(self):
-        op = self.op
-        if not isinstance(op, HermitianOperator):
-            op = HermitianOperator(as_complex_matrix(op, square=True))
-        evals, evecs = np.linalg.eigh(op.matrix)
+        super().__post_init__()
+        evals, evecs = np.linalg.eigh(self.matrix)
         if evals.min() < EIGENVALUE_FLOOR:
             raise StateValidationError(
                 f"state has eigenvalue {evals.min():.3e} < {EIGENVALUE_FLOOR}"
             )
-        tr = float(np.real(np.trace(op.matrix)))
+        tr = float(np.real(np.trace(self.matrix)))
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateValidationError(f"state trace {tr!r} differs from 1 by > {TRACE_TOL}")
         if evals.min() < 0.0:
             clipped = np.clip(evals, 0.0, None)
             rebuilt = (evecs * clipped) @ evecs.conj().T
             rebuilt /= np.real(np.trace(rebuilt))
-            op = HermitianOperator(rebuilt)
-        object.__setattr__(self, "op", op)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.matrix, dtype=dtype)
+            object.__setattr__(self, "matrix", HermitianOperator(rebuilt).matrix)
 
 
 @dataclass(frozen=True)
@@ -163,7 +147,7 @@ class SpectralDecomposition:
 
 
 def _matrix_of(x) -> np.ndarray:
-    if isinstance(x, (HermitianOperator, DensityOperator)):
+    if isinstance(x, HermitianOperator):
         return x.matrix
     return as_complex_matrix(x)
 
@@ -203,6 +187,12 @@ def expectation_and_variance(a: HermitianOperator, rho: DensityOperator) -> tupl
     mean = float(np.real(np.trace(am @ rm)))
     second = float(np.real(np.trace(am @ am @ rm)))
     return mean, clip_at_floor(second - mean * mean, ROUNDOFF_FLOOR, "variance")
+
+
+def value_variance(values: np.ndarray, probs: np.ndarray) -> float:
+    """Variance v²·p - (v·p)² of values v under weights p; round-off down to ROUNDOFF_FLOOR reads 0."""
+    var = float(values**2 @ probs - (values @ probs) ** 2)
+    return clip_at_floor(var, ROUNDOFF_FLOOR, "variance")
 
 
 def clip_at_floor(value: float, floor: float, what: str) -> float:

@@ -218,10 +218,7 @@ def weak_probe_disturbance_distribution(
     for j, proj_b in enumerate(spec.projectors):
         probe = WeakProbe.build(proj_b, g)
         for m_l, n_l in zip(probe.kraus(), probe.calibration()):
-            sigma = HermitianOperator(m_l @ rm @ m_l.conj().T)
-            after = sum(
-                inst.apply_selective(label, sigma).matrix for label in inst.labels
-            )
+            after = inst.apply_nonselective(HermitianOperator(m_l @ rm @ m_l.conj().T)).matrix
             for i, proj_bp in enumerate(spec.projectors):
                 table[i, j] += n_l * float(np.real(np.trace(np.asarray(proj_bp) @ after)))
     return QuasiDistribution(

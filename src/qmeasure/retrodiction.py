@@ -21,17 +21,8 @@ from .operators import (
     expectation_and_variance,
     spectral_decompose,
 )
-from .quasiprob import QuasiDistribution
+from .quasiprob import QuasiDistribution, quasi_mean_squared_difference
 from .tolerances import SECOND_MOMENT_FLOOR, ZERO_WEIGHT
-
-
-@dataclass(frozen=True)
-class RetrodictiveState:
-    """Normalized POM element P_k / Tr(P_k): the state inferred backward
-    from outcome k under a uniform prior."""
-
-    state: DensityOperator
-    source_trace: float
 
 
 @dataclass(frozen=True)
@@ -49,10 +40,6 @@ class InterdictiveState:
     def adjoint_apply(self, x: HermitianOperator) -> HermitianOperator:
         out = self.instrument.adjoint_apply(self.outcome, x)
         return HermitianOperator(out.matrix / self.normalizer)
-
-
-def retrodictive_state(inst: Instrument, label: str) -> RetrodictiveState:
-    return RetrodictiveState(state=inst.retrodicted_state(label), source_trace=inst.pom_trace(label))
 
 
 def interdictive_state(inst: Instrument, label: str) -> InterdictiveState:
@@ -98,8 +85,7 @@ def interdictive_disturbance(inst: Instrument, label: str, b: HermitianOperator)
     """Root-mean-squared deviation between preparations and post-selections
     bracketing outcome k: sqrt(sum (B_b - B_b')^2 p(b, b' | k))."""
     dist = interdictive_joint_distribution(inst, label, b)
-    diff = dist.row_values[:, None] - dist.col_values[None, :]
-    eta_sq = clip_at_floor(np.sum(diff**2 * dist.table), SECOND_MOMENT_FLOOR, "second moment")
+    eta_sq = clip_at_floor(quasi_mean_squared_difference(dist), SECOND_MOMENT_FLOOR, "second moment")
     return float(np.sqrt(eta_sq))
 
 
@@ -135,7 +121,7 @@ def restricted_metrics(
     p_post = float(np.real(np.trace(back)))
     if p_post <= ZERO_WEIGHT:
         raise ZeroPosterior(f"posterior branch {posterior_index} has probability {p_post!r}")
-    state = DensityOperator(HermitianOperator(back / p_post))
+    state = DensityOperator(back / p_post)
     mean_b, var_b = expectation_and_variance(b, state)
     _, var_a = expectation_and_variance(a, state)
     eta_sq = var_b + (b_val - mean_b) ** 2

@@ -147,22 +147,32 @@ def _list(doc, where: str) -> list:
     return doc
 
 
+def _values(doc, where: str) -> dict[str, float]:
+    """A value assignment: a mapping from outcome label to a finite real value."""
+    try:
+        values = {str(k): float(v) for k, v in doc.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed {where}: {exc}") from exc
+    nonfinite = sorted(k for k, v in values.items() if not np.isfinite(v))
+    if nonfinite:
+        raise ParseError(f"{where} must be finite, got non-finite values for {nonfinite}")
+    return values
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build and fully validate a scenario from its JSON document.
 
     Unknown keys, at the top level, in the apparatus and in each Kraus
-    outcome, are rejected rather than ignored; so are missing keys and
-    objects or lists of the wrong shape.
+    outcome, are rejected rather than ignored; so are missing keys,
+    objects or lists of the wrong shape, a ``dimension`` that is not a JSON
+    integer, and non-finite values in ``values_m`` or ``values_mB``.
     """
     _check_keys(doc, SCENARIO_KEYS, "scenario", REQUIRED_SCENARIO_KEYS)
-    try:
-        dimension = int(doc["dimension"])
-        values_m = {str(k): float(v) for k, v in doc["values_m"].items()}
-        values_mB = None
-        if "values_mB" in doc:
-            values_mB = {str(k): float(v) for k, v in doc["values_mB"].items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed scenario field: {exc}") from exc
+    dimension = doc["dimension"]
+    if isinstance(dimension, bool) or not isinstance(dimension, int):
+        raise ParseError(f"dimension must be a JSON integer, got {dimension!r}")
+    values_m = _values(doc["values_m"], "values_m")
+    values_mB = _values(doc["values_mB"], "values_mB") if "values_mB" in doc else None
     state_doc, a_doc, apparatus_doc = doc["state"], doc["observable_A"], doc["apparatus"]
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
@@ -180,7 +190,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     tr = float(np.real(np.trace(state_m)))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError("TraceNotOne", f"state trace is {tr!r}")
-    state = _wrap("InvalidState", lambda: DensityOperator(HermitianOperator(state_m)))
+    state = _wrap("InvalidState", lambda: DensityOperator(state_m))
     obs_a = _wrap("InvalidObservable", lambda: HermitianOperator(_matrix_from_json(a_doc, "observable_A")))
     obs_b = None
     if "observable_B" in doc:
@@ -209,9 +219,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         labels_doc = _list(apparatus_doc["labels"], "labels")
         detector = _wrap(
             "InvalidState",
-            lambda: DensityOperator(
-                HermitianOperator(_matrix_from_json(apparatus_doc["detector_state"], "detector_state"))
-            ),
+            lambda: DensityOperator(_matrix_from_json(apparatus_doc["detector_state"], "detector_state")),
         )
         indirect = _wrap(
             "InvalidIndirectModel",
@@ -297,7 +305,7 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
     """Normalized complex Wishart state G G† / Tr."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     w = g @ g.conj().T
-    return DensityOperator(HermitianOperator(w / np.real(np.trace(w))))
+    return DensityOperator(w / np.real(np.trace(w)))
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
     """Gaussian Hermitian ensemble draw."""

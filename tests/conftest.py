@@ -27,19 +27,19 @@ def sz():
 
 @pytest.fixture
 def ket0():
-    return DensityOperator(HermitianOperator(np.diag([1.0, 0.0])))
+    return DensityOperator(np.diag([1.0, 0.0]))
 
 
 @pytest.fixture
 def ket1():
-    return DensityOperator(HermitianOperator(np.diag([0.0, 1.0])))
+    return DensityOperator(np.diag([0.0, 1.0]))
 
 
 @pytest.fixture
 def ket_plus():
-    return DensityOperator(HermitianOperator(np.full((2, 2), 0.5, dtype=complex)))
+    return DensityOperator(np.full((2, 2), 0.5, dtype=complex))
 
 
 @pytest.fixture
 def max_mixed():
-    return DensityOperator(HermitianOperator(np.eye(2) / 2))
+    return DensityOperator(np.eye(2) / 2)

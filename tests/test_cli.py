@@ -58,6 +58,13 @@ class TestValidate:
             (THETA_POM, lambda doc: doc["apparatus"]["outcomes"][0].update(kraus=5)),
             (CNOT, lambda doc: doc["apparatus"].update(readout_basis=5)),
             (CNOT, lambda doc: doc["apparatus"].update(labels=5)),
+            (THETA_POM, lambda doc: doc.update(dimension=2.7)),
+            (THETA_POM, lambda doc: doc.update(dimension=2.0)),
+            (THETA_POM, lambda doc: doc.update(dimension="2")),
+            (THETA_POM, lambda doc: doc.update(dimension=True)),
+            (THETA_POM, lambda doc: doc["values_m"].update({"+": float("nan")})),
+            (THETA_POM, lambda doc: doc["values_m"].update({"-": float("inf")})),
+            (THETA_POM, lambda doc: doc["values_mB"].update({"+": float("-inf")})),
         ],
         ids=[
             "outcome-without-label",
@@ -73,6 +80,13 @@ class TestValidate:
             "kraus-not-a-list",
             "readout_basis-not-a-list",
             "labels-not-a-list",
+            "dimension-fractional",
+            "dimension-float",
+            "dimension-string",
+            "dimension-bool",
+            "values_m-nan",
+            "values_m-infinity",
+            "values_mB-negative-infinity",
         ],
     )
     def test_malformed_shape_is_parse_error(self, tmp_path, capsys, path, edit):

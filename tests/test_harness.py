@@ -202,7 +202,7 @@ class TestWeakSweep:
         from qmeasure.scenario import Scenario
 
         s = qnd_scenario
-        diag_state = DensityOperator(HermitianOperator(np.diag([0.6, 0.4])))
+        diag_state = DensityOperator(np.diag([0.6, 0.4]))
         commuting = Scenario(
             dimension=2,
             state=diag_state,

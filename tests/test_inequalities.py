@@ -27,7 +27,7 @@ def theta_scenario(rho_matrix) -> Scenario:
     m = 1 / np.cos(THETA)
     return Scenario(
         dimension=2,
-        state=DensityOperator(HermitianOperator(np.asarray(rho_matrix, dtype=complex))),
+        state=DensityOperator(np.asarray(rho_matrix, dtype=complex)),
         observable_A=HermitianOperator(SIGMA_Z),
         observable_B=HermitianOperator(SIGMA_X),
         apparatus=theta_pom_instrument(THETA),
@@ -39,7 +39,7 @@ def theta_scenario(rho_matrix) -> Scenario:
 def violation_scenario() -> Scenario:
     return Scenario(
         dimension=2,
-        state=DensityOperator(HermitianOperator((np.eye(2) + 0.8 * SIGMA_Y) / 2)),
+        state=DensityOperator((np.eye(2) + 0.8 * SIGMA_Y) / 2),
         observable_A=HermitianOperator(SIGMA_Z),
         observable_B=HermitianOperator(SIGMA_X),
         apparatus=projective_instrument(HermitianOperator(SIGMA_Z)),

@@ -96,7 +96,7 @@ class TestIndirectModels:
         u = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
         model = IndirectModel(
             system_dim=2,
-            detector_state=DensityOperator(HermitianOperator(np.diag([1.0, 0.0]))),
+            detector_state=DensityOperator(np.diag([1.0, 0.0])),
             unitary=u,
             readout_basis=(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
             labels=("0", "1"),
@@ -106,7 +106,7 @@ class TestIndirectModels:
         assert max_norm(inst.outcome("1").operators[0] - np.diag([0.0, 1.0])) < 1e-12
 
     def test_identity_coupling_gives_trivial_pom(self):
-        detector = DensityOperator(HermitianOperator(np.diag([0.7, 0.3])))
+        detector = DensityOperator(np.diag([0.7, 0.3]))
         model = IndirectModel(
             system_dim=2,
             detector_state=detector,
@@ -126,7 +126,7 @@ class TestIndirectModels:
         u = np.cos(alpha) * np.eye(4) + 1j * np.sin(alpha) * swap
         model = IndirectModel(
             system_dim=2,
-            detector_state=DensityOperator(HermitianOperator(np.diag([1.0, 0.0]))),
+            detector_state=DensityOperator(np.diag([1.0, 0.0])),
             unitary=u,
             readout_basis=(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
             labels=("0", "1"),
@@ -144,7 +144,7 @@ class TestIndirectModels:
         with pytest.raises(CompletenessViolation):
             IndirectModel(
                 system_dim=2,
-                detector_state=DensityOperator(HermitianOperator(np.diag([1.0, 0.0]))),
+                detector_state=DensityOperator(np.diag([1.0, 0.0])),
                 unitary=np.ones((4, 4), dtype=complex),
                 readout_basis=(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
                 labels=("0", "1"),
@@ -171,6 +171,13 @@ class TestApplicationMaps:
         inst = projective_z()
         after = inst.apply_nonselective(ket_plus)
         assert np.allclose(after.matrix, np.eye(2) / 2)
+
+    def test_nonselective_keeps_an_unnormalized_trace(self):
+        # Trace-preserving channel on an operator of trace 0.3: not a state.
+        inst = random_instrument(3, 3, _rng(25))
+        x = HermitianOperator(0.3 * np.asarray(random_density(3, _rng(26))))
+        after = inst.apply_nonselective(x)
+        assert np.real(np.trace(after.matrix)) == pytest.approx(0.3, abs=1e-12)
 
     def test_adjoint_duality(self):
         rng = _rng(23)

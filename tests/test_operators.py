@@ -35,18 +35,24 @@ class TestConstruction:
 
     def test_density_clips_tiny_negative_eigenvalue(self):
         m = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
-        rho = DensityOperator(HermitianOperator(m))
+        rho = DensityOperator(m)
         assert np.linalg.eigvalsh(rho.matrix).min() >= 0.0
         assert abs(np.trace(rho.matrix) - 1.0) < 1e-14
 
     def test_density_rejects_genuinely_negative(self):
         m = np.diag([1.2, -0.2]).astype(complex)
         with pytest.raises(StateValidationError):
-            DensityOperator(HermitianOperator(m))
+            DensityOperator(m)
 
     def test_density_rejects_bad_trace(self):
         with pytest.raises(StateValidationError):
-            DensityOperator(HermitianOperator(np.eye(2)))
+            DensityOperator(np.eye(2))
+
+    def test_density_is_a_hermitian_operator(self):
+        rho = DensityOperator(np.array([[0.8, 0.4j], [-0.4j, 0.2]]))
+        assert isinstance(rho, HermitianOperator)
+        assert rho.dim == 2
+        assert spectral_decompose(rho).eigenvalues == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 class TestJordanProduct:

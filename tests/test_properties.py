@@ -28,7 +28,7 @@ bloch = st.tuples(
 def bloch_state(r) -> DensityOperator:
     rx, ry, rz = r
     m = 0.5 * np.array([[1 + rz, rx - 1j * ry], [rx + 1j * ry, 1 - rz]])
-    return DensityOperator(HermitianOperator(m))
+    return DensityOperator(m)
 
 
 @settings(max_examples=60, deadline=None)

@@ -92,7 +92,7 @@ class TestErrorDistribution:
 
     def test_negativity_exists(self):
         # Non-commuting A and POM with a coherent state produce negative cells.
-        rho = DensityOperator(HermitianOperator(np.array([[0.8, 0.4], [0.4, 0.2]])))
+        rho = DensityOperator(np.array([[0.8, 0.4], [0.4, 0.2]]))
         d = tmh_error_distribution(rho, SX, theta_pom_instrument(THETA), UNBIASED_M)
         assert d.table.min() < -1e-3
 
@@ -147,7 +147,7 @@ class TestWeakValues:
 
     def test_anomalous_value(self):
         # Near-orthogonal pre/post-selection pushes the weak value outside [0, 1].
-        rho = DensityOperator(HermitianOperator(np.array([[0.8, 0.4], [0.4, 0.2]])))
+        rho = DensityOperator(np.array([[0.8, 0.4], [0.4, 0.2]]))
         proj = HermitianOperator((np.eye(2) + SIGMA_X) / 2)
         pom = theta_pom_instrument(THETA).pom_element("-")
         wv = conditional_weak_value(rho, proj, pom)

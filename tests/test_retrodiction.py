@@ -18,7 +18,6 @@ from qmeasure.retrodiction import (
     interdictive_state,
     restricted_metrics,
     retrodictive_error,
-    retrodictive_state,
 )
 from qmeasure.scenario import (
     _rng,
@@ -43,25 +42,25 @@ def near_null_instrument() -> Instrument:
     return Instrument.from_kraus([KrausSet("tiny", (tiny,)), KrausSet("rest", (rest,))])
 
 
-class TestRetrodictiveState:
+class TestRetrodictedState:
     def test_theta_pom(self):
         theta = np.pi / 3
-        retro = retrodictive_state(theta_pom_instrument(theta), "+")
+        inst = theta_pom_instrument(theta)
         c = np.cos(theta)
-        assert np.allclose(retro.state.matrix, np.diag([(1 + c) / 2, (1 - c) / 2]))
-        assert retro.source_trace == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(inst.retrodicted_state("+").matrix, np.diag([(1 + c) / 2, (1 - c) / 2]))
+        assert inst.pom_trace("+") == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_instrument_uniform(self):
-        retro = retrodictive_state(identity_instrument(3), "0")
-        assert np.allclose(retro.state.matrix, np.eye(3) / 3)
+        state = identity_instrument(3).retrodicted_state("0")
+        assert np.allclose(state.matrix, np.eye(3) / 3)
 
     def test_null_outcome_raises(self):
         with pytest.raises(NullOutcome):
-            retrodictive_state(near_null_instrument(), "tiny")
+            near_null_instrument().retrodicted_state("tiny")
 
     def test_state_is_built_once_per_outcome(self):
         inst = theta_pom_instrument(np.pi / 3)
-        assert retrodictive_state(inst, "+").state is retrodictive_state(inst, "+").state
+        assert inst.retrodicted_state("+") is inst.retrodicted_state("+")
 
 
 class TestRetrodictiveError:
@@ -197,9 +196,8 @@ class TestHofmannStyleBounds:
             a = random_hermitian(2, rng)
             b = random_hermitian(2, rng)
             for label in inst.labels:
-                retro = retrodictive_state(inst, label)
                 lhs = retrodictive_error(inst, label, a) * retrodictive_error(inst, label, b)
-                assert lhs >= commutator_bound(a, b, retro.state) - 1e-9
+                assert lhs >= commutator_bound(a, b, inst.retrodicted_state(label)) - 1e-9
 
     def test_disturbance_dominates_error(self):
         # eta_B,k,b' >= eps_B,k,b' cell by cell.
