@@ -45,10 +45,10 @@ from .quasiprob import (
     weak_probe_error_distribution,
 )
 from .retrodiction import (
-    InterdictiveState,
+    OutcomeKernel,
     interdictive_disturbance,
     interdictive_joint_distribution,
-    interdictive_state,
+    outcome_kernel,
     restricted_metrics,
     retrodictive_error,
 )

@@ -123,14 +123,11 @@ def analyze(scenario: Scenario) -> AnalysisReport:
                 )
 
     # Per-outcome values exist for the live outcomes only.
-    eps_b_k = {} if obs_b is None else ctx.eps_B_k
-    eta_b_k = {} if obs_b is None else ctx.eta_B_k
     outcome_reports = []
     for label, prob in zip(inst.labels, ctx.outcome_probs):
-        eps_a_k, pom_trace = ctx.eps_A_k.get(label, float("nan")), inst.pom_trace(label)
-        outcome_reports.append(
-            OutcomeReport(label, float(prob), pom_trace, eps_a_k, eps_b_k.get(label), eta_b_k.get(label))
-        )
+        kern = ctx.kernels.get(label)
+        values = (float("nan"), None, None) if kern is None else (kern.eps_A, kern.eps_B, kern.eta_B)
+        outcome_reports.append(OutcomeReport(label, float(prob), inst.pom_trace(label), *values))
 
     return AnalysisReport(
         scenario_digest=ctx.digest,

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MissingIngredient, NegativeRadicand, ZeroPosterior
+from .errors import MissingIngredient, NegativeRadicand
 from .metrics import NoiseReport, epsilon_sq_system, eta_sq_system
 from .operators import (
     commutator_bound,
@@ -34,7 +34,7 @@ from .operators import (
     spectral_decompose,
     value_variance,
 )
-from .retrodiction import interdictive_disturbance, restricted_metrics, retrodictive_error
+from .retrodiction import OutcomeKernel, outcome_kernel
 from .scenario import Scenario, generate_random, subseed
 from .tolerances import ROUNDOFF_FLOOR, SATISFACTION_TOL
 
@@ -153,28 +153,12 @@ class ScenarioContext:
         m = np.array([values[label] for label in self.scenario.apparatus.labels])
         return math.sqrt(value_variance(m, self.outcome_probs))
 
-    def _per_outcome(self, fn, obs) -> dict[str, float]:
-        inst = self.scenario.apparatus
-        return {k: fn(inst, k, obs) for k in inst.live_labels}
-
     @cached_property
-    def eps_A_k(self) -> dict[str, float]:
-        return self._per_outcome(retrodictive_error, self.scenario.observable_A)
-
-    @cached_property
-    def eps_B_k(self) -> dict[str, float]:
-        return self._per_outcome(retrodictive_error, self._obs_b)
-
-    @cached_property
-    def eta_B_k(self) -> dict[str, float]:
-        return self._per_outcome(interdictive_disturbance, self._obs_b)
-
-    @cached_property
-    def c_ab_k(self) -> dict[str, float]:
-        """Commutator bound C_AB in the retrodictive state of each live outcome."""
-        s, obs_b = self.scenario, self._obs_b
-        retro = {k: s.apparatus.retrodicted_state(k) for k in s.apparatus.live_labels}
-        return {k: commutator_bound(s.observable_A, obs_b, state) for k, state in retro.items()}
+    def kernels(self) -> dict[str, OutcomeKernel]:
+        """One single-outcome kernel per live outcome, for A and, if present, B:
+        ε_A,k, ε_B,k, η_B,k, C_AB,k and the restricted (k, b') quantities."""
+        s = self.scenario
+        return {k: outcome_kernel(s.apparatus, k, s.observable_A, s.observable_B) for k in s.apparatus.live_labels}
 
 
 def _branciard(eps_a: float, eps_b: float, ctx: ScenarioContext) -> tuple[float, float]:
@@ -227,21 +211,16 @@ def evaluate(relation_id: str, scenario: Scenario, ctx: ScenarioContext | None =
 
 
 def _evaluate_hofmann(relation_id: str, ctx: ScenarioContext) -> InequalityRecord:
-    s, obs_b = ctx.scenario, ctx._obs_b
+    posteriors = spectral_decompose(ctx._obs_b).labels("b'")
     subs: list[SubRecord] = []
-    if relation_id == "hofmann2":
-        posteriors = spectral_decompose(obs_b).labels("b'")
-        for label in s.apparatus.live_labels:
-            for idx, posterior in enumerate(posteriors):
-                try:
-                    rm = restricted_metrics(s.apparatus, label, idx, s.observable_A, obs_b)
-                except ZeroPosterior:
-                    continue
-                subs.append(SubRecord(f"{label}|{posterior}", rm.eps_A * rm.eta_B, rm.eps_A * rm.eps_B))
-    else:
-        b_k = ctx.eps_B_k if relation_id == "hofmann1" else ctx.eta_B_k
-        for label in s.apparatus.live_labels:
-            subs.append(SubRecord(label, ctx.eps_A_k[label] * b_k[label], ctx.c_ab_k[label]))
+    for label, kern in ctx.kernels.items():
+        if relation_id == "hofmann2":
+            for posterior, rm in zip(posteriors, kern.restricted):
+                if rm is not None:
+                    subs.append(SubRecord(f"{label}|{posterior}", rm.eps_A * rm.eta_B, rm.eps_A * rm.eps_B))
+        else:
+            b_k = kern.eps_B if relation_id == "hofmann1" else kern.eta_B
+            subs.append(SubRecord(label, kern.eps_A * b_k, kern.c_ab))
     if not subs:
         raise MissingIngredient(f"{relation_id}: no live outcomes to evaluate")
     worst = min(subs, key=lambda r: r.margin)

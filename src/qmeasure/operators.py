@@ -55,13 +55,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix, square=True)
-        defect = max_norm(m - m.conj().T)
-        if defect > IDENTITY_TOL:
-            raise HermiticityViolation(
-                f"anti-Hermitian part has max-norm {defect:.3e} > {IDENTITY_TOL}"
-            )
-        sym = (m + m.conj().T) / 2
+        sym = hermitian_part(as_complex_matrix(self.matrix, square=True))
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 
@@ -98,28 +92,52 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class DensityOperator(HermitianOperator):
-    """A Hermitian operator that is also positive-semidefinite with unit trace.
-
-    Eigenvalues in [EIGENVALUE_FLOOR, 0) are clipped to zero and the state
-    is renormalized; genuinely negative eigenvalues or a trace off by more
-    than TRACE_TOL are rejected.
-    """
+    """A Hermitian operator that is also positive-semidefinite with unit trace,
+    gated by :func:`validated_states`."""
 
     def __post_init__(self):
         super().__post_init__()
-        evals, evecs = np.linalg.eigh(self.matrix)
-        if evals.min() < EIGENVALUE_FLOOR:
-            raise StateValidationError(
-                f"state has eigenvalue {evals.min():.3e} < {EIGENVALUE_FLOOR}"
-            )
-        tr = float(np.real(np.trace(self.matrix)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise StateValidationError(f"state trace {tr!r} differs from 1 by > {TRACE_TOL}")
-        if evals.min() < 0.0:
-            clipped = np.clip(evals, 0.0, None)
-            rebuilt = (evecs * clipped) @ evecs.conj().T
-            rebuilt /= np.real(np.trace(rebuilt))
-            object.__setattr__(self, "matrix", HermitianOperator(rebuilt).matrix)
+        object.__setattr__(self, "matrix", validated_states(self.matrix[None])[0])
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M†)/2 of a matrix or of each matrix of a stack ``(..., d, d)``.
+
+    Raises HermiticityViolation if an anti-Hermitian part exceeds
+    ``IDENTITY_TOL`` in max-norm; smaller ones are round-off.
+    """
+    mh = np.swapaxes(m, -1, -2).conj()
+    defect = max_norm(m - mh)
+    if defect > IDENTITY_TOL:
+        raise HermiticityViolation(f"anti-Hermitian part has max-norm {defect:.3e} > {IDENTITY_TOL}")
+    return (m + mh) / 2
+
+
+def validated_states(m: np.ndarray) -> np.ndarray:
+    """The density-operator gate on a stack ``(n, d, d)`` of Hermitian matrices.
+
+    An eigenvalue below EIGENVALUE_FLOOR or a trace off 1 by more than
+    TRACE_TOL raises StateValidationError.  A matrix with eigenvalues in
+    [EIGENVALUE_FLOOR, 0) is rebuilt with them set to zero and renormalized,
+    in a read-only copy of the stack; with nothing to clip, ``m`` is returned.
+    """
+    evals, evecs = np.linalg.eigh(m)
+    low = evals.min(axis=-1)
+    if low.min() < EIGENVALUE_FLOOR:
+        raise StateValidationError(f"state has eigenvalue {low.min():.3e} < {EIGENVALUE_FLOOR}")
+    tr = np.real(np.trace(m, axis1=-2, axis2=-1))
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise StateValidationError(f"state trace {float(tr[off][0])!r} differs from 1 by > {TRACE_TOL}")
+    clip = low < 0.0
+    if clip.any():
+        vecs = evecs[clip]
+        rebuilt = (vecs * np.clip(evals[clip], 0.0, None)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        rebuilt /= np.real(np.trace(rebuilt, axis1=-2, axis2=-1))[:, None, None]
+        m = m.copy()
+        m[clip] = hermitian_part(rebuilt)
+        m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .instruments import (
 )
 from .operators import (
     DensityOperator,
+    SpectralDecomposition,
     expectation,
     jordan_product,
     max_norm,
@@ -61,6 +62,12 @@ class QuasiDistribution:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "row_values", np.asarray(self.row_values, dtype=float))
         object.__setattr__(self, "col_values", np.asarray(self.col_values, dtype=float))
+
+    @classmethod
+    def on_branches(cls, spec: SpectralDecomposition, rows: str, cols: str, table) -> "QuasiDistribution":
+        """A table over the eigen-branches of one operator, labelled ``rows``0, ...
+        and ``cols``0, ..., with the branch eigenvalues as values on both sides."""
+        return cls(spec.labels(rows), spec.labels(cols), table, spec.eigenvalues, spec.eigenvalues)
 
     @property
     def row_marginals(self) -> np.ndarray:
@@ -113,6 +120,12 @@ class WeakProbe:
         return self.value_plus, self.value_minus
 
 
+def _error_table(spec: SpectralDecomposition, inst: Instrument, values: ValueAssignment, table):
+    """A table over the eigen-branches a of A (rows) and the outcomes k, valued m_k (columns)."""
+    values_k = np.array([float(values[label]) for label in inst.labels])
+    return QuasiDistribution(spec.labels("a"), inst.labels, table, spec.eigenvalues, values_k)
+
+
 def tmh_error_distribution(
     rho: DensityOperator,
     a: HermitianOperator,
@@ -125,13 +138,7 @@ def tmh_error_distribution(
     table = np.array(
         [[expectation(jordan_product(proj, p_k), rho) for p_k in pom] for proj in spec.projectors]
     )
-    return QuasiDistribution(
-        row_labels=spec.labels("a"),
-        col_labels=inst.labels,
-        table=table,
-        row_values=spec.eigenvalues,
-        col_values=np.array([float(values[label]) for label in inst.labels]),
-    )
+    return _error_table(spec, inst, values, table)
 
 
 def tmh_disturbance_distribution(
@@ -146,13 +153,7 @@ def tmh_disturbance_distribution(
             for q_bp in q
         ]
     )
-    return QuasiDistribution(
-        row_labels=spec.labels("b'"),
-        col_labels=spec.labels("b"),
-        table=table,
-        row_values=spec.eigenvalues,
-        col_values=spec.eigenvalues,
-    )
+    return QuasiDistribution.on_branches(spec, "b'", "b", table)
 
 
 def quasi_mean_squared_difference(dist: QuasiDistribution) -> float:
@@ -194,13 +195,7 @@ def weak_probe_error_distribution(
         for m_l, n_l in zip(probe.kraus(), probe.calibration()):
             row += n_l * inst.outcome_probabilities(m_l @ rm @ m_l.conj().T)
         rows.append(row)
-    return QuasiDistribution(
-        row_labels=spec.labels("a"),
-        col_labels=inst.labels,
-        table=np.array(rows),
-        row_values=spec.eigenvalues,
-        col_values=np.array([float(values[label]) for label in inst.labels]),
-    )
+    return _error_table(spec, inst, values, np.array(rows))
 
 
 def weak_probe_disturbance_distribution(
@@ -221,10 +216,4 @@ def weak_probe_disturbance_distribution(
             after = inst.apply_nonselective(HermitianOperator(m_l @ rm @ m_l.conj().T)).matrix
             for i, proj_bp in enumerate(spec.projectors):
                 table[i, j] += n_l * float(np.real(np.trace(np.asarray(proj_bp) @ after)))
-    return QuasiDistribution(
-        row_labels=spec.labels("b'"),
-        col_labels=spec.labels("b"),
-        table=table,
-        row_values=spec.eigenvalues,
-        col_values=spec.eigenvalues,
-    )
+    return QuasiDistribution.on_branches(spec, "b'", "b", table)

@@ -109,24 +109,15 @@ def _vector_to_json(v: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
 
 
-def _matrix_from_json(doc, what: str) -> np.ndarray:
+def _matrix_from_json(doc, what: str, ndim: int = 2) -> np.ndarray:
+    """A complex matrix (or, with ``ndim=1``, vector) from nested [re, im] pairs."""
     try:
         arr = np.asarray(doc, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what}: cannot parse matrix: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ParseError(f"{what}: expected nested rows of [re, im] pairs, got shape {arr.shape}")
+        raise ParseError(f"{what}: cannot parse entries: {exc}") from exc
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise ParseError(f"{what}: expected {ndim}-D nested [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _vector_from_json(doc, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what}: cannot parse vector: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ParseError(f"{what}: expected a list of [re, im] pairs, got shape {arr.shape}")
-    return arr[:, 0] + 1j * arr[:, 1]
 
 
 def _check_keys(doc, known, where: str, required=()) -> None:
@@ -148,11 +139,10 @@ def _list(doc, where: str) -> list:
 
 
 def _values(doc, where: str) -> dict[str, float]:
-    """A value assignment: a mapping from outcome label to a finite real value."""
-    try:
-        values = {str(k): float(v) for k, v in doc.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed {where}: {exc}") from exc
+    """A value assignment: a mapping from outcome label to a finite JSON number."""
+    if not isinstance(doc, dict) or any(type(v) not in (int, float) for v in doc.values()):
+        raise ParseError(f"{where} must map outcome labels to JSON numbers (not strings or bools)")
+    values = {str(k): float(v) for k, v in doc.items()}
     nonfinite = sorted(k for k, v in values.items() if not np.isfinite(v))
     if nonfinite:
         raise ParseError(f"{where} must be finite, got non-finite values for {nonfinite}")
@@ -227,7 +217,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 system_dim=dimension,
                 detector_state=detector,
                 unitary=_matrix_from_json(apparatus_doc["unitary"], "unitary"),
-                readout_basis=tuple(_vector_from_json(v, "readout_basis") for v in basis_doc),
+                readout_basis=tuple(_matrix_from_json(v, "readout_basis", ndim=1) for v in basis_doc),
                 labels=tuple(str(l) for l in labels_doc),
             ),
         )

@@ -65,6 +65,8 @@ class TestValidate:
             (THETA_POM, lambda doc: doc["values_m"].update({"+": float("nan")})),
             (THETA_POM, lambda doc: doc["values_m"].update({"-": float("inf")})),
             (THETA_POM, lambda doc: doc["values_mB"].update({"+": float("-inf")})),
+            (THETA_POM, lambda doc: doc["values_m"].update({"+": "2.0"})),
+            (THETA_POM, lambda doc: doc["values_mB"].update({"-": True})),
         ],
         ids=[
             "outcome-without-label",
@@ -87,6 +89,8 @@ class TestValidate:
             "values_m-nan",
             "values_m-infinity",
             "values_mB-negative-infinity",
+            "values_m-string",
+            "values_mB-bool",
         ],
     )
     def test_malformed_shape_is_parse_error(self, tmp_path, capsys, path, edit):

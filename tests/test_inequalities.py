@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from qmeasure.instruments import Instrument
 from qmeasure.scenario import Scenario, projective_instrument, theta_pom_instrument
 
 THETA = np.pi / 3
+HOFMANN_SWEEP_SHA256 = "2e580f6938e16c470bd98fc3e167e787f00f5a27329df053468debee27333504"
 
 
 def theta_scenario(rho_matrix) -> Scenario:
@@ -147,6 +150,18 @@ class TestSweeps:
     def test_count_gate(self):
         with pytest.raises(ValueError):
             random_sweep([2], 0, 1)
+
+    def test_hofmann_records_are_bit_pinned(self):
+        # SHA-256 over the repr of every hofmann1/2/3 record (lhs, rhs and each
+        # sub-record's outcome, lhs and rhs) of one fixed sweep.  A change to
+        # the single-outcome layer that moves any bit of these floats fails here.
+        sweep = random_sweep([2, 3, 8], 3, 777)
+        digest = hashlib.sha256()
+        for r in sweep.records:
+            if r.relation_id.startswith("hofmann"):
+                subs = [(s.outcome, s.lhs, s.rhs) for s in r.sub_records]
+                digest.update(repr((r.relation_id, r.lhs, r.rhs, subs)).encode())
+        assert digest.hexdigest() == HOFMANN_SWEEP_SHA256
 
 
 class TestViolationSearch:

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qmeasure import retrodiction
-from qmeasure.errors import InternalNumericError, NullOutcome, ZeroPosterior
+from qmeasure.errors import InternalNumericError, NullOutcome, StateValidationError, ZeroPosterior
+from qmeasure.inequalities import evaluate
 from qmeasure.instruments import Instrument, KrausSet
 from qmeasure.operators import (
     SIGMA_X,
     SIGMA_Z,
+    DensityOperator,
     HermitianOperator,
     commutator_bound,
     max_norm,
@@ -15,14 +19,17 @@ from qmeasure.quasiprob import QuasiDistribution
 from qmeasure.retrodiction import (
     interdictive_disturbance,
     interdictive_joint_distribution,
-    interdictive_state,
+    outcome_kernel,
     restricted_metrics,
     retrodictive_error,
 )
 from qmeasure.scenario import (
+    Scenario,
     _rng,
+    generate_random,
     projective_instrument,
     random_hermitian,
+    random_indirect_model,
     random_instrument,
     theta_pom_instrument,
 )
@@ -85,13 +92,17 @@ class TestRetrodictiveError:
 
 class TestInterdictive:
     def test_trace_normalized_channel(self):
+        # Tr A_k(1) / Tr P_k = Tr A*_k(1) / Tr P_k = 1, read forward (the
+        # table's mass) and backward (the posterior weights); the table's
+        # column marginals Tr[Π_b' A_k(1)] / Tr P_k are the posterior weights.
         rng = _rng(51)
         inst = random_instrument(2, 3, rng)
+        b = random_hermitian(2, rng)
         for label in inst.labels:
-            inter = interdictive_state(inst, label)
-            ident = HermitianOperator(np.eye(2))
-            out = inter.apply(ident)
-            assert np.real(np.trace(out.matrix)) == pytest.approx(1.0, abs=1e-10)
+            kernel = outcome_kernel(inst, label, b, b)
+            assert kernel.table.table.sum() == pytest.approx(1.0, abs=1e-10)
+            assert sum(kernel.posterior_weights) == pytest.approx(1.0, abs=1e-10)
+            assert max_norm(kernel.table.col_marginals - np.array(kernel.posterior_weights)) < 1e-12
 
     def test_identity_instrument_diagonal(self):
         d = interdictive_joint_distribution(identity_instrument(2), "0", SX)
@@ -121,7 +132,10 @@ class TestInterdictive:
             row_values=np.array([1.0, -1.0]),
             col_values=np.array([1.0, -1.0]),
         )
-        monkeypatch.setattr(retrodiction, "interdictive_joint_distribution", lambda *args: tampered)
+        kernel = retrodiction.outcome_kernel
+        monkeypatch.setattr(
+            retrodiction, "outcome_kernel", lambda *args: dataclasses.replace(kernel(*args), table=tampered)
+        )
         with pytest.raises(InternalNumericError):
             interdictive_disturbance(theta_pom_instrument(0.4), "+", SZ)
 
@@ -134,6 +148,85 @@ class TestInterdictive:
                 d = interdictive_joint_distribution(inst, label, b)
                 assert d.table.min() >= -1e-12
                 assert abs(d.table.sum() - 1.0) < 1e-10
+
+
+class TestKernelGates:
+    def test_sub_floor_posterior_eigenvalue_raises(self, monkeypatch):
+        # A traceless kick of 1e-6 on every Hermitian-gated output leaves the
+        # weights and the table's mass alone, but pushes an eigenvalue of the
+        # pure conditioned states of a projective measurement to about -2e-6.
+        kick = np.diag([1e-6, -1e-6])
+        part = retrodiction.hermitian_part
+        monkeypatch.setattr(retrodiction, "hermitian_part", lambda m: part(m) + kick)
+        with pytest.raises(StateValidationError):
+            outcome_kernel(projective_instrument(SZ), "0", SZ, SX)
+
+    def test_zero_weight_posterior_is_skipped(self):
+        # Measuring z projectively never yields the other z branch afterwards:
+        # one live posterior per outcome, and the other one raises.
+        inst = projective_instrument(SZ)
+        s = Scenario(
+            dimension=2,
+            state=DensityOperator(np.eye(2) / 2),
+            observable_A=SX,
+            observable_B=SZ,
+            apparatus=inst,
+            values_m={"0": 0.0, "1": 0.0},
+        )
+        rec = evaluate("hofmann2", s)
+        assert len(rec.sub_records) == len(inst.live_labels) == 2
+        for label in inst.live_labels:
+            kernel = outcome_kernel(inst, label, SX, SZ)
+            dead = [i for i, rm in enumerate(kernel.restricted) if rm is None]
+            assert len(dead) == 1 and kernel.posterior_weights[dead[0]] <= 1e-12
+            with pytest.raises(ZeroPosterior):
+                restricted_metrics(inst, label, dead[0], SX, SZ)
+
+
+def _loop_reference(inst, label, a, b):
+    """The kernel's numbers from plain per-matrix loops."""
+    am, bm = a.matrix, b.matrix
+    ops = inst.outcome(label).operators
+    tr = np.real(np.trace(sum(m.conj().T @ m for m in ops)))
+    retro = sum(m.conj().T @ m for m in ops) / tr
+    eps = [np.sqrt(np.real(np.trace(o @ o @ retro)) - np.real(np.trace(o @ retro)) ** 2) for o in (am, bm)]
+    evals, vecs = np.linalg.eigh(bm)
+    order = np.argsort(evals)[::-1]
+    projs = [np.outer(vecs[:, i], vecs[:, i].conj()) for i in order]
+    table = np.array(
+        [[np.real(np.trace(q @ sum(m @ p @ m.conj().T for m in ops))) / tr for q in projs] for p in projs]
+    )
+    rows = []
+    for bval, q in zip(evals[order], projs):
+        back = sum(m.conj().T @ q @ m for m in ops) / tr
+        weight = np.real(np.trace(back))
+        rho = back / weight
+        mean_b = np.real(np.trace(bm @ rho))
+        var_a = np.real(np.trace(am @ am @ rho)) - np.real(np.trace(am @ rho)) ** 2
+        var_b = np.real(np.trace(bm @ bm @ rho)) - mean_b**2
+        eta = np.sqrt(var_b + (bval - mean_b) ** 2)
+        rows.append([weight, np.sqrt(max(var_a, 0.0)), np.sqrt(max(var_b, 0.0)), eta, mean_b])
+    return eps, table, np.array(rows)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_kernel_matches_per_matrix_loops(dim):
+    rng = _rng((57, dim))
+    a, b = random_hermitian(dim, rng), random_hermitian(dim, rng)
+    indirect = Instrument.from_indirect(random_indirect_model(dim, rng))
+    for inst in (generate_random(dim, 4, (57, dim)).apparatus, indirect):
+        for label in inst.live_labels:
+            kernel = outcome_kernel(inst, label, a, b)
+            eps, table, rows = _loop_reference(inst, label, a, b)
+            got = np.array(
+                [[rm.p_posterior, rm.eps_A, rm.eps_B, rm.eta_B, rm.retro_mean_B] for rm in kernel.restricted]
+            )
+            assert max_norm(np.array([kernel.eps_A, kernel.eps_B]) - eps) < 1e-12
+            assert max_norm(kernel.table.table - table) < 1e-12
+            assert max_norm(got - rows) < 1e-12
+            values = kernel.table.row_values
+            eta = np.sqrt(np.sum((values[:, None] - values[None, :]) ** 2 * table))
+            assert abs(kernel.eta_B - eta) < 1e-12
 
 
 class TestRestrictedMetrics:
