@@ -6,7 +6,11 @@ is.  Run it on both sides of the change and compare:
     PYTHONPATH=src python tools/fingerprint.py
 
 It covers the ``analyze`` JSON on every bundled scenario and on six random
-d = 4 indirect scenarios; ``random_sweep`` at d = 2 x 60, 3 x 30 and 8 x 6
+d = 4 indirect scenarios, and on the same scenarios the single-outcome and
+identity outputs that ``analyze`` does not print: ``lindblad_decomposition``
+per outcome, ``three_state_cross_term``, ``unbiased_dispersion`` where the
+estimation is unbiased, and every field of ``restricted_metrics`` per live
+outcome and posterior branch; ``random_sweep`` at d = 2 x 60, 3 x 30 and 8 x 6
 (seed 777), with every record's lhs, rhs, digest and sub-records; ``sample``
 at 1, 10^3 and 2 x 10^5 shots and ``weak_sweep`` on each bundled file; and
 ``heisenberg_form_violation_search([2], 50, 808)``.  Floats are written with
@@ -33,7 +37,13 @@ from qmeasure import (
     sample,
     weak_sweep,
 )
-from qmeasure.errors import NotExpressible
+from qmeasure import (
+    lindblad_decomposition,
+    restricted_metrics,
+    three_state_cross_term,
+    unbiased_dispersion,
+)
+from qmeasure.errors import BiasedInstrument, NotExpressible, ZeroPosterior
 from qmeasure.harness import report_to_dict
 from qmeasure.scenario import random_density, random_hermitian, random_indirect_model
 
@@ -82,12 +92,42 @@ def _exact(x):
     return x
 
 
+def _entries(m) -> list[float]:
+    """Real and imaginary parts of every entry of a complex matrix, row-major."""
+    return np.asarray(m, dtype=complex).view(float).ravel().tolist()
+
+
+def single_outcome(s: Scenario) -> list:
+    """The identity and single-outcome outputs of one scenario."""
+    inst, a, b, rho = s.apparatus, s.observable_A, s.observable_B, s.state
+    try:
+        dispersion = unbiased_dispersion(inst, s.values_m, a, rho)
+    except BiasedInstrument:
+        dispersion = None
+    out = [list(three_state_cross_term(inst, s.values_m, a, rho)), dispersion]
+    if b is None:
+        return out
+    for label in inst.labels:
+        jordan_part, lind = lindblad_decomposition(inst, label, b)
+        out.append([label, _entries(jordan_part), _entries(lind)])
+    for label in inst.live_labels:
+        for idx in range(len(b.spectrum.branches)):
+            try:
+                rm = restricted_metrics(inst, label, idx, a, b)
+            except ZeroPosterior:
+                out.append([label, idx, None])
+                continue
+            out.append([label, idx, [rm.p_posterior, rm.eps_A, rm.eps_B, rm.eta_B, rm.retro_mean_B]])
+    return out
+
+
 def outputs():
     """Yield (name, value) pairs in a fixed order."""
     files = sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json")))
     bundled = [(os.path.basename(p), load_scenario(p)) for p in files]
     for name, s in bundled + [(f"d4-indirect-{i}", d4_indirect(i)) for i in range(6)]:
         yield f"analyze {name}", report_to_dict(analyze(s))
+        yield f"single-outcome {name}", single_outcome(s)
 
     for dim, count in ((2, 60), (3, 30), (8, 6)):
         sweep = random_sweep([dim], count, 777)
