@@ -24,7 +24,7 @@ from .metrics import (
     is_qnd,
     is_unbiased,
 )
-from .operators import max_norm, spectral_decompose, value_variance
+from .operators import cross_check, max_norm, spectral_decompose, value_variance
 from .quasiprob import (
     QuasiDistribution,
     quasi_mean_squared_difference,
@@ -34,7 +34,7 @@ from .quasiprob import (
     weak_probe_error_distribution,
 )
 from .scenario import Scenario
-from .tolerances import CROSS_CHECK_TOL, POM_PSD_FLOOR, SLOPE_FLOOR
+from .tolerances import POM_PSD_FLOOR, SLOPE_FLOOR
 
 SCHEMA_VERSION = "1"
 
@@ -83,17 +83,11 @@ def analyze(scenario: Scenario) -> AnalysisReport:
     eps = ctx.epsilon
     err_dist = tmh_error_distribution(rho, obs_a, inst, s.values_m)
     eps_quasi = quasi_mean_squared_difference(err_dist)
-    if abs(eps_quasi - eps.mean_squared) > CROSS_CHECK_TOL:
-        raise InternalNumericError(
-            f"epsilon^2 mismatch: direct {eps.mean_squared!r} vs quasi {eps_quasi!r}"
-        )
+    cross_check("epsilon^2", direct=eps.mean_squared, quasi=eps_quasi)
     eps_joint = None
     if s.indirect is not None:
         eps_joint = epsilon_sq_joint(s.indirect, s.values_m, obs_a, rho)
-        if abs(eps_joint - eps.mean_squared) > CROSS_CHECK_TOL:
-            raise InternalNumericError(
-                f"epsilon^2 mismatch: system {eps.mean_squared!r} vs joint {eps_joint!r}"
-            )
+        cross_check("epsilon^2", system=eps.mean_squared, joint=eps_joint)
 
     unbiased = is_unbiased(inst, s.values_m, obs_a)
     dispersion_m2 = None
@@ -109,18 +103,12 @@ def analyze(scenario: Scenario) -> AnalysisReport:
         eta = ctx.eta
         dist_dist = tmh_disturbance_distribution(rho, obs_b, inst)
         eta_quasi = quasi_mean_squared_difference(dist_dist)
-        if abs(eta_quasi - eta.mean_squared) > CROSS_CHECK_TOL:
-            raise InternalNumericError(
-                f"eta^2 mismatch: direct {eta.mean_squared!r} vs quasi {eta_quasi!r}"
-            )
+        cross_check("eta^2", direct=eta.mean_squared, quasi=eta_quasi)
         eta_lind = eta_sq_lindblad(inst, obs_b, rho)
         qnd = is_qnd(inst, obs_b)
         if s.indirect is not None:
             eta_joint = eta_sq_joint(s.indirect, obs_b, rho)
-            if abs(eta_joint - eta.mean_squared) > CROSS_CHECK_TOL:
-                raise InternalNumericError(
-                    f"eta^2 mismatch: system {eta.mean_squared!r} vs joint {eta_joint!r}"
-                )
+            cross_check("eta^2", system=eta.mean_squared, joint=eta_joint)
 
     # Per-outcome values exist for the live outcomes only.
     outcome_reports = []
@@ -265,16 +253,12 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
 
     if s.observable_B is not None:
         spec_b = spectral_decompose(s.observable_B)
-        cells, probs = [], []
-        for label in labels:
-            after = inst.apply_selective(label, rho).matrix
-            for posterior, proj in zip(spec_b.labels("b'"), spec_b.projectors):
-                cells.append((label, posterior))
-                probs.append(float(np.real(np.trace(np.asarray(proj) @ after))))
+        cells = [(label, posterior) for label in labels for posterior in spec_b.labels("b'")]
+        after = np.array([inst.apply_selective(label, rho) for label in labels])
+        probs = np.real(np.trace(spec_b.projector_stack @ after[:, None], axis1=-2, axis2=-1)).ravel()
     else:
         cells = [(label, None) for label in labels]
         probs = inst.outcome_probabilities(rho)
-    probs = np.array(probs)
     if probs.min() < POM_PSD_FLOOR:
         raise InternalNumericError(f"cell probability {probs.min():.3e} below {POM_PSD_FLOOR}")
     probs = np.clip(probs, 0.0, None)

@@ -27,6 +27,7 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     as_complex_matrix,
+    hermitian_part,
     max_norm,
 )
 from .tolerances import CV_RESIDUAL_TOL, IDENTITY_TOL, POM_PSD_FLOOR, ZERO_WEIGHT
@@ -223,33 +224,36 @@ class Instrument:
             raise DimensionMismatch(f"state shape {rm.shape} != ({self.dim}, {self.dim})")
         return np.array([float(np.real(np.trace(p.matrix @ rm))) for p in self._pom])
 
-    def apply_selective(self, label: str, rho: HermitianOperator) -> HermitianOperator:
-        """Unnormalized post-measurement operator sum_l M rho M† for one outcome."""
-        ks = self.outcome(label)
-        rm = np.asarray(rho)
-        if rm.shape[0] != self.dim:
-            raise DimensionMismatch(f"state dimension {rm.shape[0]} != {self.dim}")
-        out = sum(m @ rm @ m.conj().T for m in ks.operators)
-        return HermitianOperator(out)
-
-    def apply_nonselective(self, rho: HermitianOperator) -> HermitianOperator:
-        """Post-measurement operator with the outcome record discarded: the sum
-        over all outcomes of M rho M†.  ``rho`` may be unnormalized."""
-        total = sum(self.apply_selective(ks.label, rho).matrix for ks in self.outcomes)
-        return HermitianOperator(total)
-
-    def adjoint_apply(self, label: str, x: HermitianOperator) -> HermitianOperator:
-        """Heisenberg-picture dual sum_l M† X M for one outcome."""
-        ks = self.outcome(label)
+    def _kraus_sum(self, label: str, x, dual: bool) -> np.ndarray:
+        """sum_l M x M† (``dual``: sum_l M† x M) over one outcome's Kraus operators
+        in l order, gated by ``hermitian_part``; ``x`` is a matrix or a stack
+        ``(..., d, d)``, and each matrix of a stack gets the bits of its own call."""
+        ops = self.outcome(label).operators
         xm = np.asarray(x)
-        if xm.shape[0] != self.dim:
-            raise DimensionMismatch(f"operator dimension {xm.shape[0]} != {self.dim}")
-        return HermitianOperator(sum(m.conj().T @ xm @ m for m in ks.operators))
+        if xm.shape[-2:] != (self.dim, self.dim):
+            raise DimensionMismatch(f"operand shape {xm.shape} does not end in ({self.dim}, {self.dim})")
+        total = 0
+        for m in ops:
+            mh = m.conj().T
+            total = total + ((mh @ xm) @ m if dual else (m @ xm) @ mh)
+        return hermitian_part(total)
 
-    def adjoint_nonselective(self, x: HermitianOperator) -> HermitianOperator:
-        """Dual of the nonselective channel: sum over all outcomes of M† X M."""
-        total = sum(self.adjoint_apply(ks.label, x).matrix for ks in self.outcomes)
-        return HermitianOperator(total)
+    def apply_selective(self, label: str, rho) -> np.ndarray:
+        """Unnormalized post-measurement operator A_k(rho) = sum_l M rho M† of one outcome."""
+        return self._kraus_sum(label, rho, dual=False)
+
+    def apply_nonselective(self, rho) -> np.ndarray:
+        """Post-measurement operator with the outcome record discarded: the sum
+        of A_k(rho) over all outcomes.  ``rho`` may be unnormalized."""
+        return hermitian_part(sum(self.apply_selective(ks.label, rho) for ks in self.outcomes))
+
+    def adjoint_apply(self, label: str, x) -> np.ndarray:
+        """Heisenberg-picture dual A*_k(X) = sum_l M† X M of one outcome."""
+        return self._kraus_sum(label, x, dual=True)
+
+    def adjoint_nonselective(self, x) -> np.ndarray:
+        """Dual of the nonselective channel: the sum of A*_k(X) over all outcomes."""
+        return hermitian_part(sum(self.adjoint_apply(ks.label, x) for ks in self.outcomes))
 
     def effective_observable(self, values: ValueAssignment) -> HermitianOperator:
         """Observable sum_k m_k P_k actually estimated by the apparatus."""

@@ -18,7 +18,7 @@ from .errors import (
     InternalNumericError,
     StateValidationError,
 )
-from .tolerances import EIGENVALUE_FLOOR, GROUP_TOL, IDENTITY_TOL, ROUNDOFF_FLOOR, TRACE_TOL
+from .tolerances import CROSS_CHECK_TOL, EIGENVALUE_FLOOR, GROUP_TOL, IDENTITY_TOL, ROUNDOFF_FLOOR, TRACE_TOL
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -103,9 +103,12 @@ class DensityOperator(HermitianOperator):
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(M + M†)/2 of a matrix or of each matrix of a stack ``(..., d, d)``.
 
-    Raises HermiticityViolation if an anti-Hermitian part exceeds
-    ``IDENTITY_TOL`` in max-norm; smaller ones are round-off.
+    Raises StateValidationError on a non-finite entry, and HermiticityViolation
+    if an anti-Hermitian part exceeds ``IDENTITY_TOL`` in max-norm; smaller
+    ones are round-off.
     """
+    if not np.isfinite(m).all():
+        raise StateValidationError("matrix entries must be finite")
     mh = np.swapaxes(m, -1, -2).conj()
     defect = max_norm(m - mh)
     if defect > IDENTITY_TOL:
@@ -116,14 +119,14 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 def validated_states(m: np.ndarray) -> np.ndarray:
     """The density-operator gate on a stack ``(n, d, d)`` of Hermitian matrices.
 
-    An eigenvalue below EIGENVALUE_FLOOR or a trace off 1 by more than
-    TRACE_TOL raises StateValidationError.  A matrix with eigenvalues in
+    An eigenvalue below EIGENVALUE_FLOOR or NaN, or a trace off 1 by more
+    than TRACE_TOL, raises StateValidationError.  A matrix with eigenvalues in
     [EIGENVALUE_FLOOR, 0) is rebuilt with them set to zero and renormalized,
     in a read-only copy of the stack; with nothing to clip, ``m`` is returned.
     """
     evals, evecs = np.linalg.eigh(m)
     low = evals.min(axis=-1)
-    if low.min() < EIGENVALUE_FLOOR:
+    if not low.min() >= EIGENVALUE_FLOOR:
         raise StateValidationError(f"state has eigenvalue {low.min():.3e} < {EIGENVALUE_FLOOR}")
     tr = np.real(np.trace(m, axis1=-2, axis2=-1))
     off = np.abs(tr - 1.0) > TRACE_TOL
@@ -157,6 +160,13 @@ class SpectralDecomposition:
     @property
     def projectors(self) -> list[HermitianOperator]:
         return [p for _, p in self.branches]
+
+    @cached_property
+    def projector_stack(self) -> np.ndarray:
+        """The projectors as one read-only stack ``(n_branches, d, d)``, in branch order."""
+        stack = np.array([p.matrix for p in self.projectors])
+        stack.setflags(write=False)
+        return stack
 
     def labels(self, prefix: str) -> tuple[str, ...]:
         """Branch labels ``prefix0``, ``prefix1``, ... in branch order: ``a`` for
@@ -215,10 +225,18 @@ def value_variance(values: np.ndarray, probs: np.ndarray) -> float:
 
 def clip_at_floor(value: float, floor: float, what: str) -> float:
     """A quantity that is nonnegative in exact arithmetic: round-off in
-    [floor, 0) reads 0, and a value below ``floor`` raises InternalNumericError."""
-    if value < floor:
+    [floor, 0) reads 0, and a value below ``floor`` or NaN raises InternalNumericError."""
+    if not value >= floor:
         raise InternalNumericError(f"{what} {value:.3e} below {floor}")
     return max(value, 0.0)
+
+
+def cross_check(what: str, **pair: float) -> None:
+    """Gate two computations of one quantity, passed as keywords ``name=value``: a
+    difference beyond CROSS_CHECK_TOL, or a NaN, raises InternalNumericError."""
+    (x_name, x), (y_name, y) = pair.items()
+    if not abs(x - y) <= CROSS_CHECK_TOL:
+        raise InternalNumericError(f"{what} mismatch: {x_name} {x!r} vs {y_name} {y!r}")
 
 
 def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:

@@ -26,6 +26,7 @@ from .operators import (
     DensityOperator,
     SpectralDecomposition,
     expectation,
+    hermitian_part,
     jordan_product,
     max_norm,
     spectral_decompose,
@@ -146,12 +147,9 @@ def tmh_disturbance_distribution(
 ) -> QuasiDistribution:
     """Joint table p~(b', b) = <Q_b' * Π_b> with Q_b' the back-propagated projector."""
     spec = spectral_decompose(b)
-    q = [inst.adjoint_nonselective(proj) for proj in spec.projectors]
+    q = inst.adjoint_nonselective(spec.projector_stack)
     table = np.array(
-        [
-            [expectation(jordan_product(q_bp, proj_b), rho) for proj_b in spec.projectors]
-            for q_bp in q
-        ]
+        [[expectation(jordan_product(q_bp, proj_b), rho) for proj_b in spec.projectors] for q_bp in q]
     )
     return QuasiDistribution.on_branches(spec, "b'", "b", table)
 
@@ -213,7 +211,6 @@ def weak_probe_disturbance_distribution(
     for j, proj_b in enumerate(spec.projectors):
         probe = WeakProbe.build(proj_b, g)
         for m_l, n_l in zip(probe.kraus(), probe.calibration()):
-            after = inst.apply_nonselective(HermitianOperator(m_l @ rm @ m_l.conj().T)).matrix
-            for i, proj_bp in enumerate(spec.projectors):
-                table[i, j] += n_l * float(np.real(np.trace(np.asarray(proj_bp) @ after)))
+            after = inst.apply_nonselective(hermitian_part(m_l @ rm @ m_l.conj().T))
+            table[:, j] += n_l * np.real(np.trace(spec.projector_stack @ after, axis1=-2, axis2=-1))
     return QuasiDistribution.on_branches(spec, "b'", "b", table)

@@ -4,8 +4,9 @@ These quantities are intrinsic to an instrument outcome: no preparation
 state enters any signature.  Degenerate observables are handled at the
 eigen-branch level, with squared deviations taken between branch
 eigenvalues.  One kernel per live outcome, :func:`outcome_kernel`, computes
-them all from the stacked Kraus operators of the outcome and the stacked
-spectral projectors of B; the four single-outcome functions read from it.
+them all from the outcome's map A_k and its dual A*_k, each applied by the
+instrument in one call to the stacked spectral projectors of B; the four
+single-outcome functions read from it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .operators import (
     HermitianOperator,
     clip_at_floor,
     commutator_bound,
-    hermitian_part,
     spectral_decompose,
     validated_states,
 )
@@ -74,27 +74,23 @@ def outcome_kernel(
 ) -> OutcomeKernel:
     """The single-outcome quantities of one live outcome, for A and, if given, B.
 
-    Each product is a stacked ``matmul``, summed over the Kraus operators in
-    order, so every value has the bits of the per-matrix computation.  Each
-    gate runs once on a stacked output: Hermiticity on A_k(Π_b) and
-    A*_k(Π_b'), the state gate on the conditioned states
-    A*_k(Π_b') / (Tr P_k p(b'|k)), and ``clip_at_floor`` on every variance.
+    Every product is a stacked ``matmul``, so every value has the bits of the
+    per-matrix computation.  Each gate runs once on a stacked output: the
+    instrument's Hermiticity gate on A_k(Π_b) and A*_k(Π_b'), the state gate
+    on the conditioned states A*_k(Π_b') / (Tr P_k p(b'|k)), and
+    ``clip_at_floor`` on every variance.
     """
     tr, retro = inst.live_trace(label), inst.retrodicted_state(label)
     obs = np.array([a.matrix] if b is None else [a.matrix, b.matrix])
     states = retro.matrix[None]
     if b is not None:
         spec = spectral_decompose(b)
-        proj = np.array([p.matrix for p in spec.projectors])
-        kraus = np.array(inst.outcome(label).operators)
-        forward = backward = 0
-        for m, mh in zip(kraus, kraus.conj().swapaxes(-1, -2)):
-            forward = forward + (m[None] @ proj) @ mh[None]
-            backward = backward + (mh[None] @ proj) @ m[None]
+        proj = spec.projector_stack
         # T_k divides each trace by Tr P_k; the conditioned states divide
         # A*_k(Π_b') before the trace.  The two orders round differently.
-        table = np.real(np.trace(proj[None, :] @ hermitian_part(forward)[:, None], axis1=-2, axis2=-1)) / tr
-        backward = hermitian_part(backward) / tr
+        forward = inst.apply_selective(label, proj)
+        table = np.real(np.trace(proj[None, :] @ forward[:, None], axis1=-2, axis2=-1)) / tr
+        backward = inst.adjoint_apply(label, proj) / tr
         weights = np.real(np.trace(backward, axis1=-2, axis2=-1))
         live = weights > ZERO_WEIGHT
         states = np.concatenate([states, validated_states(backward[live] / weights[live][:, None, None])])

@@ -146,7 +146,7 @@ def test_criterion_04_picture_consistency():
         lhs, rhs = three_state_cross_term(inst, values, a, rho)
         assert abs(lhs - rhs) <= 1e-10
         for label in inst.labels:
-            sandwich = inst.adjoint_apply(label, b).matrix
+            sandwich = inst.adjoint_apply(label, b)
             jordan_part, lind = lindblad_decomposition(inst, label, b)
             assert max_norm(sandwich - jordan_part.matrix - lind.matrix) <= 1e-12
         assert abs(eta_sys - eta_sq_lindblad(inst, b, rho)) <= 1e-11

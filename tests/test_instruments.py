@@ -22,7 +22,9 @@ from qmeasure.operators import (
     DensityOperator,
     HermitianOperator,
     expectation,
+    hermitian_part,
     max_norm,
+    spectral_decompose,
 )
 from qmeasure.scenario import (
     _rng,
@@ -30,6 +32,7 @@ from qmeasure.scenario import (
     random_hermitian,
     random_indirect_model,
     random_instrument,
+    random_unitary,
     theta_pom_instrument,
 )
 
@@ -165,19 +168,19 @@ class TestApplicationMaps:
     def test_selective_projective(self, ket_plus):
         inst = projective_z()
         out = inst.apply_selective("up", ket_plus)
-        assert np.allclose(out.matrix, np.diag([0.5, 0.0]))
+        assert np.allclose(out, np.diag([0.5, 0.0]))
 
     def test_nonselective_dephasing(self, ket_plus):
         inst = projective_z()
         after = inst.apply_nonselective(ket_plus)
-        assert np.allclose(after.matrix, np.eye(2) / 2)
+        assert np.allclose(after, np.eye(2) / 2)
 
     def test_nonselective_keeps_an_unnormalized_trace(self):
         # Trace-preserving channel on an operator of trace 0.3: not a state.
         inst = random_instrument(3, 3, _rng(25))
         x = HermitianOperator(0.3 * np.asarray(random_density(3, _rng(26))))
         after = inst.apply_nonselective(x)
-        assert np.real(np.trace(after.matrix)) == pytest.approx(0.3, abs=1e-12)
+        assert np.real(np.trace(after)) == pytest.approx(0.3, abs=1e-12)
 
     def test_adjoint_duality(self):
         rng = _rng(23)
@@ -186,15 +189,70 @@ class TestApplicationMaps:
             rho = random_density(3, rng)
             x = random_hermitian(3, rng)
             for label in inst.labels:
-                lhs = np.trace(np.asarray(x) @ inst.apply_selective(label, rho).matrix)
-                rhs = np.trace(inst.adjoint_apply(label, x).matrix @ np.asarray(rho))
+                lhs = np.trace(np.asarray(x) @ inst.apply_selective(label, rho))
+                rhs = np.trace(inst.adjoint_apply(label, x) @ np.asarray(rho))
                 assert abs(lhs - rhs) < 1e-11
 
     def test_adjoint_nonselective_unital(self):
         rng = _rng(24)
         inst = random_instrument(2, 4, rng)
         ident = HermitianOperator(np.eye(2))
-        assert max_norm(inst.adjoint_nonselective(ident).matrix - np.eye(2)) < 1e-10
+        assert max_norm(inst.adjoint_nonselective(ident) - np.eye(2)) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2,), (4, 2, 3)])
+    def test_wrong_shape_is_dimension_mismatch(self, shape):
+        inst = theta_pom_instrument(0.3)
+        bad = np.ones(shape)
+        for call in (
+            lambda: inst.apply_selective("+", bad),
+            lambda: inst.adjoint_apply("+", bad),
+            lambda: inst.apply_nonselective(bad),
+            lambda: inst.adjoint_nonselective(bad),
+        ):
+            with pytest.raises(DimensionMismatch):
+                call()
+
+
+def kraus_instrument(dim: int, n_outcomes: int, n_kraus: int, rng) -> Instrument:
+    """Instrument from a Haar-random isometry with n_kraus Kraus operators per outcome."""
+    isometry = random_unitary(dim * n_outcomes * n_kraus, rng)[:, :dim]
+    blocks = [isometry[i * dim : (i + 1) * dim] for i in range(n_outcomes * n_kraus)]
+    return Instrument.from_kraus(
+        [KrausSet(str(k), tuple(blocks[k * n_kraus : (k + 1) * n_kraus])) for k in range(n_outcomes)]
+    )
+
+
+def _selective_reference(inst, label, x):
+    return hermitian_part(sum(m @ x @ m.conj().T for m in inst.outcome(label).operators))
+
+
+def _dual_reference(inst, label, x):
+    return hermitian_part(sum(m.conj().T @ x @ m for m in inst.outcome(label).operators))
+
+
+@pytest.mark.parametrize("n_kraus", [1, 3])
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_stacked_call_has_the_bits_of_separate_calls(dim, n_kraus):
+    # The kernel, sample and the TMH table pass stacks; each matrix of the
+    # stack must come out exactly as a single-matrix Kraus sum would.
+    rng = _rng(70 + 10 * dim + n_kraus)
+    inst = kraus_instrument(dim, 3, n_kraus, rng)
+    b = random_hermitian(dim, rng)
+    stack = np.concatenate(
+        [spectral_decompose(b).projector_stack, [random_hermitian(dim, rng).matrix for _ in range(3)]]
+    )
+    for label in inst.labels:
+        forward = [_selective_reference(inst, label, x) for x in stack]
+        backward = [_dual_reference(inst, label, x) for x in stack]
+        assert np.array_equal(inst.apply_selective(label, stack), np.array(forward))
+        assert np.array_equal(inst.adjoint_apply(label, stack), np.array(backward))
+    forward = [hermitian_part(sum(_selective_reference(inst, l, x) for l in inst.labels)) for x in stack]
+    backward = [hermitian_part(sum(_dual_reference(inst, l, x) for l in inst.labels)) for x in stack]
+    assert np.array_equal(inst.apply_nonselective(stack), np.array(forward))
+    assert np.array_equal(inst.adjoint_nonselective(stack), np.array(backward))
+    # A stack of stacks is a stack too.
+    pairs = stack[:4].reshape(2, 2, dim, dim)
+    assert np.array_equal(inst.adjoint_nonselective(pairs), np.array(backward[:4]).reshape(2, 2, dim, dim))
 
 
 class TestEffectiveObservable:

@@ -145,7 +145,7 @@ class TestLindblad:
             inst = random_instrument(2, 3, rng)
             b = random_hermitian(2, rng)
             for label in inst.labels:
-                sandwich = inst.adjoint_apply(label, b).matrix
+                sandwich = inst.adjoint_apply(label, b)
                 jordan_part, lind = lindblad_decomposition(inst, label, b)
                 assert max_norm(sandwich - jordan_part.matrix - lind.matrix) < 1e-12
 

@@ -1,22 +1,32 @@
 import numpy as np
 import pytest
 
-from qmeasure.errors import DimensionMismatch, HermiticityViolation, StateValidationError
+from qmeasure.errors import (
+    DimensionMismatch,
+    HermiticityViolation,
+    InternalNumericError,
+    StateValidationError,
+)
 from qmeasure.operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     DensityOperator,
     HermitianOperator,
+    clip_at_floor,
     commutator_bound,
+    cross_check,
     expectation_and_variance,
+    hermitian_part,
     jordan_product,
     max_norm,
     partial_trace,
     spectral_decompose,
     tensor_product,
+    validated_states,
 )
 from qmeasure.scenario import _rng, random_density, random_hermitian
+from qmeasure.tolerances import CROSS_CHECK_TOL, ROUNDOFF_FLOOR
 
 
 class TestConstruction:
@@ -53,6 +63,42 @@ class TestConstruction:
         assert isinstance(rho, HermitianOperator)
         assert rho.dim == 2
         assert spectral_decompose(rho).eigenvalues == pytest.approx([1.0, 0.0], abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteGates:
+    # (1e160 sigma_z)^2 overflows: numpy warns, and the gates must raise.
+    BIG = 1e160 * SIGMA_Z
+
+    def test_hermitian_part_rejects_overflow(self):
+        with pytest.raises(StateValidationError, match="matrix entries must be finite"):
+            hermitian_part(self.BIG @ self.BIG)
+
+    def test_validated_states_rejects_nan(self):
+        # Normalizing the overflowed square divides inf by inf.
+        sq = self.BIG @ self.BIG
+        with pytest.raises(StateValidationError):
+            validated_states((sq / np.trace(sq))[None])
+
+    def test_clip_at_floor_rejects_nan(self):
+        # The variance of the overflowed operator in a diagonal state: inf - inf.
+        mean = np.real(np.trace(self.BIG @ np.diag([0.75, 0.25])))
+        second = np.real(np.trace(self.BIG @ self.BIG @ np.diag([0.75, 0.25])))
+        with pytest.raises(InternalNumericError):
+            clip_at_floor(float(second - mean * mean), ROUNDOFF_FLOOR, "variance")
+
+
+class TestCrossCheck:
+    def test_agreement_passes(self):
+        cross_check("dispersion", eigen=1.0, contextual=1.0 + CROSS_CHECK_TOL / 2)
+
+    def test_mismatch_names_both_sides(self):
+        with pytest.raises(InternalNumericError, match=r"^epsilon\^2 mismatch: direct 1\.0 vs quasi 2\.0$"):
+            cross_check("epsilon^2", direct=1.0, quasi=2.0)
+
+    def test_nan_fails(self):
+        with pytest.raises(InternalNumericError, match="eta\\^2 mismatch: system nan vs joint 0.0"):
+            cross_check("eta^2", system=float("nan"), joint=0.0)
 
 
 class TestJordanProduct:

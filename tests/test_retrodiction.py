@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qmeasure import retrodiction
+from qmeasure import instruments, retrodiction
 from qmeasure.errors import InternalNumericError, NullOutcome, StateValidationError, ZeroPosterior
 from qmeasure.inequalities import evaluate
 from qmeasure.instruments import Instrument, KrausSet
@@ -89,6 +89,12 @@ class TestRetrodictiveError:
         inst = theta_pom_instrument(0.4)
         assert retrodictive_error(inst, "+", SX) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_variance_raises(self):
+        # (1e160)^2 overflows: the variance inf - inf is NaN and passes no floor.
+        with pytest.raises(InternalNumericError):
+            retrodictive_error(theta_pom_instrument(0.3), "+", HermitianOperator(1e160 * SIGMA_Z))
+
 
 class TestInterdictive:
     def test_trace_normalized_channel(self):
@@ -156,8 +162,8 @@ class TestKernelGates:
         # weights and the table's mass alone, but pushes an eigenvalue of the
         # pure conditioned states of a projective measurement to about -2e-6.
         kick = np.diag([1e-6, -1e-6])
-        part = retrodiction.hermitian_part
-        monkeypatch.setattr(retrodiction, "hermitian_part", lambda m: part(m) + kick)
+        part = instruments.hermitian_part
+        monkeypatch.setattr(instruments, "hermitian_part", lambda m: part(m) + kick)
         with pytest.raises(StateValidationError):
             outcome_kernel(projective_instrument(SZ), "0", SZ, SX)
 
