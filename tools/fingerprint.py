@@ -9,7 +9,8 @@ It covers the ``analyze`` JSON on every bundled scenario and on six random
 d = 4 indirect scenarios, and on the same scenarios the single-outcome and
 identity outputs that ``analyze`` does not print: ``lindblad_decomposition``
 per outcome, ``three_state_cross_term``, ``unbiased_dispersion`` where the
-estimation is unbiased, and every field of ``restricted_metrics`` per live
+estimation is unbiased, ``conditional_weak_value`` for every (outcome,
+A-branch) pair, and every field of ``restricted_metrics`` per live
 outcome and posterior branch; ``random_sweep`` at d = 2 x 60, 3 x 30 and 8 x 6
 (seed 777), with every record's lhs, rhs, digest and sub-records; ``sample``
 at 1, 10^3 and 2 x 10^5 shots and ``weak_sweep`` on each bundled file; and
@@ -38,12 +39,13 @@ from qmeasure import (
     weak_sweep,
 )
 from qmeasure import (
+    conditional_weak_value,
     lindblad_decomposition,
     restricted_metrics,
     three_state_cross_term,
     unbiased_dispersion,
 )
-from qmeasure.errors import BiasedInstrument, NotExpressible, ZeroPosterior
+from qmeasure.errors import BiasedInstrument, NotExpressible, ZeroPosterior, ZeroProbabilityConditioning
 from qmeasure.harness import report_to_dict
 from qmeasure.scenario import random_density, random_hermitian, random_indirect_model
 
@@ -105,6 +107,12 @@ def single_outcome(s: Scenario) -> list:
     except BiasedInstrument:
         dispersion = None
     out = [list(three_state_cross_term(inst, s.values_m, a, rho)), dispersion]
+    for label, p_k in zip(inst.labels, inst.pom()):
+        for pi in a.spectrum.projectors:
+            try:
+                out.append([label, conditional_weak_value(rho, pi, p_k)])
+            except ZeroProbabilityConditioning:
+                out.append([label, None])
     if b is None:
         return out
     for label in inst.labels:
