@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .errors import InternalNumericError, ParseError, QMeasureError, ValidationError
+from .errors import InternalNumericError, InvalidArgument, InvalidStrength, ParseError, QMeasureError, ValidationError
 from .harness import (
     analyze,
     report_to_dict,
@@ -56,6 +56,25 @@ def _print_report(report):
             print(f"  {rid:13s} {rec.lhs:12.6g} >= {rec.rhs:12.6g}  margin {rec.margin:+.3e}  {flag}")
 
 
+def _at_least(args, **lowest: int) -> None:
+    """Reject an integer argument below the smallest value its command accepts."""
+    for name, low in lowest.items():
+        value = getattr(args, name)
+        if value < low:
+            raise InvalidArgument(f"--{name} must be >= {low}, got {value}")
+
+
+def _strengths(text: str) -> list[float]:
+    """The probe strengths of ``--g``: a nonempty comma-separated list of numbers."""
+    try:
+        g_list = [float(x) for x in text.split(",") if x]
+    except ValueError:
+        raise InvalidStrength(f"--g must be comma-separated numbers, got {text!r}") from None
+    if not g_list:
+        raise InvalidStrength(f"--g names no probe strength: {text!r}")
+    return g_list
+
+
 def cmd_validate(args) -> int:
     load_scenario(args.file)
     print(f"{args.file}: valid scenario")
@@ -81,6 +100,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _at_least(args, shots=1, seed=0)
     scenario = load_scenario(args.file)
     run = sample(scenario, args.shots, args.seed)
     print(f"shots={run.shots} seed={run.seed}")
@@ -96,8 +116,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    g_list = _strengths(args.g)
     scenario = load_scenario(args.file)
-    g_list = [float(x) for x in args.g.split(",") if x]
     sweep = weak_sweep(scenario, g_list)
     for row in sweep.rows:
         extra = "" if row.disturbance_dist_maxnorm is None else f"  disturbance {row.disturbance_dist_maxnorm:.3e}"
@@ -112,6 +132,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_random(args) -> int:
+    _at_least(args, dim=2, count=1, outcomes=1, seed=0)
     if args.search_heisenberg_violation:
         result = heisenberg_form_violation_search([args.dim], args.count, args.seed, args.outcomes)
         print(

@@ -69,6 +69,10 @@ class NegativeRadicand(QMeasureError):
     """Square-root argument is negative beyond round-off tolerance."""
 
 
+class InvalidArgument(QMeasureError):
+    """A command-line argument lies outside the range its command accepts."""
+
+
 class ParseError(QMeasureError):
     """Scenario file could not be parsed."""
 

@@ -24,7 +24,7 @@ from .metrics import (
     is_qnd,
     is_unbiased,
 )
-from .operators import cross_check, max_norm, spectral_decompose, value_variance
+from .operators import cross_check, expectation, max_norm, spectral_decompose, value_variance
 from .quasiprob import (
     QuasiDistribution,
     quasi_mean_squared_difference,
@@ -255,7 +255,7 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
         spec_b = spectral_decompose(s.observable_B)
         cells = [(label, posterior) for label in labels for posterior in spec_b.labels("b'")]
         after = np.array([inst.apply_selective(label, rho) for label in labels])
-        probs = np.real(np.trace(spec_b.projector_stack @ after[:, None], axis1=-2, axis2=-1)).ravel()
+        probs = expectation(spec_b.projector_stack, after[:, None]).ravel()
     else:
         cells = [(label, None) for label in labels]
         probs = inst.outcome_probabilities(rho)

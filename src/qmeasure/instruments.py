@@ -27,6 +27,7 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     as_complex_matrix,
+    expectation,
     hermitian_part,
     max_norm,
 )
@@ -189,6 +190,13 @@ class Instrument:
         """POM elements P_k = sum_l M†_{k,l} M_{k,l}, in declared outcome order."""
         return self._pom
 
+    @cached_property
+    def pom_stack(self) -> np.ndarray:
+        """The POM elements as one read-only stack ``(n_outcomes, d, d)``, in declared order."""
+        stack = np.array([p.matrix for p in self._pom])
+        stack.setflags(write=False)
+        return stack
+
     def pom_element(self, label: str) -> HermitianOperator:
         return self._pom[self._position(label)]
 
@@ -219,10 +227,7 @@ class Instrument:
 
     def outcome_probabilities(self, rho) -> np.ndarray:
         """Tr(P_k rho) per outcome, in declared order; ``rho`` may be unnormalized."""
-        rm = np.asarray(rho)
-        if rm.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"state shape {rm.shape} != ({self.dim}, {self.dim})")
-        return np.array([float(np.real(np.trace(p.matrix @ rm))) for p in self._pom])
+        return expectation(self.pom_stack, rho)
 
     def _kraus_sum(self, label: str, x, dual: bool) -> np.ndarray:
         """sum_l M x M† (``dual``: sum_l M† x M) over one outcome's Kraus operators

@@ -3,7 +3,9 @@
 The same quantities are computable in the joint system-detector picture
 (from an explicit unitary model) and in the reduced system picture (from
 the instrument alone); the two must agree to ``CROSS_CHECK_TOL``, which the
-test suite exercises as a cross-picture oracle.
+test suite exercises as a cross-picture oracle.  In the system picture, ε²
+and η² are one formula, <X_sq + A^2 - 2 X * A> with X = A_e[m] or B', and
+every trace is ``operators.expectation``.
 """
 
 from __future__ import annotations
@@ -48,8 +50,16 @@ def delta_A(
     inst: Instrument, values: ValueAssignment, a: HermitianOperator, rho: DensityOperator
 ) -> float:
     """Mean bias Tr[(A_e[m] - A) rho] of the estimation."""
-    a_e = inst.effective_observable(values)
-    return expectation(HermitianOperator(a_e.matrix - a.matrix), rho)
+    return expectation(inst.effective_observable(values).matrix - a.matrix, rho)
+
+
+def _noise_report(delta: float, x, x_sq, a, a_sq, rho) -> NoiseReport:
+    """<X_sq + A^2 - 2 X * A> with its three components, in the system picture:
+    the squared noise with X = A_e[m], the squared disturbance with X = B'."""
+    first, second, half_cross = expectation(np.array([x_sq, a_sq, jordan_product(x, a)]), rho).tolist()
+    cross = 2 * half_cross
+    value = clip_at_floor(first + second - cross, SECOND_MOMENT_FLOOR, "second moment")
+    return NoiseReport(delta=delta, mean_squared=value, picture="system", components=(first, second, cross))
 
 
 def epsilon_sq_system(
@@ -60,18 +70,10 @@ def epsilon_sq_system(
     The first term uses the squared spectrum per outcome, which differs
     from A_e[m]^2 whenever the POM is not projective.
     """
-    a_e = inst.effective_observable(values)
-    a_e_sq = inst.effective_observable(squared_values(values))
-    first = expectation(a_e_sq, rho)
-    second = expectation(HermitianOperator(np.asarray(a) @ np.asarray(a)), rho)
-    cross = 2 * expectation(jordan_product(a_e, a), rho)
-    eps_sq = clip_at_floor(first + second - cross, SECOND_MOMENT_FLOOR, "second moment")
-    return NoiseReport(
-        delta=delta_A(inst, values, a, rho),
-        mean_squared=eps_sq,
-        picture="system",
-        components=(first, second, cross),
-    )
+    am = np.asarray(a)
+    a_e = inst.effective_observable(values).matrix
+    a_e_sq = inst.effective_observable(squared_values(values)).matrix
+    return _noise_report(expectation(a_e - am, rho), a_e, a_e_sq, am, hermitian_part(am @ am), rho)
 
 
 def epsilon_sq_joint(
@@ -86,8 +88,7 @@ def epsilon_sq_joint(
     d_d = model.detector_state.dim
     joint_m = tensor_product(np.eye(model.system_dim), m_obs)
     noise_op = u.conj().T @ joint_m @ u - tensor_product(a, np.eye(d_d))
-    joint_state = tensor_product(rho_s, model.detector_state)
-    value = float(np.real(np.trace(noise_op @ noise_op @ joint_state)))
+    value = expectation(noise_op @ noise_op, tensor_product(rho_s, model.detector_state))
     return clip_at_floor(value, SECOND_MOMENT_FLOOR, "second moment")
 
 
@@ -99,22 +100,18 @@ def three_state_cross_term(
     The left side is 2<A_e[m] * A>; the right side expresses it through the
     (unnormalized) preparations (1+A) rho (1+A) and A rho A.
     """
-    a_e = np.asarray(inst.effective_observable(values))
+    a_e = inst.effective_observable(values)
     am, rm = np.asarray(a), np.asarray(rho)
-    lhs = 2 * expectation(jordan_product(HermitianOperator(a_e), a), rho)
+    lhs = 2 * expectation(jordan_product(a_e, a), rho)
     one_plus_a = np.eye(inst.dim) + am
-    rho_plus = one_plus_a @ rm @ one_plus_a
-    rho_sandwich = am @ rm @ am
-    rhs = float(
-        np.real(np.trace(a_e @ rho_plus) - np.trace(a_e @ rm) - np.trace(a_e @ rho_sandwich))
-    )
-    return lhs, rhs
+    plus, plain, sandwich = expectation(a_e, np.array([one_plus_a @ rm @ one_plus_a, rm, am @ rm @ am])).tolist()
+    return lhs, plus - plain - sandwich
 
 
 def delta_B(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> float:
     """Mean shift Tr[B (rho' - rho)] caused by the nonselective measurement."""
     rho_after = DensityOperator(inst.apply_nonselective(rho))
-    return expectation(b, HermitianOperator(rho_after.matrix - rho.matrix))
+    return expectation(b, rho_after.matrix - rho.matrix)
 
 
 def eta_sq_system(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> NoiseReport:
@@ -122,16 +119,7 @@ def eta_sq_system(inst: Instrument, b: HermitianOperator, rho: DensityOperator) 
     bm = np.asarray(b)
     b_sq = hermitian_part(bm @ bm)
     b_prime, b_sq_prime = inst.adjoint_nonselective(np.array([bm, b_sq]))
-    first = expectation(b_sq_prime, rho)
-    second = expectation(b_sq, rho)
-    cross = 2 * expectation(jordan_product(b_prime, b), rho)
-    eta_sq = clip_at_floor(first + second - cross, SECOND_MOMENT_FLOOR, "second moment")
-    return NoiseReport(
-        delta=delta_B(inst, b, rho),
-        mean_squared=eta_sq,
-        picture="system",
-        components=(first, second, cross),
-    )
+    return _noise_report(delta_B(inst, b, rho), b_prime, b_sq_prime, bm, b_sq, rho)
 
 
 def eta_sq_joint(model: IndirectModel, b: HermitianOperator, rho_s: DensityOperator) -> float:
@@ -140,8 +128,7 @@ def eta_sq_joint(model: IndirectModel, b: HermitianOperator, rho_s: DensityOpera
     d_d = model.detector_state.dim
     joint_b = tensor_product(b, np.eye(d_d))
     diff_op = u.conj().T @ joint_b @ u - joint_b
-    joint_state = tensor_product(rho_s, model.detector_state)
-    value = float(np.real(np.trace(diff_op @ diff_op @ joint_state)))
+    value = expectation(diff_op @ diff_op, tensor_product(rho_s, model.detector_state))
     return clip_at_floor(value, SECOND_MOMENT_FLOOR, "second moment")
 
 
@@ -156,12 +143,11 @@ def lindblad_perturbation(ks: KrausSet, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def lindblad_decomposition(
-    inst: Instrument, label: str, b: HermitianOperator
-) -> tuple[HermitianOperator, HermitianOperator]:
-    """Split sum_l M† B M into the Jordan part P_k * B and the Lindblad remainder."""
-    jordan_part = jordan_product(inst.pom_element(label), b)
-    return jordan_part, HermitianOperator(lindblad_perturbation(inst.outcome(label), np.asarray(b)))
+def lindblad_decomposition(inst: Instrument, label: str, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Split sum_l M† B M into the Jordan part P_k * B and the Lindblad remainder,
+    each gated by ``hermitian_part``."""
+    lindblad = hermitian_part(lindblad_perturbation(inst.outcome(label), np.asarray(b)))
+    return jordan_product(inst.pom_element(label), b), lindblad
 
 
 def eta_sq_lindblad(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> float:
@@ -169,11 +155,9 @@ def eta_sq_lindblad(inst: Instrument, b: HermitianOperator, rho: DensityOperator
     sum_k <L_k(B^2) - 2 B * L_k(B)>."""
     bm = np.asarray(b)
     stack = np.array([bm, bm @ bm])
-    total = 0.0
-    for ks in inst.outcomes:
-        l_b, l_b2 = lindblad_perturbation(ks, stack)
-        term = l_b2 - (bm @ l_b + l_b @ bm)
-        total += float(np.real(np.trace(term @ np.asarray(rho))))
+    per_outcome = np.array([lindblad_perturbation(ks, stack) for ks in inst.outcomes])
+    l_b, l_b2 = per_outcome[:, 0], per_outcome[:, 1]
+    total = sum(expectation(l_b2 - (bm @ l_b + l_b @ bm), rho).tolist())
     return clip_at_floor(total, SECOND_MOMENT_FLOOR, "second moment")
 
 
@@ -208,7 +192,7 @@ def unbiased_dispersion(
     p_k = inst.outcome_probabilities(rho)
     m_k = np.array([float(values[label]) for label in inst.labels])
     spec = spectral_decompose(a)
-    p_a = np.array([expectation(pi, rho) for pi in spec.projectors])
+    p_a = expectation(spec.projector_stack, rho)
     eigen_side = float(m_k**2 @ p_k - spec.eigenvalues**2 @ p_a)
 
     m2 = inst.moment_values(a, 2)

@@ -174,46 +174,47 @@ class SpectralDecomposition:
         return tuple(f"{prefix}{i}" for i in range(len(self.branches)))
 
 
-def _matrix_of(x) -> np.ndarray:
-    if isinstance(x, HermitianOperator):
-        return x.matrix
-    return as_complex_matrix(x)
+def _operands(*xs) -> list[np.ndarray]:
+    """The matrices of a product's operands: a HermitianOperator gives its matrix,
+    anything else must be a finite complex array with ndim >= 2.  The last two
+    axes must be one square shape for all operands."""
+    mats = [x.matrix if isinstance(x, HermitianOperator) else np.asarray(x, dtype=complex) for x in xs]
+    if not all(np.isfinite(m).all() for m in mats):
+        raise StateValidationError("matrix entries must be finite")
+    shapes = {m.shape[-2:] for m in mats}
+    if any(m.ndim < 2 for m in mats) or len(shapes) != 1 or mats[0].shape[-1] != mats[0].shape[-2]:
+        raise DimensionMismatch(f"operands do not share one square shape: {[m.shape for m in mats]}")
+    return mats
 
 
-def _check_same_dim(*mats: np.ndarray):
-    dims = {m.shape for m in mats}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"incompatible matrix shapes: {sorted(dims)}")
-
-
-def jordan_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Symmetric product (AB + BA)/2; Hermitian for Hermitian inputs."""
-    am, bm = _matrix_of(a), _matrix_of(b)
-    _check_same_dim(am, bm)
-    return HermitianOperator((am @ bm + bm @ am) / 2)
+def jordan_product(a, b) -> np.ndarray:
+    """Symmetric product (AB + BA)/2 of two matrices, or of each pair of two
+    broadcasting stacks ``(..., d, d)``, gated by ``hermitian_part``."""
+    am, bm = _operands(a, b)
+    return hermitian_part((am @ bm + bm @ am) / 2)
 
 
 def commutator_bound(a: HermitianOperator, b: HermitianOperator, rho: DensityOperator) -> float:
     """Uncertainty bound C_AB = |<[A, B]> / 2i| in the state ``rho``."""
-    am, bm, rm = _matrix_of(a), _matrix_of(b), _matrix_of(rho)
-    _check_same_dim(am, bm, rm)
+    am, bm, rm = _operands(a, b, rho)
     t = np.trace((am @ bm - bm @ am) @ rm)
     return float(abs(t)) / 2
 
 
-def expectation(x, rho) -> float:
-    """Real expectation value Tr(X rho) of a Hermitian X."""
-    xm, rm = _matrix_of(x), _matrix_of(rho)
-    _check_same_dim(xm, rm)
-    return float(np.real(np.trace(xm @ rm)))
+def expectation(x, rho):
+    """Re Tr(X rho), the package's one Born-rule trace: a float for two matrices,
+    and a C-contiguous float array for broadcasting stacks ``(..., d, d)``; each
+    entry of a stack has the bits of its own call."""
+    xm, rm = _operands(x, rho)
+    t = np.real(np.trace(xm @ rm, axis1=-2, axis2=-1))
+    # The real part is a strided view, and a dot product with it rounds differently.
+    return float(t) if t.ndim == 0 else np.ascontiguousarray(t)
 
 
 def expectation_and_variance(a: HermitianOperator, rho: DensityOperator) -> tuple[float, float]:
     """Mean Tr(A rho) and variance Tr(A^2 rho) - mean^2; round-off down to ROUNDOFF_FLOOR reads 0."""
-    am, rm = _matrix_of(a), _matrix_of(rho)
-    _check_same_dim(am, rm)
-    mean = float(np.real(np.trace(am @ rm)))
-    second = float(np.real(np.trace(am @ am @ rm)))
+    am, rm = _operands(a, rho)
+    mean, second = expectation(np.array([am, am @ am]), rm).tolist()
     return mean, clip_at_floor(second - mean * mean, ROUNDOFF_FLOOR, "variance")
 
 
@@ -246,7 +247,7 @@ def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
 
 def tensor_product(x, y) -> np.ndarray:
     """Kronecker product with the system factor first (A ⊗ 1 ordering)."""
-    return np.kron(_matrix_of(x), _matrix_of(y))
+    return np.kron(as_complex_matrix(x), as_complex_matrix(y))
 
 
 def partial_trace(x, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -258,7 +259,7 @@ def partial_trace(x, dims: tuple[int, int], keep: str) -> np.ndarray:
     dims : (d_S, d_D)
     keep : "system" to trace out the detector, "detector" for the converse.
     """
-    xm = _matrix_of(x)
+    xm = as_complex_matrix(x)
     d_s, d_d = dims
     if xm.shape != (d_s * d_d, d_s * d_d):
         raise DimensionMismatch(

@@ -1,8 +1,10 @@
 """Terletsky-Margenau-Hill quasiprobabilities and their weak-probe estimation.
 
 The joint tables built here may carry negative entries; negativity is the
-point, so it is preserved and never clipped.  A tunable-strength two-outcome
-probe reproduces each table operationally with an O(g^2) deviation.
+point, so it is preserved and never clipped.  Each TMH table is one stacked
+Jordan product of two projector or POM stacks, read by one stacked
+``expectation``.  A tunable-strength two-outcome probe reproduces each table
+operationally with an O(g^2) deviation.
 """
 
 from __future__ import annotations
@@ -135,10 +137,7 @@ def tmh_error_distribution(
 ) -> QuasiDistribution:
     """Joint table p~(a, k) = <Π_a * P_k> over eigenbranches of A and outcomes."""
     spec = spectral_decompose(a)
-    pom = inst.pom()
-    table = np.array(
-        [[expectation(jordan_product(proj, p_k), rho) for p_k in pom] for proj in spec.projectors]
-    )
+    table = expectation(jordan_product(spec.projector_stack[:, None], inst.pom_stack[None]), rho)
     return _error_table(spec, inst, values, table)
 
 
@@ -148,9 +147,7 @@ def tmh_disturbance_distribution(
     """Joint table p~(b', b) = <Q_b' * Π_b> with Q_b' the back-propagated projector."""
     spec = spectral_decompose(b)
     q = inst.adjoint_nonselective(spec.projector_stack)
-    table = np.array(
-        [[expectation(jordan_product(q_bp, proj_b), rho) for proj_b in spec.projectors] for q_bp in q]
-    )
+    table = expectation(jordan_product(q[:, None], spec.projector_stack[None]), rho)
     return QuasiDistribution.on_branches(spec, "b'", "b", table)
 
 
@@ -164,11 +161,11 @@ def conditional_weak_value(
     rho: DensityOperator, projector: HermitianOperator, pom_element: HermitianOperator
 ) -> float:
     """Generalized weak value Re Tr(P_k Π rho) / Tr(P_k rho); may leave [0, 1]."""
-    p_k, pi, rm = np.asarray(pom_element), np.asarray(projector), np.asarray(rho)
-    denom = float(np.real(np.trace(p_k @ rm)))
+    p_k = np.asarray(pom_element)
+    denom, numer = expectation(np.array([p_k, p_k @ np.asarray(projector)]), rho).tolist()
     if denom <= ZERO_WEIGHT:
         raise ZeroProbabilityConditioning(f"outcome probability {denom!r} too small")
-    return float(np.real(np.trace(p_k @ pi @ rm))) / denom
+    return numer / denom
 
 
 def weak_probe_error_distribution(
@@ -212,5 +209,5 @@ def weak_probe_disturbance_distribution(
         probe = WeakProbe.build(proj_b, g)
         for m_l, n_l in zip(probe.kraus(), probe.calibration()):
             after = inst.apply_nonselective(hermitian_part(m_l @ rm @ m_l.conj().T))
-            table[:, j] += n_l * np.real(np.trace(spec.projector_stack @ after, axis1=-2, axis2=-1))
+            table[:, j] += n_l * expectation(spec.projector_stack, after)
     return QuasiDistribution.on_branches(spec, "b'", "b", table)

@@ -23,6 +23,7 @@ from .operators import (
     HermitianOperator,
     clip_at_floor,
     commutator_bound,
+    expectation,
     spectral_decompose,
     validated_states,
 )
@@ -89,12 +90,14 @@ def outcome_kernel(
         # T_k divides each trace by Tr P_k; the conditioned states divide
         # A*_k(Π_b') before the trace.  The two orders round differently.
         forward = inst.apply_selective(label, proj)
-        table = np.real(np.trace(proj[None, :] @ forward[:, None], axis1=-2, axis2=-1)) / tr
+        table = expectation(proj[None, :], forward[:, None]) / tr
         backward = inst.adjoint_apply(label, proj) / tr
         weights = np.real(np.trace(backward, axis1=-2, axis2=-1))
         live = weights > ZERO_WEIGHT
         states = np.concatenate([states, validated_states(backward[live] / weights[live][:, None, None])])
     # Row 0: the retrodictive state; rows 1...: the live conditioned states.
+    # The two moments keep their own traces, outside ``expectation``: an
+    # overflowed A^2 must reach ``clip_at_floor`` and raise InternalNumericError.
     mean = np.real(np.trace(obs @ states[:, None], axis1=-2, axis2=-1))
     second = np.real(np.trace(obs @ obs @ states[:, None], axis1=-2, axis2=-1))
     var = [[clip_at_floor(v, ROUNDOFF_FLOOR, "variance") for v in row] for row in (second - mean * mean).tolist()]

@@ -148,7 +148,7 @@ def test_criterion_04_picture_consistency():
         for label in inst.labels:
             sandwich = inst.adjoint_apply(label, b)
             jordan_part, lind = lindblad_decomposition(inst, label, b)
-            assert max_norm(sandwich - jordan_part.matrix - lind.matrix) <= 1e-12
+            assert max_norm(sandwich - jordan_part - lind) <= 1e-12
         assert abs(eta_sys - eta_sq_lindblad(inst, b, rho)) <= 1e-11
     _ok(4, "joint/system pictures, three-state, sandwich, and Lindblad identities")
 

@@ -180,3 +180,42 @@ class TestRandom:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert first == capsys.readouterr().out
+
+
+RANDOM = ["random", "--dim", "2", "--count", "2", "--seed", "1"]
+
+
+class TestArgumentRanges:
+    """An argument outside its command's range is one error line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", THETA_POM, "--shots", "0", "--seed", "1"],
+            ["sample", THETA_POM, "--shots", "5", "--seed", "-1"],
+            [*RANDOM, "--dim", "1"],
+            [*RANDOM, "--count", "0"],
+            [*RANDOM, "--count", "0", "--search-heisenberg-violation"],
+            [*RANDOM, "--outcomes", "0"],
+            [*RANDOM, "--seed", "-1"],
+            ["sweep", WEAK_PROBE, "--g", "abc"],
+            ["sweep", WEAK_PROBE, "--g", ","],
+        ],
+        ids=[
+            "sample-shots-0",
+            "sample-seed-negative",
+            "random-dim-1",
+            "random-count-0",
+            "search-count-0",
+            "random-outcomes-0",
+            "random-seed-negative",
+            "sweep-g-not-a-number",
+            "sweep-g-empty",
+        ],
+    )
+    def test_out_of_range_is_an_error_line(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error (")

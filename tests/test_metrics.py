@@ -147,13 +147,13 @@ class TestLindblad:
             for label in inst.labels:
                 sandwich = inst.adjoint_apply(label, b)
                 jordan_part, lind = lindblad_decomposition(inst, label, b)
-                assert max_norm(sandwich - jordan_part.matrix - lind.matrix) < 1e-12
+                assert max_norm(sandwich - jordan_part - lind) < 1e-12
 
     def test_commuting_kraus_no_perturbation(self):
         inst = theta_pom_instrument(0.7)
         for label in inst.labels:
             _, lind = lindblad_decomposition(inst, label, SZ)
-            assert max_norm(lind.matrix) < 1e-12
+            assert max_norm(lind) < 1e-12
 
     def test_eta_from_lindblad_terms(self):
         rng = _rng(38)

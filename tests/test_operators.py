@@ -1,6 +1,11 @@
+import ast
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qmeasure
 from qmeasure.errors import (
     DimensionMismatch,
     HermiticityViolation,
@@ -16,6 +21,7 @@ from qmeasure.operators import (
     clip_at_floor,
     commutator_bound,
     cross_check,
+    expectation,
     expectation_and_variance,
     hermitian_part,
     jordan_product,
@@ -104,20 +110,20 @@ class TestCrossCheck:
 class TestJordanProduct:
     def test_identity_absorbs(self, sx):
         ident = HermitianOperator(np.eye(2))
-        assert np.allclose(jordan_product(ident, sx).matrix, SIGMA_X)
+        assert np.allclose(jordan_product(ident, sx), SIGMA_X)
 
     def test_anticommuting_paulis(self, sx, sy):
-        assert max_norm(jordan_product(sx, sy).matrix) < 1e-15
+        assert max_norm(jordan_product(sx, sy)) < 1e-15
 
     def test_pauli_squares_to_identity(self, sx):
-        assert np.allclose(jordan_product(sx, sx).matrix, np.eye(2))
+        assert np.allclose(jordan_product(sx, sx), np.eye(2))
 
     def test_symmetry_random(self):
         rng = _rng(11)
         for _ in range(50):
             a = random_hermitian(3, rng)
             b = random_hermitian(3, rng)
-            assert np.array_equal(jordan_product(a, b).matrix, jordan_product(b, a).matrix)
+            assert np.array_equal(jordan_product(a, b), jordan_product(b, a))
 
     def test_dimension_mismatch(self, sx):
         with pytest.raises(DimensionMismatch):
@@ -235,7 +241,75 @@ class TestUncertaintyProperties:
                 mean_a, _ = expectation_and_variance(a, rho)
                 mean_b, _ = expectation_and_variance(b, rho)
                 cov = (
-                    np.real(np.trace(jordan_product(a, b).matrix @ rho.matrix))
+                    np.real(np.trace(jordan_product(a, b) @ rho.matrix))
                     - mean_a * mean_b
                 )
                 assert var_a * var_b >= cov**2 + c**2 - 1e-10
+
+
+class TestStacking:
+    """``expectation`` and ``jordan_product`` on broadcasting stacks give, entry
+    by entry, the bits of their per-pair calls."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_outer_stacks(self, dim):
+        rng = _rng(41 + dim)
+        xs = np.array([random_hermitian(dim, rng).matrix for _ in range(3)])
+        ys = np.array([random_hermitian(dim, rng).matrix for _ in range(4)])
+        rhos = np.array([random_density(dim, rng).matrix for _ in range(4)])
+        jordan = jordan_product(xs[:, None], ys[None])
+        assert np.array_equal(jordan, [[jordan_product(x, y) for y in ys] for x in xs])
+        expect = expectation(xs[:, None], rhos[None])
+        assert np.array_equal(expect, [[expectation(x, rho) for rho in rhos] for x in xs])
+        assert expect.flags.c_contiguous
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_stack_against_one_matrix(self, dim):
+        rng = _rng(51 + dim)
+        xs = np.array([random_hermitian(dim, rng).matrix for _ in range(5)])
+        y = random_hermitian(dim, rng)
+        rho = random_density(dim, rng)
+        jordan = jordan_product(xs, y)
+        assert np.array_equal(jordan, [jordan_product(x, y) for x in xs])
+        for stack in (expectation(xs, rho), expectation(rho, xs)):
+            assert stack.flags.c_contiguous
+        assert np.array_equal(expectation(xs, rho), [expectation(x, rho) for x in xs])
+        assert np.array_equal(expectation(rho, xs), [expectation(rho, x) for x in xs])
+
+    def test_one_pair_gives_a_float(self, sx, ket0):
+        assert type(expectation(sx, ket0)) is float
+
+
+# np.trace may take a matrix product only in the one owner of Re Tr(X rho), in
+# the commutator's |Tr| and in the two moment lines of the per-outcome kernel,
+# which keep their own traces so that an overflowed A^2 reaches its floor.
+TRACE_OWNERS = Counter(
+    {("operators.py", "expectation"): 1, ("operators.py", "commutator_bound"): 1, ("retrodiction.py", "outcome_kernel"): 2}
+)
+
+
+def _traces_of_products(tree: ast.AST) -> list[str]:
+    """The enclosing function of each ``np.trace(...)`` or ``(...).trace()`` whose
+    operand contains an ``@`` product."""
+    owners = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "trace":
+            operand = node.args[0] if node.args else node.func.value
+            if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult) for n in ast.walk(operand)):
+                owners.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return owners
+
+
+def test_one_owner_of_the_trace_of_a_product():
+    found = Counter()
+    for path in sorted(Path(qmeasure.__file__).parent.glob("*.py")):
+        for owner in _traces_of_products(ast.parse(path.read_text(encoding="utf-8"))):
+            found[(path.name, owner)] += 1
+    assert found == TRACE_OWNERS
