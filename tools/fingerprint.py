@@ -10,8 +10,9 @@ d = 4 indirect scenarios, and on the same scenarios the single-outcome and
 identity outputs that ``analyze`` does not print: ``lindblad_decomposition``
 per outcome, ``three_state_cross_term``, ``unbiased_dispersion`` where the
 estimation is unbiased, ``conditional_weak_value`` for every (outcome,
-A-branch) pair, and every field of ``restricted_metrics`` per live
-outcome and posterior branch; ``random_sweep`` at d = 2 x 60, 3 x 30 and 8 x 6
+A-branch) pair, every field of ``restricted_metrics`` per live
+outcome and posterior branch, and every cell of both weak-probe tables at
+each of ``STRENGTHS``; ``random_sweep`` at d = 2 x 60, 3 x 30 and 8 x 6
 (seed 777), with every record's lhs, rhs, digest and sub-records; ``sample``
 at 1, 10^3 and 2 x 10^5 shots and ``weak_sweep`` on each bundled file; and
 ``heisenberg_form_violation_search([2], 50, 808)``.  Floats are written with
@@ -44,6 +45,8 @@ from qmeasure import (
     restricted_metrics,
     three_state_cross_term,
     unbiased_dispersion,
+    weak_probe_disturbance_distribution,
+    weak_probe_error_distribution,
 )
 from qmeasure.errors import BiasedInstrument, NotExpressible, ZeroPosterior, ZeroProbabilityConditioning
 from qmeasure.harness import report_to_dict
@@ -129,6 +132,19 @@ def single_outcome(s: Scenario) -> list:
     return out
 
 
+def weak_probe_tables(s: Scenario) -> list:
+    """Every cell of the weak-probe error table, and of the disturbance table
+    when the scenario has B, at each of ``STRENGTHS``."""
+    out = []
+    for g in STRENGTHS:
+        err = weak_probe_error_distribution(s.state, s.observable_A, s.apparatus, s.values_m, g)
+        out.append([g, err.table.tolist()])
+        if s.observable_B is not None:
+            dist = weak_probe_disturbance_distribution(s.state, s.observable_B, s.apparatus, g)
+            out.append([g, dist.table.tolist()])
+    return out
+
+
 def outputs():
     """Yield (name, value) pairs in a fixed order."""
     files = sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json")))
@@ -136,6 +152,7 @@ def outputs():
     for name, s in bundled + [(f"d4-indirect-{i}", d4_indirect(i)) for i in range(6)]:
         yield f"analyze {name}", report_to_dict(analyze(s))
         yield f"single-outcome {name}", single_outcome(s)
+        yield f"weak-probe tables {name}", weak_probe_tables(s)
 
     for dim, count in ((2, 60), (3, 30), (8, 6)):
         sweep = random_sweep([dim], count, 777)
