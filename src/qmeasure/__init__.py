@@ -36,11 +36,11 @@ from .metrics import (
 )
 from .quasiprob import (
     QuasiDistribution,
-    WeakProbe,
     conditional_weak_value,
     quasi_mean_squared_difference,
     tmh_disturbance_distribution,
     tmh_error_distribution,
+    weak_probe,
     weak_probe_disturbance_distribution,
     weak_probe_error_distribution,
 )

@@ -226,8 +226,10 @@ class Instrument:
         return self._retrodicted[label]
 
     def outcome_probabilities(self, rho) -> np.ndarray:
-        """Tr(P_k rho) per outcome, in declared order; ``rho`` may be unnormalized."""
-        return expectation(self.pom_stack, rho)
+        """Tr(P_k rho) per outcome, in declared order on the last axis; ``rho`` may be
+        unnormalized, and a stack ``(..., d, d)`` of them gives ``(..., n_outcomes)``."""
+        rm = np.asarray(rho)
+        return expectation(self.pom_stack, rm[..., None, :, :] if rm.ndim > 2 else rm)
 
     def _kraus_sum(self, label: str, x, dual: bool) -> np.ndarray:
         """sum_l M x M† (``dual``: sum_l M† x M) over one outcome's Kraus operators

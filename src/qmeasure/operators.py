@@ -177,13 +177,20 @@ class SpectralDecomposition:
 def _operands(*xs) -> list[np.ndarray]:
     """The matrices of a product's operands: a HermitianOperator gives its matrix,
     anything else must be a finite complex array with ndim >= 2.  The last two
-    axes must be one square shape for all operands."""
+    axes must be one square shape for all operands, and the leading axes must
+    broadcast."""
     mats = [x.matrix if isinstance(x, HermitianOperator) else np.asarray(x, dtype=complex) for x in xs]
     if not all(np.isfinite(m).all() for m in mats):
         raise StateValidationError("matrix entries must be finite")
     shapes = {m.shape[-2:] for m in mats}
     if any(m.ndim < 2 for m in mats) or len(shapes) != 1 or mats[0].shape[-1] != mats[0].shape[-2]:
         raise DimensionMismatch(f"operands do not share one square shape: {[m.shape for m in mats]}")
+    leading = {m.shape[:-2] for m in mats}
+    if len(leading) > 1:
+        try:
+            np.broadcast_shapes(*leading)
+        except ValueError:
+            raise DimensionMismatch(f"leading axes do not broadcast: {[m.shape for m in mats]}") from None
     return mats
 
 

@@ -18,12 +18,7 @@ from .errors import (
     InvalidStrength,
     ZeroProbabilityConditioning,
 )
-from .instruments import (
-    HermitianOperator,
-    Instrument,
-    ValueAssignment,
-    solve_contextual_values,
-)
+from .instruments import HermitianOperator, Instrument, ValueAssignment
 from .operators import (
     DensityOperator,
     SpectralDecomposition,
@@ -81,46 +76,36 @@ class QuasiDistribution:
         return self.table.sum(axis=0)
 
 
-@dataclass(frozen=True)
-class WeakProbe:
-    """Two-outcome probe of strength g targeting a spectral projector.
+def weak_probe(projectors, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """Two-outcome probes of strength g, one per projector Π of a stack ``(n, d, d)``.
 
-    Kraus pair M_± = sqrt((1±g)/2) Π + sqrt((1∓g)/2) (1-Π); calibration
-    values n_± = (1 ± 1/g)/2 invert the probe POM back onto Π.  The
-    calibration is obtained from the contextual-value solver and verified
-    against the closed form.
+    Returns the Kraus stack ``(n, 2, d, d)`` of M_± = sqrt((1±g)/2) Π +
+    sqrt((1∓g)/2) (1-Π), and the calibration values n_± = (1 ± 1/g)/2 that
+    invert each probe POM back onto its Π: n_+ M_+†M_+ + n_- M_-†M_- = Π is
+    checked for every projector to ``CV_RESIDUAL_TOL``.
     """
+    if not 0.0 < g <= 1.0:
+        raise InvalidStrength(f"probe strength {g!r} outside (0, 1]")
+    pm = np.asarray(projectors, dtype=complex)
+    if max_norm(pm @ pm - pm) > IDENTITY_TOL:
+        raise InternalNumericError("probe target is not idempotent")
+    comp = np.eye(pm.shape[-1]) - pm
+    m_plus = np.sqrt((1 + g) / 2) * pm + np.sqrt((1 - g) / 2) * comp
+    m_minus = np.sqrt((1 - g) / 2) * pm + np.sqrt((1 + g) / 2) * comp
+    kraus = np.stack([m_plus, m_minus], axis=-3)
+    calibration = np.array([(1 + 1 / g) / 2, (1 - 1 / g) / 2])
+    pom = kraus.conj().swapaxes(-1, -2) @ kraus
+    residual = max_norm((calibration[:, None, None] * pom).sum(axis=-3) - pm)
+    if residual > CV_RESIDUAL_TOL:
+        raise InternalNumericError(f"probe calibration residual {residual:.3e} > {CV_RESIDUAL_TOL}")
+    return kraus, calibration
 
-    projector: HermitianOperator
-    strength: float
-    kraus_plus: np.ndarray
-    kraus_minus: np.ndarray
-    value_plus: float
-    value_minus: float
 
-    @classmethod
-    def build(cls, projector: HermitianOperator, g: float) -> "WeakProbe":
-        if not 0.0 < g <= 1.0:
-            raise InvalidStrength(f"probe strength {g!r} outside (0, 1]")
-        pm = np.asarray(projector)
-        if max_norm(pm @ pm - pm) > IDENTITY_TOL:
-            raise InternalNumericError("probe target is not idempotent")
-        ident = np.eye(pm.shape[0])
-        comp = ident - pm
-        m_plus = np.sqrt((1 + g) / 2) * pm + np.sqrt((1 - g) / 2) * comp
-        m_minus = np.sqrt((1 - g) / 2) * pm + np.sqrt((1 + g) / 2) * comp
-        pom = [HermitianOperator(m_plus.conj().T @ m_plus), HermitianOperator(m_minus.conj().T @ m_minus)]
-        n = solve_contextual_values(pom, projector)
-        closed = np.array([(1 + 1 / g) / 2, (1 - 1 / g) / 2])
-        if max_norm(n - closed) > CV_RESIDUAL_TOL * (1 + 1 / g):
-            raise InternalNumericError("probe calibration disagrees with closed form")
-        return cls(projector, float(g), m_plus, m_minus, float(closed[0]), float(closed[1]))
-
-    def kraus(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.kraus_plus, self.kraus_minus
-
-    def calibration(self) -> tuple[float, float]:
-        return self.value_plus, self.value_minus
+def _probed_states(rho: DensityOperator, spec: SpectralDecomposition, g: float):
+    """The unnormalized states (M rho) M† after each outcome ± of the probe on
+    each eigen-branch, a stack ``(n_branches, 2, d, d)``, and the calibration n_±."""
+    kraus, calibration = weak_probe(spec.projector_stack, g)
+    return (kraus @ np.asarray(rho)) @ kraus.conj().swapaxes(-1, -2), calibration
 
 
 def _error_table(spec: SpectralDecomposition, inst: Instrument, values: ValueAssignment, table):
@@ -182,15 +167,9 @@ def weak_probe_error_distribution(
     that scales as (1 - sqrt(1 - g^2)) times the coherence cross term.
     """
     spec = spectral_decompose(a)
-    rm = np.asarray(rho)
-    rows = []
-    for proj in spec.projectors:
-        probe = WeakProbe.build(proj, g)
-        row = np.zeros(len(inst.labels))
-        for m_l, n_l in zip(probe.kraus(), probe.calibration()):
-            row += n_l * inst.outcome_probabilities(m_l @ rm @ m_l.conj().T)
-        rows.append(row)
-    return _error_table(spec, inst, values, np.array(rows))
+    states, (n_plus, n_minus) = _probed_states(rho, spec, g)
+    probs = inst.outcome_probabilities(states)
+    return _error_table(spec, inst, values, n_plus * probs[:, 0] + n_minus * probs[:, 1])
 
 
 def weak_probe_disturbance_distribution(
@@ -203,11 +182,7 @@ def weak_probe_disturbance_distribution(
     outcomes approximate p~(b', b).
     """
     spec = spectral_decompose(b)
-    rm = np.asarray(rho)
-    table = np.zeros((len(spec.branches), len(spec.branches)))
-    for j, proj_b in enumerate(spec.projectors):
-        probe = WeakProbe.build(proj_b, g)
-        for m_l, n_l in zip(probe.kraus(), probe.calibration()):
-            after = inst.apply_nonselective(hermitian_part(m_l @ rm @ m_l.conj().T))
-            table[:, j] += n_l * expectation(spec.projector_stack, after)
-    return QuasiDistribution.on_branches(spec, "b'", "b", table)
+    states, (n_plus, n_minus) = _probed_states(rho, spec, g)
+    after = inst.apply_nonselective(hermitian_part(states))
+    reads = expectation(spec.projector_stack[:, None, None], after[None])
+    return QuasiDistribution.on_branches(spec, "b'", "b", n_plus * reads[..., 0] + n_minus * reads[..., 1])

@@ -14,8 +14,8 @@ exact arithmetic; a larger defect is an error, a smaller one is round-off.
 - ``TRACE_TOL``: |Tr ρ − 1| for a density operator, and the parser's
   trace pre-check.
 - ``CV_RESIDUAL_TOL``: max-norm residual of Σ_k m_k P_k = target for
-  contextual values.  It also decides unbiasedness (A_e[m] = A), and the
-  weak-probe calibration is checked against ``CV_RESIDUAL_TOL · (1 + 1/g)``.
+  contextual values.  It also decides unbiasedness (A_e[m] = A), and bounds
+  the weak-probe calibration residual n₊M₊†M₊ + n₋M₋†M₋ − Π.
 - ``CROSS_CHECK_TOL``: agreement of two independent computations of one
   number: ε² and η² in the system, joint and quasiprobability forms, and
   the eigen and contextual sides of the unbiased dispersion.

@@ -224,6 +224,14 @@ class TestWeakSweep:
         errors = [r.error_dist_maxnorm for r in sweep.rows]
         assert errors == sorted(errors, reverse=True)
 
+    def test_single_branch_observable(self, weak_probe_scenario):
+        # B = 1 has one eigen-branch, whose probe leaves every table unchanged.
+        s = dataclasses.replace(weak_probe_scenario, observable_B=HermitianOperator(np.eye(2)))
+        sweep = weak_sweep(s, [0.4, 0.2, 0.1])
+        for row in sweep.rows:
+            assert row.disturbance_dist_maxnorm <= 1e-12
+        assert sweep.disturbance_slope is None
+
     def test_invalid_strength(self, weak_probe_scenario):
         from qmeasure.errors import InvalidStrength
 

@@ -255,6 +255,15 @@ def test_stacked_call_has_the_bits_of_separate_calls(dim, n_kraus):
     assert np.array_equal(inst.adjoint_nonselective(pairs), np.array(backward[:4]).reshape(2, 2, dim, dim))
 
 
+def test_outcome_probabilities_of_a_stack():
+    inst = theta_pom_instrument(0.3)
+    rng = _rng(77)
+    states = np.array([random_density(2, rng).matrix for _ in range(3)])
+    probs = inst.outcome_probabilities(states)
+    assert probs.shape == (3, 2)
+    assert np.array_equal(probs, [inst.outcome_probabilities(rho) for rho in states])
+
+
 class TestEffectiveObservable:
     def test_projective_eigenvalues(self):
         inst = projective_z()

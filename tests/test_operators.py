@@ -276,6 +276,12 @@ class TestStacking:
         assert np.array_equal(expectation(xs, rho), [expectation(x, rho) for x in xs])
         assert np.array_equal(expectation(rho, xs), [expectation(rho, x) for x in xs])
 
+    def test_leading_axes_must_broadcast(self):
+        with pytest.raises(DimensionMismatch):
+            expectation(np.zeros((3, 2, 2)), np.zeros((4, 2, 2)))
+        with pytest.raises(DimensionMismatch):
+            jordan_product(np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
+
     def test_one_pair_gives_a_float(self, sx, ket0):
         assert type(expectation(sx, ket0)) is float
 

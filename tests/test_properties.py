@@ -12,7 +12,7 @@ from qmeasure.operators import (
     expectation_and_variance,
     max_norm,
 )
-from qmeasure.quasiprob import WeakProbe
+from qmeasure.quasiprob import weak_probe
 from qmeasure.retrodiction import retrodictive_error
 from qmeasure.scenario import theta_pom_instrument
 
@@ -52,10 +52,9 @@ def test_retrodictive_error_closed_form(theta):
 @settings(max_examples=60, deadline=None)
 @given(g=strengths)
 def test_weak_probe_completeness(g):
-    probe = WeakProbe.build(HermitianOperator(np.diag([1.0, 0.0])), g)
-    mp, mm = probe.kraus()
+    kraus, (n_plus, n_minus) = weak_probe(np.array([np.diag([1.0, 0.0])]), g)
+    mp, mm = kraus[0]
     assert max_norm(mp.conj().T @ mp + mm.conj().T @ mm - np.eye(2)) < 1e-12
-    n_plus, n_minus = probe.calibration()
     recovered = n_plus * mp.conj().T @ mp + n_minus * mm.conj().T @ mm
     assert max_norm(recovered - np.diag([1.0, 0.0])) < 1e-8
 

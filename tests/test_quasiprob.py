@@ -6,6 +6,7 @@ from qmeasure.errors import (
     InvalidStrength,
     ZeroProbabilityConditioning,
 )
+from qmeasure.instruments import Instrument
 from qmeasure.metrics import epsilon_sq_system, eta_sq_system
 from qmeasure.operators import (
     SIGMA_X,
@@ -13,24 +14,27 @@ from qmeasure.operators import (
     DensityOperator,
     HermitianOperator,
     expectation,
+    hermitian_part,
     max_norm,
     spectral_decompose,
 )
 from qmeasure.quasiprob import (
     QuasiDistribution,
-    WeakProbe,
     conditional_weak_value,
     quasi_mean_squared_difference,
     tmh_disturbance_distribution,
     tmh_error_distribution,
+    weak_probe,
     weak_probe_disturbance_distribution,
     weak_probe_error_distribution,
 )
 from qmeasure.scenario import (
     _rng,
+    generate_random,
     projective_instrument,
     random_density,
     random_hermitian,
+    random_indirect_model,
     random_instrument,
     theta_pom_instrument,
 )
@@ -174,26 +178,80 @@ class TestWeakValues:
 
 class TestWeakProbe:
     def test_strength_gate(self):
-        proj = HermitianOperator(np.diag([1.0, 0.0]))
+        proj = np.array([np.diag([1.0, 0.0])])
         for g in (0.0, -0.5, 1.5):
             with pytest.raises(InvalidStrength):
-                WeakProbe.build(proj, g)
+                weak_probe(proj, g)
 
     def test_completeness_all_strengths(self):
-        proj = HermitianOperator((np.eye(2) + SIGMA_X) / 2)
+        proj = np.array([(np.eye(2) + SIGMA_X) / 2])
         for g in (1e-4, 0.1, 0.5, 1.0):
-            probe = WeakProbe.build(proj, g)
-            mp, mm = probe.kraus()
+            kraus, _ = weak_probe(proj, g)
+            mp, mm = kraus[0]
             assert max_norm(mp.conj().T @ mp + mm.conj().T @ mm - np.eye(2)) < 1e-12
 
     def test_calibration_closed_form(self):
-        proj = HermitianOperator(np.diag([1.0, 0.0]))
-        probe = WeakProbe.build(proj, 0.25)
-        assert probe.calibration() == pytest.approx(((1 + 4) / 2, (1 - 4) / 2), abs=1e-10)
+        proj = np.array([np.diag([1.0, 0.0])])
+        _, calibration = weak_probe(proj, 0.25)
+        assert tuple(calibration) == pytest.approx(((1 + 4) / 2, (1 - 4) / 2), abs=1e-10)
 
     def test_non_projector_rejected(self):
         with pytest.raises(InternalNumericError):
-            WeakProbe.build(HermitianOperator(0.5 * np.eye(2)), 0.5)
+            weak_probe(np.array([0.5 * np.eye(2)]), 0.5)
+
+    def test_identity_target(self):
+        # Π = 1 makes the two probe POM elements proportional, so the
+        # calibration is not the minimum-norm solution; it must still pass.
+        for g in (1e-3, 0.5, 1.0):
+            _, calibration = weak_probe(np.array([np.eye(2)]), g)
+            assert tuple(calibration) == ((1 + 1 / g) / 2, (1 - 1 / g) / 2)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_stack_has_the_bits_of_each_projector(self, dim):
+        stack = random_hermitian(dim, _rng(81 + dim)).spectrum.projector_stack
+        for g in (1e-3, 0.3, 1.0):
+            kraus, calibration = weak_probe(stack, g)
+            assert kraus.shape == (len(stack), 2, dim, dim)
+            for i in range(len(stack)):
+                own_kraus, own_calibration = weak_probe(stack[i : i + 1], g)
+                assert np.array_equal(kraus[i], own_kraus[0])
+                assert np.array_equal(calibration, own_calibration)
+
+
+def _per_branch_tables(rho, a, b, inst, g):
+    """Both weak-probe tables, one probe call per branch and one instrument call
+    per probe outcome."""
+    rm = np.asarray(rho)
+    error = []
+    for proj in a.spectrum.projectors:
+        kraus, calibration = weak_probe(np.array([proj.matrix]), g)
+        row = np.zeros(len(inst.labels))
+        for m, n in zip(kraus[0], calibration):
+            row += n * inst.outcome_probabilities(m @ rm @ m.conj().T)
+        error.append(row)
+    disturbance = np.zeros((len(b.spectrum.branches), len(b.spectrum.branches)))
+    for j, proj in enumerate(b.spectrum.projectors):
+        kraus, calibration = weak_probe(np.array([proj.matrix]), g)
+        for m, n in zip(kraus[0], calibration):
+            after = inst.apply_nonselective(hermitian_part(m @ rm @ m.conj().T))
+            disturbance[:, j] += n * np.array([expectation(q, after) for q in b.spectrum.projectors])
+    return np.array(error), disturbance
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_tables_match_per_branch_loops(dim):
+    rng = _rng((83, dim))
+    a, b = random_hermitian(dim, rng), random_hermitian(dim, rng)
+    rho = random_density(dim, rng)
+    indirect = Instrument.from_indirect(random_indirect_model(dim, rng))
+    values = {label: float(i) for i, label in enumerate(indirect.labels)}
+    generated = generate_random(dim, 4, (83, dim))
+    cases = [(generated.apparatus, generated.values_m), (indirect, values)]
+    for inst, m in cases:
+        for g in (1e-3, 0.3, 1.0):
+            error, disturbance = _per_branch_tables(rho, a, b, inst, g)
+            assert np.array_equal(weak_probe_error_distribution(rho, a, inst, m, g).table, error)
+            assert np.array_equal(weak_probe_disturbance_distribution(rho, b, inst, g).table, disturbance)
 
 
 class TestWeakProbeDistributions:
