@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,6 @@ from .metrics import (
     eta_sq_joint,
     eta_sq_lindblad,
     is_qnd,
-    is_unbiased,
 )
 from .operators import cross_check, expectation, max_norm, spectral_decompose, value_variance
 from .quasiprob import (
@@ -89,7 +89,6 @@ def analyze(scenario: Scenario) -> AnalysisReport:
         eps_joint = epsilon_sq_joint(s.indirect, s.values_m, obs_a, rho)
         cross_check("epsilon^2", system=eps.mean_squared, joint=eps_joint)
 
-    unbiased = is_unbiased(inst, s.values_m, obs_a)
     dispersion_m2 = None
     try:
         dispersion_m2 = inst.moment_values(obs_a, 2)
@@ -122,7 +121,7 @@ def analyze(scenario: Scenario) -> AnalysisReport:
         delta_A=eps.delta,
         epsilon=eps,
         epsilon_joint=eps_joint,
-        unbiased=unbiased,
+        unbiased=ctx.unbiased,
         dispersion_m2=dispersion_m2,
         delta_B=None if eta is None else eta.delta,
         eta=eta,
@@ -219,6 +218,10 @@ def write_distribution_csv(dist: QuasiDistribution, path) -> None:
 # Monte Carlo sampling
 
 
+# Uniforms drawn and counted per step of ``sample`` (512 KiB of float64).
+_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class SampleRun:
     seed: int
@@ -239,17 +242,19 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     uniforms is a pure function of (seed, draw index), so runs with the same
     seed are bitwise identical.  When observable_B is present the draws are
     (outcome, posterior-branch) pairs from p(k, b') = Tr[Π_b' A_k(rho)].
-    A cell probability below POM_PSD_FLOOR raises InternalNumericError;
-    round-off in [POM_PSD_FLOOR, 0) is set to 0 before renormalizing.
+    A non-finite cell probability, or one below POM_PSD_FLOOR, raises
+    InternalNumericError; round-off in [POM_PSD_FLOOR, 0) is set to 0 before
+    renormalizing.  The stream is drawn and counted in fixed chunks, so
+    memory is bounded by the chunk, not by ``shots``; the counts equal those
+    of one draw of all ``shots`` uniforms.
     """
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise TypeError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     s = scenario
     inst, rho = s.apparatus, s.state
     labels = inst.labels
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    uniforms = rng.random(shots)
 
     if s.observable_B is not None:
         spec_b = spectral_decompose(s.observable_B)
@@ -259,12 +264,12 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     else:
         cells = [(label, None) for label in labels]
         probs = inst.outcome_probabilities(rho)
-    if probs.min() < POM_PSD_FLOOR:
-        raise InternalNumericError(f"cell probability {probs.min():.3e} below {POM_PSD_FLOOR}")
+    if not (np.isfinite(probs).all() and probs.min() >= POM_PSD_FLOOR):
+        raise InternalNumericError(f"cell probability {probs.min():.3e} not finite or below {POM_PSD_FLOOR}")
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    draw = np.searchsorted(np.cumsum(probs), uniforms, side="right")
-    binned = np.bincount(np.minimum(draw, len(cells) - 1), minlength=len(cells))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    binned = _cell_counts(rng, shots, probs)
     outcome_counts = dict.fromkeys(labels, 0)
     for (label, _), n in zip(cells, binned):
         outcome_counts[label] += int(n)
@@ -301,6 +306,24 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
         empirical_eps_sq=eps_sq,
         empirical_eps_sq_se=eps_sq_se,
     )
+
+
+def _cell_counts(rng: np.random.Generator, shots: int, probs: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
+    """Count ``shots`` uniforms from ``rng`` into the cells of ``probs``, ``chunk`` at a time.
+
+    Cell i (i < n - 1) takes the draws in [cumsum[i - 1], cumsum[i]); the
+    last cell takes every draw at or above the last inner edge, so a
+    cumulative total that rounds below 1 still places every draw.  The
+    counts are those of ``bincount(minimum(searchsorted(cumsum, u, "right"),
+    n - 1))`` on one draw of all the uniforms, whatever ``chunk`` is.
+    """
+    edges = np.cumsum(probs)[:-1]
+    below = np.zeros(len(edges), dtype=np.int64)
+    for start in range(0, shots, chunk):
+        u = rng.random(min(chunk, shots - start))
+        for i, e in enumerate(edges):
+            below[i] += np.count_nonzero(u < e)
+    return np.diff(below, prepend=0, append=shots)
 
 
 def _stream_se(values: np.ndarray, p_hat: np.ndarray, shots: int) -> float:

@@ -25,8 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MissingIngredient, NegativeRadicand
-from .metrics import NoiseReport, epsilon_sq_system, eta_sq_system
+from .metrics import NoiseReport, epsilon_sq_system, eta_sq_system, is_unbiased
 from .operators import (
+    HermitianOperator,
     commutator_bound,
     expectation,
     expectation_and_variance,
@@ -120,9 +121,18 @@ class ScenarioContext:
         return expectation(jordan_product(s.observable_A, self._obs_b), s.state) - mean_a * mean_b
 
     @cached_property
+    def effective_A(self) -> HermitianOperator:
+        """A_e[m], built once for ε² and for the unbiasedness decision."""
+        return self.scenario.apparatus.effective_observable(self.scenario.values_m)
+
+    @cached_property
     def epsilon(self) -> NoiseReport:
         s = self.scenario
-        return epsilon_sq_system(s.apparatus, s.values_m, s.observable_A, s.state)
+        return epsilon_sq_system(s.apparatus, s.values_m, s.observable_A, s.state, a_e=self.effective_A)
+
+    @cached_property
+    def unbiased(self) -> bool:
+        return is_unbiased(self.effective_A, self.scenario.observable_A)
 
     @cached_property
     def eta(self) -> NoiseReport:
@@ -308,7 +318,7 @@ def heisenberg_form_violation_search(dims, count: int, seed: int, n_outcomes: in
 
 
 def _projective_violation_scenario() -> Scenario:
-    from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator, HermitianOperator
+    from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator
     from .scenario import projective_instrument
 
     obs_a = HermitianOperator(SIGMA_Z)

@@ -63,15 +63,20 @@ def _noise_report(delta: float, x, x_sq, a, a_sq, rho) -> NoiseReport:
 
 
 def epsilon_sq_system(
-    inst: Instrument, values: ValueAssignment, a: HermitianOperator, rho: DensityOperator
+    inst: Instrument,
+    values: ValueAssignment,
+    a: HermitianOperator,
+    rho: DensityOperator,
+    a_e: HermitianOperator | None = None,
 ) -> NoiseReport:
     """Squared noise <A_e[m^2] + A^2 - 2 A_e[m] * A> in the system picture.
 
     The first term uses the squared spectrum per outcome, which differs
-    from A_e[m]^2 whenever the POM is not projective.
+    from A_e[m]^2 whenever the POM is not projective.  ``a_e`` is A_e[m]
+    when the caller has already built it.
     """
     am = np.asarray(a)
-    a_e = inst.effective_observable(values).matrix
+    a_e = np.asarray(inst.effective_observable(values) if a_e is None else a_e)
     a_e_sq = inst.effective_observable(squared_values(values)).matrix
     return _noise_report(expectation(a_e - am, rho), a_e, a_e_sq, am, hermitian_part(am @ am), rho)
 
@@ -161,10 +166,9 @@ def eta_sq_lindblad(inst: Instrument, b: HermitianOperator, rho: DensityOperator
     return clip_at_floor(total, SECOND_MOMENT_FLOOR, "second moment")
 
 
-def is_unbiased(inst: Instrument, values: ValueAssignment, a: HermitianOperator) -> bool:
-    """True iff A_e[m] = A as operators (to CV_RESIDUAL_TOL)."""
-    a_e = inst.effective_observable(values)
-    return max_norm(a_e.matrix - np.asarray(a)) <= CV_RESIDUAL_TOL
+def is_unbiased(a_e: HermitianOperator, a: HermitianOperator) -> bool:
+    """True iff the estimated observable A_e[m] equals A as operators (to CV_RESIDUAL_TOL)."""
+    return max_norm(np.asarray(a_e) - np.asarray(a)) <= CV_RESIDUAL_TOL
 
 
 def is_qnd(inst: Instrument, b: HermitianOperator) -> bool:
@@ -187,7 +191,7 @@ def unbiased_dispersion(
     - contextual side: sum_k [m_k^2 - m^(2)_k] p_k with m^(2) solved
       against A^2 by the contextual-value solver.
     """
-    if not is_unbiased(inst, values, a):
+    if not is_unbiased(inst.effective_observable(values), a):
         raise BiasedInstrument("dispersion is defined only for unbiased estimations")
     p_k = inst.outcome_probabilities(rho)
     m_k = np.array([float(values[label]) for label in inst.labels])

@@ -33,7 +33,8 @@ applies this to a single number).
 - ``EIGENVALUE_FLOOR``: eigenvalues of a density operator (the state is
   then renormalized).
 - ``POM_PSD_FLOOR``: eigenvalues of a POM element, and the cell
-  probabilities that ``sample`` draws from (renormalized after the clip).
+  probabilities that ``sample`` draws from (renormalized after the clip;
+  a non-finite cell is rejected too).
 - ``SECOND_MOMENT_FLOOR``: ε², η², the unbiased dispersion, and the
   per-outcome interdictive disturbance Σ (B_b − B_b')² p(b, b' | k).
 - ``ROUNDOFF_FLOOR``: a variance: Tr(A²ρ) − ⟨A⟩², the spread of the

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,17 @@ class TestAnalyze:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+    def test_effective_observables_built_once(self, name, monkeypatch):
+        # A_e[m] and A_e[m^2] once each for eps_A, which the unbiasedness
+        # decision shares, and once each for eps_B when values_mB is given.
+        s = load_scenario(os.path.join(SCENARIO_DIR, name))
+        calls = []
+        real = Instrument.effective_observable
+        monkeypatch.setattr(Instrument, "effective_observable", lambda self, v: calls.append(1) or real(self, v))
+        analyze(s)
+        assert len(calls) == (2 if s.values_mB is None else 4)
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
     def test_inequalities_match_evaluate_all(self, name):
         s = load_scenario(os.path.join(SCENARIO_DIR, name))
         assert analyze(s).inequalities == evaluate_all(s)
@@ -145,6 +157,44 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(theta_pom_scenario, 0, 1)
 
+    @pytest.mark.parametrize("shots", [True, 2.0**17], ids=["bool", "float"])
+    def test_shots_must_be_an_integer(self, theta_pom_scenario, shots):
+        with pytest.raises(TypeError):
+            sample(theta_pom_scenario, shots, 1)
+
+    def test_numpy_integer_shots(self, theta_pom_scenario):
+        assert sample(theta_pom_scenario, np.int64(1000), 5) == sample(theta_pom_scenario, 1000, 5)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.25, 0.0, 0.35, 0.35], [0.1, 0.2, 0.0, 0.0, 0.4, 0.3 - 1e-12], [1.0], [0.5, 0.5]],
+        ids=["short-total", "zero-widths", "one-cell", "two-cells"],
+    )
+    @pytest.mark.parametrize("chunk", [1, 7, 2**20])
+    def test_chunked_counts_equal_one_draw(self, probs, chunk):
+        # "short-total" sums to 0.95: the last cell takes the draws above it.
+        probs = np.array(probs)
+        shots = 5000
+
+        def philox():
+            return np.random.Generator(np.random.Philox(np.random.SeedSequence(17)))
+
+        u = philox().random(shots)
+        draw = np.searchsorted(np.cumsum(probs), u, side="right")
+        expected = np.bincount(np.minimum(draw, len(probs) - 1), minlength=len(probs))
+        counts = harness._cell_counts(philox(), shots, probs, chunk)
+        assert counts.tolist() == expected.tolist()
+
+    def test_memory_bounded_by_the_chunk(self, qnd_scenario):
+        sample(qnd_scenario, 10, 2)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            sample(qnd_scenario, 2_000_000, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     @staticmethod
     def _tamper_first_probability(monkeypatch, value):
         """Make the first outcome probability of the per-outcome path ``value``."""
@@ -160,6 +210,12 @@ class TestSample:
     def test_negative_probability_below_floor_raises(self, weak_probe_scenario, monkeypatch):
         assert weak_probe_scenario.observable_B is None
         self._tamper_first_probability(monkeypatch, 2 * POM_PSD_FLOOR)
+        with pytest.raises(InternalNumericError):
+            sample(weak_probe_scenario, 1000, 1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_probability_raises(self, weak_probe_scenario, monkeypatch, value):
+        self._tamper_first_probability(monkeypatch, value)
         with pytest.raises(InternalNumericError):
             sample(weak_probe_scenario, 1000, 1)
 

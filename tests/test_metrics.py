@@ -53,8 +53,8 @@ class TestBias:
 
     def test_is_unbiased_flags(self):
         inst = theta_pom_instrument(THETA)
-        assert is_unbiased(inst, UNBIASED_M, SZ)
-        assert not is_unbiased(inst, {"+": 1.0, "-": -1.0}, SZ)
+        assert is_unbiased(inst.effective_observable(UNBIASED_M), SZ)
+        assert not is_unbiased(inst.effective_observable({"+": 1.0, "-": -1.0}), SZ)
 
 
 class TestEpsilon:
