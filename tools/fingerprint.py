@@ -5,8 +5,10 @@ is.  Run it on both sides of the change and compare:
 
     PYTHONPATH=src python tools/fingerprint.py
 
-It covers the ``analyze`` JSON on every bundled scenario and on six random
-d = 4 indirect scenarios, and on the same scenarios the single-outcome and
+It covers the ``analyze`` JSON on every bundled scenario, on six random
+d = 4 indirect scenarios and on three d = 3 scenarios that no bundled file
+has (outcomes with 1, 2 and 3 Kraus operators, a null outcome, and a B with
+a grouped eigenvalue), and on the same scenarios the single-outcome and
 identity outputs that ``analyze`` does not print: ``lindblad_decomposition``
 per outcome, ``three_state_cross_term``, ``unbiased_dispersion`` where the
 estimation is unbiased, ``conditional_weak_value`` for every (outcome,
@@ -30,7 +32,9 @@ import os
 import numpy as np
 
 from qmeasure import (
+    HermitianOperator,
     Instrument,
+    KrausSet,
     Scenario,
     analyze,
     heisenberg_form_violation_search,
@@ -50,22 +54,20 @@ from qmeasure import (
 )
 from qmeasure.errors import BiasedInstrument, NotExpressible, ZeroPosterior, ZeroProbabilityConditioning
 from qmeasure.harness import report_to_dict
-from qmeasure.scenario import random_density, random_hermitian, random_indirect_model
+from qmeasure.scenario import random_density, random_hermitian, random_indirect_model, random_unitary
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
 SHOTS = (1, 1_000, 200_000)
 STRENGTHS = (0.4, 0.2, 0.1, 0.05)
 
 
-def d4_indirect(index: int) -> Scenario:
-    """Random d = 4 state and targets, measured through a random
-    16-dimensional system-detector coupling (seed (0, index))."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((0, index))))
-    state = random_density(4, rng)
-    obs_a = random_hermitian(4, rng)
-    obs_b = random_hermitian(4, rng)
-    model = random_indirect_model(4, rng)
-    inst = Instrument.from_indirect(model)
+def _philox(key) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+def _scenario(name: str, state, obs_a, obs_b, inst: Instrument, model=None) -> Scenario:
+    """A scenario with contextual values for A and B where they exist, and the
+    outcome indices where they do not."""
 
     def assignment(target):
         try:
@@ -74,7 +76,7 @@ def d4_indirect(index: int) -> Scenario:
             return {label: float(i) for i, label in enumerate(inst.labels)}
 
     return Scenario(
-        dimension=4,
+        dimension=inst.dim,
         state=state,
         observable_A=obs_a,
         observable_B=obs_b,
@@ -82,8 +84,57 @@ def d4_indirect(index: int) -> Scenario:
         indirect=model,
         values_m=assignment(obs_a),
         values_mB=assignment(obs_b),
-        meta={"name": f"fingerprint-d4-indirect-{index}"},
+        meta={"name": f"fingerprint-{name}"},
     )
+
+
+def d4_indirect(index: int) -> Scenario:
+    """Random d = 4 state and targets, measured through a random
+    16-dimensional system-detector coupling (seed (0, index))."""
+    rng = _philox((0, index))
+    state = random_density(4, rng)
+    obs_a = random_hermitian(4, rng)
+    obs_b = random_hermitian(4, rng)
+    model = random_indirect_model(4, rng)
+    return _scenario(f"d4-indirect-{index}", state, obs_a, obs_b, Instrument.from_indirect(model), model)
+
+
+def _isometry_blocks(rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    """The n 3 x 3 blocks of a Haar-random isometry from d = 3 into 3n dimensions;
+    their M†M sum to the identity."""
+    isometry = random_unitary(3 * n, rng)[:, :3]
+    return [isometry[3 * i : 3 * i + 3] for i in range(n)]
+
+
+def ragged_kraus() -> Scenario:
+    """d = 3, three outcomes with 1, 2 and 3 Kraus operators (seed (1, 0))."""
+    rng = _philox((1, 0))
+    state, obs_a, obs_b = random_density(3, rng), random_hermitian(3, rng), random_hermitian(3, rng)
+    m = _isometry_blocks(rng, 6)
+    inst = Instrument.from_kraus([KrausSet("one", (m[0],)), KrausSet("two", tuple(m[1:3])), KrausSet("three", tuple(m[3:]))])
+    return _scenario("ragged-kraus", state, obs_a, obs_b, inst)
+
+
+def null_outcome() -> Scenario:
+    """d = 3, three live outcomes and one between them whose single Kraus
+    operator has norm ~1e-8, so Tr P_k <= ZERO_WEIGHT (seed (1, 1))."""
+    rng = _philox((1, 1))
+    state, obs_a, obs_b = random_density(3, rng), random_hermitian(3, rng), random_hermitian(3, rng)
+    m = _isometry_blocks(rng, 3)
+    tiny = 1e-8 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    sets = [KrausSet("0", (m[0],)), KrausSet("null", (tiny,)), KrausSet("1", (m[1],)), KrausSet("2", (m[2],))]
+    return _scenario("null-outcome", state, obs_a, obs_b, Instrument.from_kraus(sets))
+
+
+def grouped_b() -> Scenario:
+    """d = 3, B = U diag(1, 1, -1/2) U† with a Haar-random U, so two of its
+    eigenvalues differ by round-off and form one branch (seed (1, 2))."""
+    rng = _philox((1, 2))
+    state, obs_a = random_density(3, rng), random_hermitian(3, rng)
+    u = random_unitary(3, rng)
+    obs_b = HermitianOperator(u @ np.diag([1.0, 1.0, -0.5]) @ u.conj().T)
+    sets = [KrausSet(str(k), (mk,)) for k, mk in enumerate(_isometry_blocks(rng, 3))]
+    return _scenario("grouped-b", state, obs_a, obs_b, Instrument.from_kraus(sets))
 
 
 def _exact(x):
@@ -149,7 +200,9 @@ def outputs():
     """Yield (name, value) pairs in a fixed order."""
     files = sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json")))
     bundled = [(os.path.basename(p), load_scenario(p)) for p in files]
-    for name, s in bundled + [(f"d4-indirect-{i}", d4_indirect(i)) for i in range(6)]:
+    generated = [(f"d4-indirect-{i}", d4_indirect(i)) for i in range(6)]
+    generated += [(f.__name__.replace("_", "-"), f()) for f in (ragged_kraus, null_outcome, grouped_b)]
+    for name, s in bundled + generated:
         yield f"analyze {name}", report_to_dict(analyze(s))
         yield f"single-outcome {name}", single_outcome(s)
         yield f"weak-probe tables {name}", weak_probe_tables(s)
