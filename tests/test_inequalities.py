@@ -24,6 +24,7 @@ from qmeasure.scenario import Scenario, projective_instrument, theta_pom_instrum
 
 THETA = np.pi / 3
 HOFMANN_SWEEP_SHA256 = "2e580f6938e16c470bd98fc3e167e787f00f5a27329df053468debee27333504"
+SWEEP_LHS_RHS_SHA256 = "e36e4c8db1b068edcbc5d1d858e20856821583d56c1a1e471ce486993517efca"
 
 
 def theta_scenario(rho_matrix) -> Scenario:
@@ -162,6 +163,16 @@ class TestSweeps:
                 subs = [(s.outcome, s.lhs, s.rhs) for s in r.sub_records]
                 digest.update(repr((r.relation_id, r.lhs, r.rhs, subs)).encode())
         assert digest.hexdigest() == HOFMANN_SWEEP_SHA256
+
+    def test_every_record_is_bit_pinned(self):
+        # SHA-256 over the repr of (lhs, rhs) of every record, all ten
+        # relations, of a 60-scenario sweep at d = 2, 3 and 8.
+        sweep = random_sweep([2, 3, 8], 20, 777)
+        digest = hashlib.sha256()
+        for r in sweep.records:
+            digest.update(repr((r.lhs, r.rhs)).encode())
+        assert len(sweep.records) == 600
+        assert digest.hexdigest() == SWEEP_LHS_RHS_SHA256
 
 
 class TestViolationSearch:
