@@ -49,6 +49,7 @@ from .retrodiction import (
     interdictive_disturbance,
     interdictive_joint_distribution,
     outcome_kernel,
+    outcome_kernels,
     restricted_metrics,
     retrodictive_error,
 )

@@ -259,10 +259,8 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     if s.observable_B is not None:
         spec_b = spectral_decompose(s.observable_B)
         cells = [(label, posterior) for label in labels for posterior in spec_b.labels("b'")]
-        after = np.array([inst.apply_selective(label, rho) for label in labels])
-        probs = expectation(spec_b.projector_stack, after[:, None]).ravel()
+        probs = expectation(spec_b.projector_stack, inst._channel(rho)[:, None]).ravel()
     else:
-        cells = [(label, None) for label in labels]
         probs = inst.outcome_probabilities(rho)
     if not (np.isfinite(probs).all() and probs.min() >= POM_PSD_FLOOR):
         raise InternalNumericError(f"cell probability {probs.min():.3e} not finite or below {POM_PSD_FLOOR}")
@@ -270,10 +268,8 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     probs /= probs.sum()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     binned = _cell_counts(rng, shots, probs)
-    outcome_counts = dict.fromkeys(labels, 0)
-    for (label, _), n in zip(cells, binned):
-        outcome_counts[label] += int(n)
-    pair_counts = None if s.observable_B is None else {cell: int(n) for cell, n in zip(cells, binned)}
+    outcome_counts = dict(zip(labels, binned.reshape(len(labels), -1).sum(axis=1).tolist()))
+    pair_counts = None if s.observable_B is None else dict(zip(cells, binned.tolist()))
 
     p_hat = np.array([outcome_counts[label] / shots for label in labels])
     m = np.array([float(s.values_m[label]) for label in labels])

@@ -35,7 +35,7 @@ from .operators import (
     spectral_decompose,
     value_variance,
 )
-from .retrodiction import OutcomeKernel, outcome_kernel
+from .retrodiction import OutcomeKernel, outcome_kernels
 from .scenario import Scenario, generate_random, subseed
 from .tolerances import ROUNDOFF_FLOOR, SATISFACTION_TOL
 
@@ -168,7 +168,7 @@ class ScenarioContext:
         """One single-outcome kernel per live outcome, for A and, if present, B:
         ε_A,k, ε_B,k, η_B,k, C_AB,k and the restricted (k, b') quantities."""
         s = self.scenario
-        return {k: outcome_kernel(s.apparatus, k, s.observable_A, s.observable_B) for k in s.apparatus.live_labels}
+        return outcome_kernels(s.apparatus, s.observable_A, s.observable_B)
 
 
 def _branciard(eps_a: float, eps_b: float, ctx: ScenarioContext) -> tuple[float, float]:

@@ -30,6 +30,7 @@ from .operators import (
     expectation,
     hermitian_part,
     max_norm,
+    validated_states,
 )
 from .tolerances import CV_RESIDUAL_TOL, IDENTITY_TOL, POM_PSD_FLOOR, ZERO_WEIGHT
 
@@ -97,13 +98,11 @@ class IndirectModel:
 
     def readout_observable(self, values: ValueAssignment) -> np.ndarray:
         """Detector-space observable sum_k m_k |k><k| for the given values."""
-        d_d = self.detector_state.dim
-        m = np.zeros((d_d, d_d), dtype=complex)
-        for label, vec in zip(self.labels, self.readout_basis):
-            if label not in values:
-                raise MissingLabel(f"no value assigned to readout label {label!r}")
-            m += float(values[label]) * np.outer(vec, vec.conj())
-        return m
+        missing = [label for label in self.labels if label not in values]
+        if missing:
+            raise MissingLabel(f"no value assigned to readout label {missing[0]!r}")
+        pairs = zip(self.labels, self.readout_basis)
+        return sum(float(values[label]) * np.outer(vec, vec.conj()) for label, vec in pairs)
 
 
 @dataclass(frozen=True)
@@ -111,17 +110,19 @@ class Instrument:
     """Validated family of Kraus sets, one per outcome label.
 
     Build through :meth:`from_kraus` or :meth:`from_indirect`; the constructor
-    enforces completeness and positivity of the induced POM, and keeps it
-    with the trace Tr P_k of each element.  An outcome is null when its
-    trace is at most ``ZERO_WEIGHT``; every other outcome is live.
+    stacks the Kraus operators ``(n_outcomes, L_max, d, d)`` (absent slots are
+    NaN, False in ``kraus_present``, and enter no sum), enforces completeness
+    and positivity of the induced POM, and keeps its stack with the traces
+    Tr P_k.  An outcome is null when its trace is at most ``ZERO_WEIGHT``.
     """
 
     outcomes: tuple[KrausSet, ...]
     dim: int
-    _pom: tuple[HermitianOperator, ...] = field(init=False, repr=False, compare=False)
-    _traces: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    kraus_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    kraus_present: np.ndarray = field(init=False, repr=False, compare=False)
+    pom_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    pom_traces: np.ndarray = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _retrodicted: dict[str, DensityOperator] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = [ks.label for ks in self.outcomes]
@@ -130,20 +131,30 @@ class Instrument:
         dims = {ks.dim for ks in self.outcomes}
         if dims != {self.dim}:
             raise DimensionMismatch(f"Kraus dimensions {sorted(dims)} != declared {self.dim}")
-        pom = [sum(m.conj().T @ m for m in ks.operators) for ks in self.outcomes]
+        counts = np.array([len(ks.operators) for ks in self.outcomes])
+        present = np.arange(counts.max()) < counts[:, None]
+        kraus = np.full(present.shape + (self.dim, self.dim), np.nan, dtype=complex)
+        kraus[present] = [m for ks in self.outcomes for m in ks.operators]
+        kraus.setflags(write=False)
+        present.setflags(write=False)
+        object.__setattr__(self, "kraus_stack", kraus)
+        object.__setattr__(self, "kraus_present", present)
+        pom = self.kraus_sum(lambda m, mh: mh @ m)
         defect = max_norm(sum(pom) - np.eye(self.dim))
         if defect > IDENTITY_TOL:
             raise CompletenessViolation(
                 f"sum of M†M deviates from identity by {defect:.3e} > {IDENTITY_TOL}"
             )
-        for label, p in zip(labels, pom):
-            if np.linalg.eigvalsh(p).min() < POM_PSD_FLOOR:
-                raise CompletenessViolation(f"POM element {label!r} is not PSD")
-        pom = tuple(HermitianOperator(p) for p in pom)
-        object.__setattr__(self, "_pom", pom)
-        object.__setattr__(self, "_traces", tuple(float(np.real(np.trace(p.matrix))) for p in pom))
+        not_psd = np.linalg.eigvalsh(pom).min(axis=-1) < POM_PSD_FLOOR
+        if not_psd.any():
+            raise CompletenessViolation(f"POM element {labels[np.argmax(not_psd)]!r} is not PSD")
+        pom = hermitian_part(pom)
+        traces = np.real(np.trace(pom, axis1=-2, axis2=-1))
+        pom.setflags(write=False)
+        traces.setflags(write=False)
+        object.__setattr__(self, "pom_stack", pom)
+        object.__setattr__(self, "pom_traces", traces)
         object.__setattr__(self, "_index", {label: i for i, label in enumerate(labels)})
-        object.__setattr__(self, "_retrodicted", {})
 
     @classmethod
     def from_kraus(cls, sets: Sequence[KrausSet]) -> "Instrument":
@@ -161,17 +172,10 @@ class Instrument:
         d_s, d_d = model.system_dim, model.detector_state.dim
         p_l, vecs = np.linalg.eigh(model.detector_state.matrix)
         u4 = model.unitary.reshape(d_s, d_d, d_s, d_d)
-        sets = []
-        for label, k_vec in zip(model.labels, model.readout_basis):
-            ops = []
-            for l in range(d_d):
-                if p_l[l] <= ZERO_WEIGHT:
-                    continue
-                l_vec = vecs[:, l]
-                block = np.einsum("b,ibjd,d->ij", k_vec.conj(), u4, l_vec)
-                ops.append(np.sqrt(p_l[l]) * block)
-            sets.append(KrausSet(label, tuple(ops)))
-        return cls(tuple(sets), d_s)
+        blocks = np.einsum("kb,ibjd,dl->klij", np.array(model.readout_basis).conj(), u4, vecs)
+        keep = p_l > ZERO_WEIGHT
+        kraus = np.sqrt(p_l[keep])[:, None, None] * blocks[:, keep]
+        return cls(tuple(KrausSet(label, tuple(ops)) for label, ops in zip(model.labels, kraus)), d_s)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -191,39 +195,42 @@ class Instrument:
         return self._pom
 
     @cached_property
-    def pom_stack(self) -> np.ndarray:
-        """The POM elements as one read-only stack ``(n_outcomes, d, d)``, in declared order."""
-        stack = np.array([p.matrix for p in self._pom])
-        stack.setflags(write=False)
-        return stack
+    def _pom(self) -> tuple[HermitianOperator, ...]:
+        return tuple(HermitianOperator(p) for p in self.pom_stack)
 
     def pom_element(self, label: str) -> HermitianOperator:
         return self._pom[self._position(label)]
 
     def pom_trace(self, label: str) -> float:
         """Tr P_k of one outcome."""
-        return self._traces[self._position(label)]
+        return float(self.pom_traces[self._position(label)])
+
+    @cached_property
+    def live_mask(self) -> np.ndarray:
+        """Tr P_k > ZERO_WEIGHT per outcome, in declared order."""
+        return self.pom_traces > ZERO_WEIGHT
 
     @cached_property
     def live_labels(self) -> tuple[str, ...]:
-        """Labels of the live outcomes, Tr P_k > ZERO_WEIGHT, in declared order."""
-        return tuple(label for label, tr in zip(self.labels, self._traces) if tr > ZERO_WEIGHT)
+        """Labels of the outcomes that are not null, in declared order."""
+        return tuple(label for label, live in zip(self.labels, self.live_mask) if live)
 
-    def live_trace(self, label: str) -> float:
-        """Tr P_k of a live outcome; a null outcome raises NullOutcome."""
-        tr = self.pom_trace(label)
+    def live_index(self, label: str) -> int:
+        """Position of a live outcome in ``live_labels``; a null outcome raises NullOutcome."""
         if label not in self.live_labels:
-            raise NullOutcome(f"outcome {label!r} has POM trace {tr!r}")
-        return tr
+            raise NullOutcome(f"outcome {label!r} has POM trace {self.pom_trace(label)!r}")
+        return self.live_labels.index(label)
 
-    def retrodicted_state(self, label: str) -> DensityOperator:
-        """P_k / Tr P_k: the state inferred backward from a live outcome under
-        a uniform prior.  Built on first use and kept."""
-        if label not in self._retrodicted:
-            tr = self.live_trace(label)
-            state = DensityOperator(self.pom_element(label).matrix / tr)
-            self._retrodicted[label] = state
-        return self._retrodicted[label]
+    @cached_property
+    def retrodicted_stack(self) -> np.ndarray:
+        """P_k / Tr P_k of the live outcomes, in ``live_labels`` order: the states
+        inferred backward from each outcome under a uniform prior, gated together."""
+        live = self.live_mask
+        return validated_states(hermitian_part(self.pom_stack[live] / self.pom_traces[live][:, None, None]))
+
+    def retrodicted_state(self, label: str) -> np.ndarray:
+        """The row of ``retrodicted_stack`` of one live outcome."""
+        return self.retrodicted_stack[self.live_index(label)]
 
     def outcome_probabilities(self, rho) -> np.ndarray:
         """Tr(P_k rho) per outcome, in declared order on the last axis; ``rho`` may be
@@ -231,49 +238,53 @@ class Instrument:
         rm = np.asarray(rho)
         return expectation(self.pom_stack, rm[..., None, :, :] if rm.ndim > 2 else rm)
 
-    def _kraus_sum(self, label: str, x, dual: bool) -> np.ndarray:
-        """sum_l M x M† (``dual``: sum_l M† x M) over one outcome's Kraus operators
-        in l order, gated by ``hermitian_part``; ``x`` is a matrix or a stack
-        ``(..., d, d)``, and each matrix of a stack gets the bits of its own call."""
-        ops = self.outcome(label).operators
+    def kraus_sum(self, term, ndim: int = 2) -> np.ndarray:
+        """sum_l term(M, M†) of every outcome, ``(n_outcomes, ...)``, in l order; M
+        broadcasts against ``ndim``-axis operands, and absent slots are skipped."""
+        lead = (slice(None),) + (None,) * (ndim - 2)
+        adjoint = self.kraus_stack.conj().swapaxes(-1, -2)
+        total = 0
+        for l, present in enumerate(self.kraus_present.T):
+            t = term(self.kraus_stack[:, l][lead], adjoint[:, l][lead])
+            total = np.where(present.reshape((-1,) + (1,) * (t.ndim - 1)), total + t, total)
+        return total
+
+    def _channel(self, x, dual: bool = False) -> np.ndarray:
+        """A_k(x) = sum_l M x M† (``dual``: A*_k(x) = sum_l M† x M) of every outcome,
+        ``(n_outcomes, ..., d, d)`` for a matrix or stack ``x``, gated once."""
         xm = np.asarray(x)
         if xm.shape[-2:] != (self.dim, self.dim):
             raise DimensionMismatch(f"operand shape {xm.shape} does not end in ({self.dim}, {self.dim})")
-        total = 0
-        for m in ops:
-            mh = m.conj().T
-            total = total + ((mh @ xm) @ m if dual else (m @ xm) @ mh)
-        return hermitian_part(total)
+        sandwich = (lambda m, mh: (mh @ xm) @ m) if dual else (lambda m, mh: (m @ xm) @ mh)
+        return hermitian_part(self.kraus_sum(sandwich, xm.ndim))
 
     def apply_selective(self, label: str, rho) -> np.ndarray:
         """Unnormalized post-measurement operator A_k(rho) = sum_l M rho M† of one outcome."""
-        return self._kraus_sum(label, rho, dual=False)
+        return self._channel(rho)[self._position(label)]
 
     def apply_nonselective(self, rho) -> np.ndarray:
         """Post-measurement operator with the outcome record discarded: the sum
-        of A_k(rho) over all outcomes.  ``rho`` may be unnormalized."""
-        return hermitian_part(sum(self.apply_selective(ks.label, rho) for ks in self.outcomes))
+        of A_k(rho) over all outcomes, in declared order.  ``rho`` may be unnormalized."""
+        return hermitian_part(sum(self._channel(rho)))
 
     def adjoint_apply(self, label: str, x) -> np.ndarray:
         """Heisenberg-picture dual A*_k(X) = sum_l M† X M of one outcome."""
-        return self._kraus_sum(label, x, dual=True)
+        return self._channel(x, dual=True)[self._position(label)]
 
     def adjoint_nonselective(self, x) -> np.ndarray:
         """Dual of the nonselective channel: the sum of A*_k(X) over all outcomes."""
-        return hermitian_part(sum(self.adjoint_apply(ks.label, x) for ks in self.outcomes))
+        return hermitian_part(sum(self._channel(x, dual=True)))
 
     def effective_observable(self, values: ValueAssignment) -> HermitianOperator:
         """Observable sum_k m_k P_k actually estimated by the apparatus."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for ks, p in zip(self.outcomes, self._pom):
-            if ks.label not in values:
-                raise MissingLabel(f"no value assigned to outcome {ks.label!r}")
-            total += float(values[ks.label]) * p.matrix
-        return HermitianOperator(total)
+        missing = [label for label in self.labels if label not in values]
+        if missing:
+            raise MissingLabel(f"no value assigned to outcome {missing[0]!r}")
+        return HermitianOperator(sum(float(values[label]) * p for label, p in zip(self.labels, self.pom_stack)))
 
     def contextual_values(self, target: HermitianOperator) -> dict[str, float]:
         """Minimum-norm values solving sum_k m_k P_k = target, keyed by label."""
-        m = solve_contextual_values(self.pom(), target)
+        m = solve_contextual_values(self.pom_stack, target)
         return {label: float(v) for label, v in zip(self.labels, m)}
 
     def moment_values(self, a: HermitianOperator, n: int) -> dict[str, float]:
@@ -294,29 +305,21 @@ def squared_values(values: ValueAssignment) -> dict[str, float]:
     return {label: float(v) ** 2 for label, v in values.items()}
 
 
-def solve_contextual_values(
-    pom: Sequence[HermitianOperator], target: HermitianOperator
-) -> np.ndarray:
+def solve_contextual_values(pom, target: HermitianOperator) -> np.ndarray:
     """Minimum-Euclidean-norm solution of sum_k m_k P_k = target.
 
-    The POM elements are vectorized over the real vector space of Hermitian
+    ``pom`` is a stack ``(n, d, d)`` or a sequence of POM elements.  They and
+    the target are vectorized over the real vector space of Hermitian
     matrices and the system is solved by pseudoinverse.  Raises
     :class:`NotExpressible` if the residual exceeds ``CV_RESIDUAL_TOL`` in
     max-norm.
     """
-    if not pom:
-        raise DimensionMismatch("empty POM")
-    mats = [np.asarray(p) for p in pom]
-    tm = np.asarray(target)
-    if any(m.shape != tm.shape for m in mats):
-        raise DimensionMismatch("POM elements and target must share dimension")
-
-    def vec(h: np.ndarray) -> np.ndarray:
-        return np.concatenate([h.real.ravel(), h.imag.ravel()])
-
-    design = np.column_stack([vec(m) for m in mats])
-    m_vals, *_ = np.linalg.lstsq(design, vec(tm), rcond=None)
-    residual = max_norm(sum(v * m for v, m in zip(m_vals, mats)) - tm)
+    stack, tm = np.asarray(pom, dtype=complex), np.asarray(target)
+    if len(stack) == 0 or stack.shape[1:] != tm.shape:
+        raise DimensionMismatch(f"POM elements {stack.shape} and target {tm.shape} must share one dimension")
+    design = np.concatenate([stack.real, stack.imag], axis=-2).reshape(len(stack), -1).T
+    m_vals, *_ = np.linalg.lstsq(design, np.concatenate([tm.real.ravel(), tm.imag.ravel()]), rcond=None)
+    residual = max_norm(sum(m_vals[:, None, None] * stack) - tm)
     if residual > CV_RESIDUAL_TOL:
         raise NotExpressible(
             f"target outside POM span (residual {residual:.3e} > {CV_RESIDUAL_TOL})"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BiasedInstrument
-from .instruments import IndirectModel, Instrument, KrausSet, ValueAssignment, squared_values
+from .instruments import IndirectModel, Instrument, ValueAssignment, squared_values
 from .operators import (
     DensityOperator,
     HermitianOperator,
@@ -137,30 +137,25 @@ def eta_sq_joint(model: IndirectModel, b: HermitianOperator, rho_s: DensityOpera
     return clip_at_floor(value, SECOND_MOMENT_FLOOR, "second moment")
 
 
-def lindblad_perturbation(ks: KrausSet, b: np.ndarray) -> np.ndarray:
-    """Perturbation L_k(B) = -sum_l (M† [M, B] - [M†, B] M)/2 of one outcome, in l
-    order; ``b`` may be a stack.  This Lindblad form stays apart from the
-    instrument's channel maps: it is the independent form eta^2 is checked against."""
-    total = 0
-    for m in ks.operators:
-        md = m.conj().T
-        total = total + -(md @ (m @ b - b @ m) - (md @ b - b @ md) @ m) / 2
-    return total
+def lindblad_perturbation(inst: Instrument, b: np.ndarray) -> np.ndarray:
+    """Perturbation L_k(B) = -sum_l (M† [M, B] - [M†, B] M)/2 of every outcome,
+    ``(n_outcomes, ..., d, d)``; ``b`` may be a stack.  This Lindblad form stays apart
+    from the instrument's channel maps: it is the independent form eta^2 is checked against."""
+    return inst.kraus_sum(lambda m, md: -(md @ (m @ b - b @ m) - (md @ b - b @ md) @ m) / 2, b.ndim)
 
 
 def lindblad_decomposition(inst: Instrument, label: str, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     """Split sum_l M† B M into the Jordan part P_k * B and the Lindblad remainder,
     each gated by ``hermitian_part``."""
-    lindblad = hermitian_part(lindblad_perturbation(inst.outcome(label), np.asarray(b)))
-    return jordan_product(inst.pom_element(label), b), lindblad
+    jordan = jordan_product(inst.pom_element(label), b)
+    return jordan, hermitian_part(lindblad_perturbation(inst, np.asarray(b))[inst.labels.index(label)])
 
 
 def eta_sq_lindblad(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> float:
     """Disturbance recomputed from Lindblad perturbations only:
     sum_k <L_k(B^2) - 2 B * L_k(B)>."""
     bm = np.asarray(b)
-    stack = np.array([bm, bm @ bm])
-    per_outcome = np.array([lindblad_perturbation(ks, stack) for ks in inst.outcomes])
+    per_outcome = lindblad_perturbation(inst, np.array([bm, bm @ bm]))
     l_b, l_b2 = per_outcome[:, 0], per_outcome[:, 1]
     total = sum(expectation(l_b2 - (bm @ l_b + l_b @ bm), rho).tolist())
     return clip_at_floor(total, SECOND_MOMENT_FLOOR, "second moment")
@@ -173,12 +168,8 @@ def is_unbiased(a_e: HermitianOperator, a: HermitianOperator) -> bool:
 
 def is_qnd(inst: Instrument, b: HermitianOperator) -> bool:
     """True iff every Kraus operator commutes with B (to IDENTITY_TOL)."""
-    bm = np.asarray(b)
-    for ks in inst.outcomes:
-        for m in ks.operators:
-            if max_norm(m @ bm - bm @ m) > IDENTITY_TOL:
-                return False
-    return True
+    bm, kraus = np.asarray(b), inst.kraus_stack
+    return max_norm((kraus @ bm - bm @ kraus)[inst.kraus_present]) <= IDENTITY_TOL
 
 
 def unbiased_dispersion(

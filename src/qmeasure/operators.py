@@ -201,11 +201,12 @@ def jordan_product(a, b) -> np.ndarray:
     return hermitian_part((am @ bm + bm @ am) / 2)
 
 
-def commutator_bound(a: HermitianOperator, b: HermitianOperator, rho: DensityOperator) -> float:
-    """Uncertainty bound C_AB = |<[A, B]> / 2i| in the state ``rho``."""
+def commutator_bound(a, b, rho):
+    """Uncertainty bound C_AB = |<[A, B]> / 2i| in the state ``rho``, a float or,
+    for stacks, an array like ``expectation``'s."""
     am, bm, rm = _operands(a, b, rho)
-    t = np.trace((am @ bm - bm @ am) @ rm)
-    return float(abs(t)) / 2
+    t = np.abs(np.trace((am @ bm - bm @ am) @ rm, axis1=-2, axis2=-1)) / 2
+    return float(t) if t.ndim == 0 else np.ascontiguousarray(t)
 
 
 def expectation(x, rho):
@@ -231,12 +232,17 @@ def value_variance(values: np.ndarray, probs: np.ndarray) -> float:
     return clip_at_floor(var, ROUNDOFF_FLOOR, "variance")
 
 
-def clip_at_floor(value: float, floor: float, what: str) -> float:
-    """A quantity that is nonnegative in exact arithmetic: round-off in
-    [floor, 0) reads 0, and a value below ``floor`` or NaN raises InternalNumericError."""
-    if not value >= floor:
-        raise InternalNumericError(f"{what} {value:.3e} below {floor}")
-    return max(value, 0.0)
+def clip_at_floor(value, floor: float, what: str):
+    """A quantity, float or array, that is nonnegative in exact arithmetic: round-off
+    in [floor, 0) reads 0 (and -0.0 stays, as in ``max(v, 0.0)``), and a value below
+    ``floor`` or NaN raises InternalNumericError naming its index."""
+    x = np.asarray(value, dtype=float)
+    bad = np.flatnonzero(~(x >= floor))
+    if bad.size:
+        at = f" at index {tuple(map(int, np.unravel_index(bad[0], x.shape)))}" if x.ndim else ""
+        raise InternalNumericError(f"{what} {x.flat[bad[0]]:.3e}{at} below {floor}")
+    x = np.where(x < 0.0, 0.0, x)
+    return float(x) if x.ndim == 0 else x
 
 
 def cross_check(what: str, **pair: float) -> None:

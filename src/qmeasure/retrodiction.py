@@ -3,10 +3,10 @@
 These quantities are intrinsic to an instrument outcome: no preparation
 state enters any signature.  Degenerate observables are handled at the
 eigen-branch level, with squared deviations taken between branch
-eigenvalues.  One kernel per live outcome, :func:`outcome_kernel`, computes
-them all from the outcome's map A_k and its dual A*_k, each applied by the
-instrument in one call to the stacked spectral projectors of B; the four
-single-outcome functions read from it.
+eigenvalues.  :func:`outcome_kernels` computes them all for every live
+outcome in one pass, from the instrument's stacked maps A_k and A*_k on the
+stacked spectral projectors of B; the four single-outcome functions read
+one outcome's row.
 """
 
 from __future__ import annotations
@@ -70,53 +70,56 @@ class OutcomeKernel:
         return math.sqrt(clip_at_floor(msd, SECOND_MOMENT_FLOOR, "second moment"))
 
 
-def outcome_kernel(
-    inst: Instrument, label: str, a: HermitianOperator, b: HermitianOperator | None = None
-) -> OutcomeKernel:
-    """The single-outcome quantities of one live outcome, for A and, if given, B.
-
-    Every product is a stacked ``matmul``, so every value has the bits of the
-    per-matrix computation.  Each gate runs once on a stacked output: the
-    instrument's Hermiticity gate on A_k(Π_b) and A*_k(Π_b'), the state gate
-    on the conditioned states A*_k(Π_b') / (Tr P_k p(b'|k)), and
-    ``clip_at_floor`` on every variance.
+def outcome_kernels(
+    inst: Instrument, a: HermitianOperator, b: HermitianOperator | None = None
+) -> dict[str, OutcomeKernel]:
+    """The single-outcome quantities of every live outcome, for A and, if given, B,
+    keyed by label in ``live_labels`` order.  The outcome axis is a stack axis and
+    every product a stacked ``matmul``, so every value has the bits of its
+    per-matrix computation; each gate runs once, on a stacked output.
     """
-    tr, retro = inst.live_trace(label), inst.retrodicted_state(label)
+    live, labels, n = inst.live_mask, inst.live_labels, len(inst.live_labels)
+    tr, states = inst.pom_traces[live], inst.retrodicted_stack
     obs = np.array([a.matrix] if b is None else [a.matrix, b.matrix])
-    states = retro.matrix[None]
     if b is not None:
         spec = spectral_decompose(b)
         proj = spec.projector_stack
         # T_k divides each trace by Tr P_k; the conditioned states divide
         # A*_k(Π_b') before the trace.  The two orders round differently.
-        forward = inst.apply_selective(label, proj)
-        table = expectation(proj[None, :], forward[:, None]) / tr
-        backward = inst.adjoint_apply(label, proj) / tr
+        forward = inst._channel(proj)[live]
+        table = expectation(proj[None, None], forward[:, :, None]) / tr[:, None, None]
+        backward = inst._channel(proj, dual=True)[live] / tr[:, None, None, None]
         weights = np.real(np.trace(backward, axis1=-2, axis2=-1))
-        live = weights > ZERO_WEIGHT
-        states = np.concatenate([states, validated_states(backward[live] / weights[live][:, None, None])])
-    # Row 0: the retrodictive state; rows 1...: the live conditioned states.
-    # The two moments keep their own traces, outside ``expectation``: an
+        posterior = weights > ZERO_WEIGHT
+        states = np.concatenate([states, validated_states(backward[posterior] / weights[posterior][:, None, None])])
+    # Rows: the retrodictive states, then the live conditioned states outcome by
+    # outcome.  The moments keep their own traces, outside ``expectation``: an
     # overflowed A^2 must reach ``clip_at_floor`` and raise InternalNumericError.
     mean = np.real(np.trace(obs @ states[:, None], axis1=-2, axis2=-1))
     second = np.real(np.trace(obs @ obs @ states[:, None], axis1=-2, axis2=-1))
-    var = [[clip_at_floor(v, ROUNDOFF_FLOOR, "variance") for v in row] for row in (second - mean * mean).tolist()]
-    eps = [math.sqrt(v) for v in var[0]]
+    var = clip_at_floor(second - mean * mean, ROUNDOFF_FLOOR, "variance")
+    sd = np.sqrt(var).tolist()
     if b is None:
-        return OutcomeKernel(eps[0])
-    restricted: list[RestrictedMetrics | None] = [None] * len(weights)
-    for idx, (_, mean_b), (var_a, var_b) in zip(np.flatnonzero(live).tolist(), mean[1:].tolist(), var[1:]):
-        eta_sq = var_b + (spec.branches[idx][0] - mean_b) ** 2
-        restricted[idx] = RestrictedMetrics(
-            float(weights[idx]), math.sqrt(var_a), math.sqrt(var_b), math.sqrt(eta_sq), mean_b
-        )
-    return OutcomeKernel(
-        *eps,
-        c_ab=commutator_bound(a, b, retro),
-        table=QuasiDistribution.on_branches(spec, "b", "b'", table),
-        posterior_weights=tuple(weights.tolist()),
-        restricted=tuple(restricted),
-    )
+        return {label: OutcomeKernel(*eps) for label, eps in zip(labels, sd)}
+    restricted: list[list[RestrictedMetrics | None]] = [[None] * len(spec.branches) for _ in labels]
+    conditioned = zip(mean[n:, 1].tolist(), var[n:, 1].tolist(), sd[n:])
+    for (k, idx), (mean_b, var_b, (eps_a, eps_b)) in zip(np.argwhere(posterior).tolist(), conditioned):
+        eta_b = math.sqrt(var_b + (spec.branches[idx][0] - mean_b) ** 2)
+        restricted[k][idx] = RestrictedMetrics(float(weights[k, idx]), eps_a, eps_b, eta_b, mean_b)
+    c_ab = commutator_bound(a, b, states[:n]).tolist()
+    tables = [QuasiDistribution.on_branches(spec, "b", "b'", t) for t in table]
+    return {
+        label: OutcomeKernel(*sd[k], c_ab[k], tables[k], tuple(weights[k].tolist()), tuple(restricted[k]))
+        for k, label in enumerate(labels)
+    }
+
+
+def outcome_kernel(
+    inst: Instrument, label: str, a: HermitianOperator, b: HermitianOperator | None = None
+) -> OutcomeKernel:
+    """The row of :func:`outcome_kernels` of one outcome; a null one raises NullOutcome."""
+    inst.live_index(label)
+    return outcome_kernels(inst, a, b)[label]
 
 
 def retrodictive_error(inst: Instrument, label: str, a: HermitianOperator) -> float:

@@ -238,14 +238,14 @@ class TestSample:
         assert sample(s, 1000, 1).empirical_moments is None
 
     def test_negative_pair_probability_raises(self, theta_pom_scenario, monkeypatch):
-        real = Instrument.apply_selective
-        first = theta_pom_scenario.apparatus.labels[0]
+        real = Instrument._channel
 
-        def negated(self, label, rho):
-            out = real(self, label, rho)
-            return -out if label == first else out
+        def negated(self, x, dual=False):
+            # A_k(rho) of the first outcome negated, the others as they are.
+            out = real(self, x, dual)
+            return np.concatenate([-out[:1], out[1:]])
 
-        monkeypatch.setattr(Instrument, "apply_selective", negated)
+        monkeypatch.setattr(Instrument, "_channel", negated)
         with pytest.raises(InternalNumericError):
             sample(theta_pom_scenario, 1000, 1)
 

@@ -255,6 +255,40 @@ def test_stacked_call_has_the_bits_of_separate_calls(dim, n_kraus):
     assert np.array_equal(inst.adjoint_nonselective(pairs), np.array(backward[:4]).reshape(2, 2, dim, dim))
 
 
+def test_ragged_stack_against_a_reference():
+    # Outcomes with 1, 2 and 3 Kraus operators.  Each row of the stacked maps
+    # must be the Kraus sum of that outcome alone, spelled out here in l order.
+    rng = _rng(90)
+    isometry = random_unitary(18, rng)[:, :3]
+    m = [isometry[3 * i : 3 * i + 3] for i in range(6)]
+    inst = Instrument.from_kraus([KrausSet("one", (m[0],)), KrausSet("two", tuple(m[1:3])), KrausSet("three", tuple(m[3:]))])
+    assert inst.kraus_present.tolist() == [[True, False, False], [True, True, False], [True, True, True]]
+    assert np.isnan(inst.kraus_stack[~inst.kraus_present]).all()
+    pom = []
+    for ks in inst.outcomes:
+        total = 0
+        for op in ks.operators:
+            total = total + op.conj().T @ op
+        pom.append(hermitian_part(total))
+    assert np.array_equal(inst.pom_stack, np.array(pom))
+    for x in (random_hermitian(3, rng).matrix, np.array([random_hermitian(3, rng).matrix for _ in range(2)])):
+        forward, backward = [], []
+        for ks in inst.outcomes:
+            f = b = 0
+            for op in ks.operators:
+                f = f + (op @ x) @ op.conj().T
+                b = b + (op.conj().T @ x) @ op
+            forward.append(hermitian_part(f))
+            backward.append(hermitian_part(b))
+        assert np.array_equal(inst._channel(x), np.array(forward))
+        assert np.array_equal(inst._channel(x, dual=True), np.array(backward))
+        for k, label in enumerate(inst.labels):
+            assert np.array_equal(inst.apply_selective(label, x), forward[k])
+            assert np.array_equal(inst.adjoint_apply(label, x), backward[k])
+        assert np.array_equal(inst.apply_nonselective(x), hermitian_part(sum(forward)))
+        assert np.array_equal(inst.adjoint_nonselective(x), hermitian_part(sum(backward)))
+
+
 def test_outcome_probabilities_of_a_stack():
     inst = theta_pom_instrument(0.3)
     rng = _rng(77)

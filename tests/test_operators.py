@@ -248,8 +248,8 @@ class TestUncertaintyProperties:
 
 
 class TestStacking:
-    """``expectation`` and ``jordan_product`` on broadcasting stacks give, entry
-    by entry, the bits of their per-pair calls."""
+    """``expectation``, ``jordan_product`` and ``commutator_bound`` on broadcasting
+    stacks give, entry by entry, the bits of their per-pair calls."""
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_outer_stacks(self, dim):
@@ -284,13 +284,51 @@ class TestStacking:
 
     def test_one_pair_gives_a_float(self, sx, ket0):
         assert type(expectation(sx, ket0)) is float
+        assert type(commutator_bound(sx, SIGMA_Y, ket0)) is float
+
+    def test_commutator_bound_of_a_state_stack(self, sx, sy, ket0, max_mixed):
+        bound = commutator_bound(sx, sy, np.array([ket0.matrix, max_mixed.matrix]))
+        assert bound.flags.c_contiguous
+        assert bound.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_commutator_bound_of_broadcasting_stacks(self, dim):
+        rng = _rng(61 + dim)
+        xs = np.array([random_hermitian(dim, rng).matrix for _ in range(3)])
+        y = random_hermitian(dim, rng)
+        rhos = np.array([random_density(dim, rng).matrix for _ in range(4)])
+        bound = commutator_bound(xs[:, None], y, rhos[None])
+        assert bound.shape == (3, 4) and bound.flags.c_contiguous
+        assert np.array_equal(bound, [[commutator_bound(x, y, rho) for rho in rhos] for x in xs])
+
+
+class TestClipAtFloor:
+    def test_array_clips_round_off(self):
+        out = clip_at_floor(np.array([[0.5, -1e-13], [0.0, 2.0]]), ROUNDOFF_FLOOR, "variance")
+        assert out.tolist() == [[0.5, 0.0], [0.0, 2.0]]
+
+    def test_negative_zero_maps_as_max_does(self):
+        # max(-0.0, 0.0) is -0.0, where np.maximum would give +0.0.
+        assert np.signbit(clip_at_floor(-0.0, ROUNDOFF_FLOOR, "variance"))
+        assert np.signbit(clip_at_floor(np.array([1.0, -0.0]), ROUNDOFF_FLOOR, "variance")).tolist() == [False, True]
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-6])
+    def test_array_names_the_first_offending_index(self, bad):
+        values = np.array([[0.25, 0.5, 0.0], [1.0, bad, -1.0]])
+        with pytest.raises(InternalNumericError, match=r"at index \(1, 1\)"):
+            clip_at_floor(values, ROUNDOFF_FLOOR, "variance")
+
+    def test_float_stays_a_float(self):
+        assert type(clip_at_floor(0.25, ROUNDOFF_FLOOR, "variance")) is float
+        with pytest.raises(InternalNumericError, match=r"^variance -1.000e-06 below"):
+            clip_at_floor(-1e-6, ROUNDOFF_FLOOR, "variance")
 
 
 # np.trace may take a matrix product only in the one owner of Re Tr(X rho), in
-# the commutator's |Tr| and in the two moment lines of the per-outcome kernel,
+# the commutator's |Tr| and in the two moment lines of the stacked outcome kernel,
 # which keep their own traces so that an overflowed A^2 reaches its floor.
 TRACE_OWNERS = Counter(
-    {("operators.py", "expectation"): 1, ("operators.py", "commutator_bound"): 1, ("retrodiction.py", "outcome_kernel"): 2}
+    {("operators.py", "expectation"): 1, ("operators.py", "commutator_bound"): 1, ("retrodiction.py", "outcome_kernels"): 2}
 )
 
 

@@ -20,6 +20,7 @@ from qmeasure.retrodiction import (
     interdictive_disturbance,
     interdictive_joint_distribution,
     outcome_kernel,
+    outcome_kernels,
     restricted_metrics,
     retrodictive_error,
 )
@@ -31,6 +32,7 @@ from qmeasure.scenario import (
     random_hermitian,
     random_indirect_model,
     random_instrument,
+    random_unitary,
     theta_pom_instrument,
 )
 
@@ -54,20 +56,25 @@ class TestRetrodictedState:
         theta = np.pi / 3
         inst = theta_pom_instrument(theta)
         c = np.cos(theta)
-        assert np.allclose(inst.retrodicted_state("+").matrix, np.diag([(1 + c) / 2, (1 - c) / 2]))
+        assert np.allclose(inst.retrodicted_state("+"), np.diag([(1 + c) / 2, (1 - c) / 2]))
         assert inst.pom_trace("+") == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_instrument_uniform(self):
         state = identity_instrument(3).retrodicted_state("0")
-        assert np.allclose(state.matrix, np.eye(3) / 3)
+        assert np.allclose(state, np.eye(3) / 3)
 
     def test_null_outcome_raises(self):
         with pytest.raises(NullOutcome):
             near_null_instrument().retrodicted_state("tiny")
 
-    def test_state_is_built_once_per_outcome(self):
+    def test_stack_is_built_once(self):
         inst = theta_pom_instrument(np.pi / 3)
-        assert inst.retrodicted_state("+") is inst.retrodicted_state("+")
+        stack = inst.retrodicted_stack
+        assert inst.retrodicted_stack is stack
+        for k, label in enumerate(inst.live_labels):
+            state = inst.retrodicted_state(label)
+            assert np.shares_memory(state, stack)
+            assert np.array_equal(state, stack[k])
 
 
 class TestRetrodictiveError:
@@ -213,6 +220,32 @@ def _loop_reference(inst, label, a, b):
         eta = np.sqrt(var_b + (bval - mean_b) ** 2)
         rows.append([weight, np.sqrt(max(var_a, 0.0)), np.sqrt(max(var_b, 0.0)), eta, mean_b])
     return eps, table, np.array(rows)
+
+
+def test_one_call_keys_every_live_outcome():
+    # Outcomes with 1, 2 and 3 Kraus operators and a null one between them: one
+    # call gives a kernel for each live outcome, and each matches the loops.
+    rng = _rng(59)
+    a, b = random_hermitian(3, rng), random_hermitian(3, rng)
+    isometry = random_unitary(18, rng)[:, :3]
+    m = [isometry[3 * i : 3 * i + 3] for i in range(6)]
+    tiny = (1e-8 * np.eye(3, dtype=complex),)
+    inst = Instrument.from_kraus(
+        [KrausSet("one", (m[0],)), KrausSet("null", tiny), KrausSet("two", tuple(m[1:3])), KrausSet("three", tuple(m[3:]))]
+    )
+    kernels = outcome_kernels(inst, a, b)
+    assert tuple(kernels) == inst.live_labels == ("one", "two", "three")
+    for label, kernel in kernels.items():
+        eps, table, rows = _loop_reference(inst, label, a, b)
+        got = np.array([[rm.p_posterior, rm.eps_A, rm.eps_B, rm.eta_B, rm.retro_mean_B] for rm in kernel.restricted])
+        assert max_norm(np.array([kernel.eps_A, kernel.eps_B]) - eps) < 1e-12
+        assert max_norm(kernel.table.table - table) < 1e-12
+        assert max_norm(got - rows) < 1e-12
+        assert kernel.c_ab == commutator_bound(a, b, inst.retrodicted_state(label))
+        assert outcome_kernel(inst, label, a, b).restricted == kernel.restricted
+    assert list(outcome_kernels(inst, a)) == list(kernels)
+    with pytest.raises(NullOutcome):
+        outcome_kernel(inst, "null", a, b)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8])
