@@ -14,8 +14,8 @@ per outcome, ``three_state_cross_term``, ``unbiased_dispersion`` where the
 estimation is unbiased, ``conditional_weak_value`` for every (outcome,
 A-branch) pair, every field of ``restricted_metrics`` per live
 outcome and posterior branch, and every cell of both weak-probe tables at
-each of ``STRENGTHS``; ``random_sweep`` at d = 2 x 60, 3 x 30 and 8 x 6
-(seed 777), with every record's lhs, rhs, digest and sub-records; ``sample``
+each of ``STRENGTHS``; ``random_sweep`` at d = 2 x 60, 3 x 30, 8 x 6, 8 x 40 and
+16 x 6 (seed 777), with every record's lhs, rhs, digest and sub-records; ``sample``
 at 1, 10^3 and 2 x 10^5 shots and ``weak_sweep`` on each bundled file; and
 ``heisenberg_form_violation_search([2], 50, 808)``.  Floats are written with
 ``repr``, so the hash changes when any bit of any value does.  It takes a
@@ -207,7 +207,7 @@ def outputs():
         yield f"single-outcome {name}", single_outcome(s)
         yield f"weak-probe tables {name}", weak_probe_tables(s)
 
-    for dim, count in ((2, 60), (3, 30), (8, 6)):
+    for dim, count in ((2, 60), (3, 30), (8, 6), (8, 40), (16, 6)):
         sweep = random_sweep([dim], count, 777)
         records = [
             [r.relation_id, r.lhs, r.rhs, r.inputs_digest, [[sr.outcome, sr.lhs, sr.rhs] for sr in r.sub_records]]
