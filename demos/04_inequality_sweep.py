@@ -16,10 +16,11 @@ from qmeasure.inequalities import (
 )
 
 scenario = load_scenario("scenarios/cnot_projective.json")
-ctx = ScenarioContext(scenario)
+ctx = ScenarioContext([scenario])
+eps_a, eta_b, c_ab = ctx.eps_A[0], ctx.eta_B[0], ctx.c_ab[0]
 print("projective sigma_z apparatus, B = sigma_x, rho = (1 + 0.8 sigma_y)/2:")
-print(f"  eps_A = {ctx.eps_A:.3f}, eta_B = {ctx.eta_B:.3f}, C_AB = {ctx.c_ab:.3f}")
-print(f"  naive product eps_A * eta_B - C_AB = {ctx.eps_A * ctx.eta_B - ctx.c_ab:+.3f}  (< 0!)")
+print(f"  eps_A = {eps_a:.3f}, eta_B = {eta_b:.3f}, C_AB = {c_ab:.3f}")
+print(f"  naive product eps_A * eta_B - C_AB = {eps_a * eta_b - c_ab:+.3f}  (< 0!)")
 
 print("\nthe corrected relations on the same scenario:")
 for rid, rec in sorted(evaluate_all(scenario).items()):

@@ -78,9 +78,9 @@ def analyze(scenario: Scenario) -> AnalysisReport:
     """
     s = scenario
     inst, rho, obs_a = s.apparatus, s.state, s.observable_A
-    ctx = ScenarioContext(s)
+    ctx = ScenarioContext([s])
 
-    eps = ctx.epsilon
+    eps = ctx.epsilon[0]
     err_dist = tmh_error_distribution(rho, obs_a, inst, s.values_m)
     eps_quasi = quasi_mean_squared_difference(err_dist)
     cross_check("epsilon^2", direct=eps.mean_squared, quasi=eps_quasi)
@@ -99,7 +99,7 @@ def analyze(scenario: Scenario) -> AnalysisReport:
     dist_dist = None
     obs_b = s.observable_B
     if obs_b is not None:
-        eta = ctx.eta
+        eta = ctx.eta[0]
         dist_dist = tmh_disturbance_distribution(rho, obs_b, inst)
         eta_quasi = quasi_mean_squared_difference(dist_dist)
         cross_check("eta^2", direct=eta.mean_squared, quasi=eta_quasi)
@@ -111,17 +111,17 @@ def analyze(scenario: Scenario) -> AnalysisReport:
 
     # Per-outcome values exist for the live outcomes only.
     outcome_reports = []
-    for label, prob in zip(inst.labels, ctx.outcome_probs):
-        kern = ctx.kernels.get(label)
+    for label, prob in zip(inst.labels, ctx.outcome_probs[0]):
+        kern = ctx.kernels[0].get(label)
         values = (float("nan"), None, None) if kern is None else (kern.eps_A, kern.eps_B, kern.eta_B)
         outcome_reports.append(OutcomeReport(label, float(prob), inst.pom_trace(label), *values))
 
     return AnalysisReport(
-        scenario_digest=ctx.digest,
+        scenario_digest=ctx.digest[0],
         delta_A=eps.delta,
         epsilon=eps,
         epsilon_joint=eps_joint,
-        unbiased=ctx.unbiased,
+        unbiased=ctx.unbiased[0],
         dispersion_m2=dispersion_m2,
         delta_B=None if eta is None else eta.delta,
         eta=eta,

@@ -21,17 +21,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import MissingIngredient, NegativeRadicand
-from .metrics import NoiseReport, epsilon_sq_system, eta_sq_system, is_unbiased
+from .instruments import effective_observables, value_row
+from .metrics import NoiseReport, epsilon_sq_stack, eta_sq_stack, is_unbiased
 from .operators import (
     HermitianOperator,
     commutator_bound,
     expectation,
     expectation_and_variance,
     jordan_product,
+    spectra,
     spectral_decompose,
     value_variance,
 )
@@ -83,147 +86,178 @@ class InequalityRecord:
         return bool(self.margin >= -SATISFACTION_TOL)
 
 
+# A block's largest member-stacked arrays, the Kraus stacks (N, n_outcomes, L_max, d, d)
+# and the kernel stacks (N, n_live, n_b, d, d), hold at most this many complex entries;
+# the interdictive-table product inside ``outcome_kernels`` is d times larger.
+_BLOCK_ENTRIES = 2**16
+
+
+def _signature(s: Scenario) -> tuple:
+    """What the members of one block share: the dimension, the Kraus count of each
+    outcome, the live mask, the branch count of B (None without B), and whether
+    values_mB is absent.  B's spectrum must already be known to be cheap here."""
+    inst, b = s.apparatus, s.observable_B
+    counts = tuple(inst.kraus_present.sum(axis=1).tolist())
+    branches = None if b is None else len(b.spectrum.eigenvalues)
+    return s.dimension, counts, tuple(inst.live_mask.tolist()), branches, s.values_mB is None
+
+
 class ScenarioContext:
-    """The one owner of the per-scenario quantities that relations and ``analyze`` share."""
+    """The one owner of the per-scenario quantities that relations and ``analyze`` share,
+    over a block of N scenarios of one signature (a single scenario is a block of one).
+    Each quantity is computed once for all members by stacked code, and is read per
+    member: a list of N values in member order, indexed by :meth:`position`.
+    """
 
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
+    def __init__(self, scenarios: Sequence[Scenario]):
+        ss = self.scenarios = tuple(scenarios)
+        spectra([s.observable_B for s in ss if s.observable_B is not None])
+        if len({_signature(s) for s in ss}) != 1:
+            raise ValueError("a context needs one or more scenarios of one signature")
+        self._positions = {id(s): i for i, s in enumerate(ss)}
+        self._rho = np.stack([s.state.matrix for s in ss])
+        self._a = np.stack([s.observable_A.matrix for s in ss])
+        self._pom = np.stack([s.apparatus.pom_stack for s in ss])
+        self._values_m = [value_row(s.apparatus, s.values_m) for s in ss]
+
+    def position(self, scenario: Scenario) -> int:
+        """The member index of ``scenario``, which must be one of the block's objects."""
+        try:
+            return self._positions[id(scenario)]
+        except KeyError:
+            raise ValueError("scenario is not a member of this context") from None
 
     @cached_property
-    def digest(self) -> str:
-        return self.scenario.digest()
+    def digest(self) -> list[str]:
+        return [s.digest() for s in self.scenarios]
 
     @cached_property
-    def sigma_A(self) -> float:
-        _, var = expectation_and_variance(self.scenario.observable_A, self.scenario.state)
-        return math.sqrt(var)
-
-    @cached_property
-    def sigma_B(self) -> float:
-        _, var = expectation_and_variance(self._obs_b, self.scenario.state)
-        return math.sqrt(var)
-
-    @property
-    def _obs_b(self):
-        if self.scenario.observable_B is None:
+    def _b(self) -> np.ndarray:
+        if self.scenarios[0].observable_B is None:
             raise MissingIngredient("relation requires observable_B")
-        return self.scenario.observable_B
+        return np.stack([s.observable_B.matrix for s in self.scenarios])
 
     @cached_property
-    def c_ab(self) -> float:
-        return commutator_bound(self.scenario.observable_A, self._obs_b, self.scenario.state)
-
-    @cached_property
-    def covariance(self) -> float:
-        s = self.scenario
-        mean_a = expectation(s.observable_A, s.state)
-        mean_b = expectation(self._obs_b, s.state)
-        return expectation(jordan_product(s.observable_A, self._obs_b), s.state) - mean_a * mean_b
-
-    @cached_property
-    def effective_A(self) -> HermitianOperator:
-        """A_e[m], built once for ε² and for the unbiasedness decision."""
-        return self.scenario.apparatus.effective_observable(self.scenario.values_m)
-
-    @cached_property
-    def epsilon(self) -> NoiseReport:
-        s = self.scenario
-        return epsilon_sq_system(s.apparatus, s.values_m, s.observable_A, s.state, a_e=self.effective_A)
-
-    @cached_property
-    def unbiased(self) -> bool:
-        return is_unbiased(self.effective_A, self.scenario.observable_A)
-
-    @cached_property
-    def eta(self) -> NoiseReport:
-        s = self.scenario
-        return eta_sq_system(s.apparatus, self._obs_b, s.state)
-
-    @property
-    def eps_A(self) -> float:
-        return math.sqrt(self.epsilon.mean_squared)
-
-    @cached_property
-    def eps_B(self) -> float:
-        s = self.scenario
-        if s.values_mB is None:
+    def _values_mB(self) -> list[list[float]]:
+        if self.scenarios[0].values_mB is None:
             raise MissingIngredient("relation requires a second value assignment values_mB")
-        return math.sqrt(epsilon_sq_system(s.apparatus, s.values_mB, self._obs_b, s.state).mean_squared)
+        return [value_row(s.apparatus, s.values_mB) for s in self.scenarios]
 
-    @property
-    def eta_B(self) -> float:
-        return math.sqrt(self.eta.mean_squared)
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Means and variances of A and B, ``(N, 2)`` each."""
+        return expectation_and_variance(np.stack([self._a, self._b], axis=1), self._rho[:, None])
+
+    @cached_property
+    def sigma(self) -> list[list[float]]:
+        """(σ_A, σ_B) of every member."""
+        return np.sqrt(self._moments[1]).tolist()
+
+    @cached_property
+    def c_ab(self) -> list[float]:
+        return commutator_bound(self._a, self._b, self._rho).tolist()
+
+    @cached_property
+    def covariance(self) -> list[float]:
+        mean = self._moments[0]
+        return (expectation(jordan_product(self._a, self._b), self._rho) - mean[:, 0] * mean[:, 1]).tolist()
+
+    @cached_property
+    def effective_A(self) -> np.ndarray:
+        """A_e[m] of every member, built once for ε² and for the unbiasedness decision."""
+        return effective_observables(self._pom, self._values_m)
+
+    @cached_property
+    def epsilon(self) -> list[NoiseReport]:
+        return epsilon_sq_stack(self._pom, self._values_m, self._a, self._rho, a_e=self.effective_A)
+
+    @cached_property
+    def unbiased(self) -> list[bool]:
+        return is_unbiased(self.effective_A, self._a)
+
+    @cached_property
+    def eta(self) -> list[NoiseReport]:
+        kraus = np.stack([s.apparatus.kraus_stack for s in self.scenarios])
+        return eta_sq_stack(kraus, self.scenarios[0].apparatus.kraus_present, self._b, self._rho)
+
+    @cached_property
+    def eps_A(self) -> list[float]:
+        return [math.sqrt(r.mean_squared) for r in self.epsilon]
+
+    @cached_property
+    def eps_B(self) -> list[float]:
+        reports = epsilon_sq_stack(self._pom, self._values_mB, self._b, self._rho)
+        return [math.sqrt(r.mean_squared) for r in reports]
+
+    @cached_property
+    def eta_B(self) -> list[float]:
+        return [math.sqrt(r.mean_squared) for r in self.eta]
 
     @cached_property
     def outcome_probs(self) -> np.ndarray:
-        return self.scenario.apparatus.outcome_probabilities(self.scenario.state)
-
-    def sigma_est(self, values: dict[str, float]) -> float:
-        """Spread of the assigned values in the recorded data stream."""
-        m = np.array([values[label] for label in self.scenario.apparatus.labels])
-        return math.sqrt(value_variance(m, self.outcome_probs))
+        """Tr(P_k rho) of every member, ``(N, n_outcomes)`` in declared outcome order."""
+        return expectation(self._pom, self._rho[:, None])
 
     @cached_property
-    def kernels(self) -> dict[str, OutcomeKernel]:
-        """One single-outcome kernel per live outcome, for A and, if present, B:
-        ε_A,k, ε_B,k, η_B,k, C_AB,k and the restricted (k, b') quantities."""
-        s = self.scenario
-        return outcome_kernels(s.apparatus, s.observable_A, s.observable_B)
+    def sigma_est(self) -> list[list[float]]:
+        """Spread of the values m_k and of m_k^B in the recorded data stream, per member."""
+        values = np.stack([self._values_m, self._values_mB], axis=1)
+        return np.sqrt(value_variance(values, self.outcome_probs[:, None])).tolist()
+
+    @cached_property
+    def kernels(self) -> list[dict[str, OutcomeKernel]]:
+        """One single-outcome kernel per live outcome of every member, for A and, if
+        present, B: ε_A,k, ε_B,k, η_B,k, C_AB,k and the restricted (k, b') quantities."""
+        ss = self.scenarios
+        b = None if ss[0].observable_B is None else [s.observable_B for s in ss]
+        return outcome_kernels([s.apparatus for s in ss], [s.observable_A for s in ss], b)
 
 
-def _branciard(eps_a: float, eps_b: float, ctx: ScenarioContext) -> tuple[float, float]:
-    radicand = ctx.sigma_A**2 * ctx.sigma_B**2 - ctx.c_ab**2
+def _branciard(eps_a: float, eps_b: float, sigma_a: float, sigma_b: float, c_ab: float) -> tuple[float, float]:
+    radicand = sigma_a**2 * sigma_b**2 - c_ab**2
     if radicand < ROUNDOFF_FLOOR:
         raise NegativeRadicand(f"sigma_A^2 sigma_B^2 - C^2 = {radicand:.3e}")
     root = math.sqrt(max(radicand, 0.0))
-    lhs = eps_a**2 * ctx.sigma_B**2 + ctx.sigma_A**2 * eps_b**2 + 2 * eps_a * eps_b * root
-    return lhs, ctx.c_ab**2
+    lhs = eps_a**2 * sigma_b**2 + sigma_a**2 * eps_b**2 + 2 * eps_a * eps_b * root
+    return lhs, c_ab**2
 
 
 def evaluate(relation_id: str, scenario: Scenario, ctx: ScenarioContext | None = None) -> InequalityRecord:
-    """Evaluate one relation on a scenario, returning lhs/rhs and margin."""
+    """Evaluate one relation on a scenario, returning lhs/rhs and margin.  ``ctx`` is
+    the context of a block that holds ``scenario``; without it, a block of one."""
+    if relation_id not in RELATION_IDS:
+        raise ValueError(f"unknown relation {relation_id!r}")
     if ctx is None:
-        ctx = ScenarioContext(scenario)
-    digest = ctx.digest
-    s = scenario
-
+        ctx = ScenarioContext([scenario])
+    i = ctx.position(scenario)
+    if relation_id.startswith("hofmann"):
+        return _evaluate_hofmann(relation_id, scenario, ctx, i)
+    (sigma_a, sigma_b), c_ab = ctx.sigma[i], ctx.c_ab[i]
     if relation_id == "heisenberg":
-        return InequalityRecord("heisenberg", ctx.sigma_A * ctx.sigma_B, ctx.c_ab, digest)
-    if relation_id == "schrodinger":
-        lhs = ctx.sigma_A**2 * ctx.sigma_B**2
-        rhs = ctx.covariance**2 + ctx.c_ab**2
-        return InequalityRecord("schrodinger", lhs, rhs, digest)
-    if relation_id == "ozawa":
-        lhs = ctx.eps_A * ctx.eta_B + ctx.eps_A * ctx.sigma_B + ctx.sigma_A * ctx.eta_B
-        return InequalityRecord("ozawa", lhs, ctx.c_ab, digest)
-    if relation_id == "hall":
-        lhs = ctx.eps_A * ctx.eps_B + ctx.eps_A * ctx.sigma_B + ctx.sigma_A * ctx.eps_B
-        return InequalityRecord("hall", lhs, ctx.c_ab, digest)
-    if relation_id == "weston":
-        if s.values_mB is None:
-            raise MissingIngredient("weston requires values_mB")
-        est_a = ctx.sigma_est(dict(s.values_m))
-        est_b = ctx.sigma_est(dict(s.values_mB))
-        lhs = (
-            ctx.eps_A * (ctx.sigma_B + est_b) / 2
-            + ctx.eps_B * (ctx.sigma_A + est_a) / 2
-        )
-        return InequalityRecord("weston", lhs, ctx.c_ab, digest)
-    if relation_id == "branciard_ee":
-        lhs, rhs = _branciard(ctx.eps_A, ctx.eps_B, ctx)
-        return InequalityRecord("branciard_ee", lhs, rhs, digest)
-    if relation_id == "branciard_ed":
-        lhs, rhs = _branciard(ctx.eps_A, ctx.eta_B, ctx)
-        return InequalityRecord("branciard_ed", lhs, rhs, digest)
-    if relation_id in ("hofmann1", "hofmann2", "hofmann3"):
-        return _evaluate_hofmann(relation_id, ctx)
-    raise ValueError(f"unknown relation {relation_id!r}")
+        lhs, rhs = sigma_a * sigma_b, c_ab
+    elif relation_id == "schrodinger":
+        lhs, rhs = sigma_a**2 * sigma_b**2, ctx.covariance[i] ** 2 + c_ab**2
+    elif relation_id == "ozawa":
+        eps_a, eta_b = ctx.eps_A[i], ctx.eta_B[i]
+        lhs, rhs = eps_a * eta_b + eps_a * sigma_b + sigma_a * eta_b, c_ab
+    elif relation_id == "hall":
+        eps_a, eps_b = ctx.eps_A[i], ctx.eps_B[i]
+        lhs, rhs = eps_a * eps_b + eps_a * sigma_b + sigma_a * eps_b, c_ab
+    elif relation_id == "weston":
+        (est_a, est_b), eps_a, eps_b = ctx.sigma_est[i], ctx.eps_A[i], ctx.eps_B[i]
+        lhs, rhs = eps_a * (sigma_b + est_b) / 2 + eps_b * (sigma_a + est_a) / 2, c_ab
+    else:
+        eps_b = ctx.eps_B[i] if relation_id == "branciard_ee" else ctx.eta_B[i]
+        lhs, rhs = _branciard(ctx.eps_A[i], eps_b, sigma_a, sigma_b, c_ab)
+    return InequalityRecord(relation_id, lhs, rhs, ctx.digest[i])
 
 
-def _evaluate_hofmann(relation_id: str, ctx: ScenarioContext) -> InequalityRecord:
-    posteriors = spectral_decompose(ctx._obs_b).labels("b'")
+def _evaluate_hofmann(relation_id: str, scenario: Scenario, ctx: ScenarioContext, i: int) -> InequalityRecord:
+    if scenario.observable_B is None:
+        raise MissingIngredient("relation requires observable_B")
+    posteriors = spectral_decompose(scenario.observable_B).labels("b'")
     subs: list[SubRecord] = []
-    for label, kern in ctx.kernels.items():
+    for label, kern in ctx.kernels[i].items():
         if relation_id == "hofmann2":
             for posterior, rm in zip(posteriors, kern.restricted):
                 if rm is not None:
@@ -234,13 +268,13 @@ def _evaluate_hofmann(relation_id: str, ctx: ScenarioContext) -> InequalityRecor
     if not subs:
         raise MissingIngredient(f"{relation_id}: no live outcomes to evaluate")
     worst = min(subs, key=lambda r: r.margin)
-    return InequalityRecord(relation_id, worst.lhs, worst.rhs, ctx.digest, tuple(subs))
+    return InequalityRecord(relation_id, worst.lhs, worst.rhs, ctx.digest[i], tuple(subs))
 
 
 def evaluate_all(scenario: Scenario, ctx: ScenarioContext | None = None) -> dict[str, InequalityRecord]:
     """Evaluate every applicable relation; relations lacking ingredients are skipped."""
     if ctx is None:
-        ctx = ScenarioContext(scenario)
+        ctx = ScenarioContext([scenario])
     records = {}
     for rid in RELATION_IDS:
         try:
@@ -248,6 +282,34 @@ def evaluate_all(scenario: Scenario, ctx: ScenarioContext | None = None) -> dict
         except MissingIngredient:
             continue
     return records
+
+
+def _in_blocks(scenarios: Iterable[Scenario]) -> Iterator[tuple[Scenario, ScenarioContext]]:
+    """Each scenario with the context of its block, in the order given.  Scenarios are
+    read in windows of one dimension and at most ``_BLOCK_ENTRIES`` entries, a member
+    counting n_outcomes * max(L_max, d) * d^2."""
+    window: list[Scenario] = []
+    entries = 0
+    for s in scenarios:
+        n, n_kraus, d, _ = s.apparatus.kraus_stack.shape
+        size = n * max(n_kraus, d) * d * d
+        if window and (s.dimension != window[0].dimension or entries + size > _BLOCK_ENTRIES):
+            yield from _blocks_of(window)
+            window, entries = [], 0
+        window.append(s)
+        entries += size
+    if window:
+        yield from _blocks_of(window)
+
+
+def _blocks_of(window: list[Scenario]) -> list[tuple[Scenario, ScenarioContext]]:
+    """The members of a window with their contexts: those that share a signature form one block."""
+    spectra([s.observable_B for s in window if s.observable_B is not None])
+    blocks: dict[tuple, list[Scenario]] = {}
+    for s in window:
+        blocks.setdefault(_signature(s), []).append(s)
+    context_of = {id(s): ctx for ctx in map(ScenarioContext, blocks.values()) for s in ctx.scenarios}
+    return [(s, context_of[id(s)]) for s in window]
 
 
 @dataclass(frozen=True)
@@ -266,14 +328,13 @@ def random_sweep(dims, count: int, seed: int, n_outcomes: int = 4) -> SweepResul
         raise ValueError(f"count must be >= 1, got {count}")
     records: list[InequalityRecord] = []
     min_margins: dict[str, float] = {}
-    for dim in dims:
-        for i in range(count):
-            scenario = generate_random(dim, n_outcomes, subseed(seed, (dim, i)))
-            for rid, rec in evaluate_all(scenario).items():
-                records.append(rec)
-                cur = min_margins.get(rid)
-                if cur is None or rec.margin < cur:
-                    min_margins[rid] = rec.margin
+    scenarios = (generate_random(dim, n_outcomes, subseed(seed, (dim, i))) for dim in dims for i in range(count))
+    for scenario, ctx in _in_blocks(scenarios):
+        for rid, rec in evaluate_all(scenario, ctx).items():
+            records.append(rec)
+            cur = min_margins.get(rid)
+            if cur is None or rec.margin < cur:
+                min_margins[rid] = rec.margin
     return SweepResult(tuple(records), min_margins)
 
 
@@ -295,23 +356,16 @@ def heisenberg_form_violation_search(dims, count: int, seed: int, n_outcomes: in
     of one Pauli axis, disturbance probed along another), which violates the
     naive form by construction while the Ozawa relation still holds.
     """
-    candidates: list[Scenario] = []
-    if 2 in list(dims):
-        candidates.append(_projective_violation_scenario())
-    for dim in dims:
-        for i in range(count):
-            candidates.append(generate_random(dim, n_outcomes, subseed(seed, (dim, i))))
-
+    candidates = [_projective_violation_scenario()] if 2 in list(dims) else []
+    candidates += [generate_random(dim, n_outcomes, subseed(seed, (dim, i))) for dim in dims for i in range(count)]
     best: ViolationSearchResult | None = None
-    for scenario in candidates:
-        if scenario.observable_B is None:
-            continue
-        ctx = ScenarioContext(scenario)
-        product = ctx.eps_A * ctx.eta_B
-        margin = product - ctx.c_ab
+    for scenario, ctx in _in_blocks(s for s in candidates if s.observable_B is not None):
+        i = ctx.position(scenario)
+        product = ctx.eps_A[i] * ctx.eta_B[i]
+        margin = product - ctx.c_ab[i]
         if best is None or margin < best.margin:
             ozawa = evaluate("ozawa", scenario, ctx)
-            best = ViolationSearchResult(product, ctx.c_ab, margin, scenario, ozawa.margin)
+            best = ViolationSearchResult(product, ctx.c_ab[i], margin, scenario, ozawa.margin)
     if best is None:
         raise MissingIngredient("no candidate scenario had observable_B")
     return best

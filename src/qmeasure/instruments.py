@@ -38,7 +38,7 @@ from .tolerances import CV_RESIDUAL_TOL, IDENTITY_TOL, POM_PSD_FLOOR, ZERO_WEIGH
 ValueAssignment = Mapping[str, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """Kraus operators belonging to one outcome label."""
 
@@ -61,7 +61,7 @@ class KrausSet:
         return self.operators[0].shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndirectModel:
     """Explicit system-detector model: U acting on rho_S ⊗ rho_D, read in a basis."""
 
@@ -105,7 +105,7 @@ class IndirectModel:
         return sum(float(values[label]) * np.outer(vec, vec.conj()) for label, vec in pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instrument:
     """Validated family of Kraus sets, one per outcome label.
 
@@ -139,7 +139,7 @@ class Instrument:
         present.setflags(write=False)
         object.__setattr__(self, "kraus_stack", kraus)
         object.__setattr__(self, "kraus_present", present)
-        pom = self.kraus_sum(lambda m, mh: mh @ m)
+        pom = kraus_sum(kraus, present, lambda m, mh: mh @ m)
         defect = max_norm(sum(pom) - np.eye(self.dim))
         if defect > IDENTITY_TOL:
             raise CompletenessViolation(
@@ -225,8 +225,7 @@ class Instrument:
     def retrodicted_stack(self) -> np.ndarray:
         """P_k / Tr P_k of the live outcomes, in ``live_labels`` order: the states
         inferred backward from each outcome under a uniform prior, gated together."""
-        live = self.live_mask
-        return validated_states(hermitian_part(self.pom_stack[live] / self.pom_traces[live][:, None, None]))
+        return retrodicted_states(self.pom_stack, self.pom_traces, self.live_mask)
 
     def retrodicted_state(self, label: str) -> np.ndarray:
         """The row of ``retrodicted_stack`` of one live outcome."""
@@ -238,25 +237,9 @@ class Instrument:
         rm = np.asarray(rho)
         return expectation(self.pom_stack, rm[..., None, :, :] if rm.ndim > 2 else rm)
 
-    def kraus_sum(self, term, ndim: int = 2) -> np.ndarray:
-        """sum_l term(M, M†) of every outcome, ``(n_outcomes, ...)``, in l order; M
-        broadcasts against ``ndim``-axis operands, and absent slots are skipped."""
-        lead = (slice(None),) + (None,) * (ndim - 2)
-        adjoint = self.kraus_stack.conj().swapaxes(-1, -2)
-        total = 0
-        for l, present in enumerate(self.kraus_present.T):
-            t = term(self.kraus_stack[:, l][lead], adjoint[:, l][lead])
-            total = np.where(present.reshape((-1,) + (1,) * (t.ndim - 1)), total + t, total)
-        return total
-
     def _channel(self, x, dual: bool = False) -> np.ndarray:
-        """A_k(x) = sum_l M x M† (``dual``: A*_k(x) = sum_l M† x M) of every outcome,
-        ``(n_outcomes, ..., d, d)`` for a matrix or stack ``x``, gated once."""
-        xm = np.asarray(x)
-        if xm.shape[-2:] != (self.dim, self.dim):
-            raise DimensionMismatch(f"operand shape {xm.shape} does not end in ({self.dim}, {self.dim})")
-        sandwich = (lambda m, mh: (mh @ xm) @ m) if dual else (lambda m, mh: (m @ xm) @ mh)
-        return hermitian_part(self.kraus_sum(sandwich, xm.ndim))
+        """:func:`channel` of this instrument, ``(n_outcomes, ..., d, d)``."""
+        return channel(self.kraus_stack[None], self.kraus_present, np.asarray(x)[None], dual)[0]
 
     def apply_selective(self, label: str, rho) -> np.ndarray:
         """Unnormalized post-measurement operator A_k(rho) = sum_l M rho M† of one outcome."""
@@ -277,10 +260,7 @@ class Instrument:
 
     def effective_observable(self, values: ValueAssignment) -> HermitianOperator:
         """Observable sum_k m_k P_k actually estimated by the apparatus."""
-        missing = [label for label in self.labels if label not in values]
-        if missing:
-            raise MissingLabel(f"no value assigned to outcome {missing[0]!r}")
-        return HermitianOperator(sum(float(values[label]) * p for label, p in zip(self.labels, self.pom_stack)))
+        return HermitianOperator(effective_observables(self.pom_stack[None], [value_row(self, values)])[0])
 
     def contextual_values(self, target: HermitianOperator) -> dict[str, float]:
         """Minimum-norm values solving sum_k m_k P_k = target, keyed by label."""
@@ -303,6 +283,51 @@ class Instrument:
 def squared_values(values: ValueAssignment) -> dict[str, float]:
     """The pointwise-squared spectrum {label: m_k^2}."""
     return {label: float(v) ** 2 for label, v in values.items()}
+
+
+def value_row(inst: Instrument, values: ValueAssignment) -> list[float]:
+    """The values m_k of an assignment as floats, in the instrument's outcome order."""
+    missing = [label for label in inst.labels if label not in values]
+    if missing:
+        raise MissingLabel(f"no value assigned to outcome {missing[0]!r}")
+    return [float(values[label]) for label in inst.labels]
+
+
+def kraus_sum(kraus: np.ndarray, present: np.ndarray, term, ndim: int = 2) -> np.ndarray:
+    """sum_l term(M, M†) over the Kraus stacks ``(..., n_outcomes, L_max, d, d)`` of one
+    mask ``present``, in l order, skipping absent slots; M broadcasts against
+    ``ndim``-axis operands."""
+    adjoint = kraus.conj().swapaxes(-1, -2)
+    expand = kraus.shape[:-3] + (1,) * (ndim - 2) + kraus.shape[-2:]
+    total = 0
+    for l, live in enumerate(present.T):
+        t = term(kraus[..., l, :, :].reshape(expand), adjoint[..., l, :, :].reshape(expand))
+        total = np.where(live.reshape((-1,) + (1,) * ndim), total + t, total)
+    return total
+
+
+def channel(kraus: np.ndarray, present: np.ndarray, x, dual: bool = False) -> np.ndarray:
+    """A_k(x) = sum_l M x M† (``dual``: A*_k(x) = sum_l M† x M) of every outcome of N
+    instruments ``(N, n_outcomes, L_max, d, d)``, one per operand ``(N, ..., d, d)``."""
+    xm = np.asarray(x)
+    d = kraus.shape[-1]
+    if xm.shape[-2:] != (d, d):
+        raise DimensionMismatch(f"operand shape {xm.shape[1:]} does not end in ({d}, {d})")
+    xo = xm[:, None]
+    sandwich = (lambda m, mh: (mh @ xo) @ m) if dual else (lambda m, mh: (m @ xo) @ mh)
+    return hermitian_part(kraus_sum(kraus, present, sandwich, xm.ndim - 1))
+
+
+def effective_observables(pom: np.ndarray, values) -> np.ndarray:
+    """sum_k m_k P_k in declared outcome order of N POM stacks ``(N, n_outcomes, d, d)``,
+    each with its row of ``values`` ``(N, n_outcomes)``."""
+    m = np.asarray(values, dtype=float)
+    return hermitian_part(sum(m[:, k, None, None] * pom[:, k] for k in range(pom.shape[1])))
+
+
+def retrodicted_states(pom: np.ndarray, traces: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """P_k / Tr P_k of the live outcomes of POM stacks ``(..., n_outcomes, d, d)``."""
+    return validated_states(hermitian_part(pom[..., live, :, :] / traces[..., live, None, None]))
 
 
 def solve_contextual_values(pom, target: HermitianOperator) -> np.ndarray:

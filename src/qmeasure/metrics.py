@@ -5,7 +5,8 @@ The same quantities are computable in the joint system-detector picture
 the instrument alone); the two must agree to ``CROSS_CHECK_TOL``, which the
 test suite exercises as a cross-picture oracle.  In the system picture, ε²
 and η² are one formula, <X_sq + A^2 - 2 X * A> with X = A_e[m] or B', and
-every trace is ``operators.expectation``.
+every trace is ``operators.expectation``; both are computed on stacks of N
+estimations, and the per-scenario functions are stacks of one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BiasedInstrument
-from .instruments import IndirectModel, Instrument, ValueAssignment, squared_values
+from .instruments import IndirectModel, Instrument, ValueAssignment, channel, effective_observables, kraus_sum
+from .instruments import value_row
 from .operators import (
     DensityOperator,
     HermitianOperator,
@@ -27,6 +29,7 @@ from .operators import (
     max_norm,
     spectral_decompose,
     tensor_product,
+    validated_states,
 )
 from .tolerances import CV_RESIDUAL_TOL, IDENTITY_TOL, SECOND_MOMENT_FLOOR
 
@@ -50,35 +53,42 @@ def delta_A(
     inst: Instrument, values: ValueAssignment, a: HermitianOperator, rho: DensityOperator
 ) -> float:
     """Mean bias Tr[(A_e[m] - A) rho] of the estimation."""
-    return expectation(inst.effective_observable(values).matrix - a.matrix, rho)
+    return epsilon_sq_system(inst, values, a, rho).delta
 
 
-def _noise_report(delta: float, x, x_sq, a, a_sq, rho) -> NoiseReport:
-    """<X_sq + A^2 - 2 X * A> with its three components, in the system picture:
-    the squared noise with X = A_e[m], the squared disturbance with X = B'."""
-    first, second, half_cross = expectation(np.array([x_sq, a_sq, jordan_product(x, a)]), rho).tolist()
+def _noise_reports(delta, x, x_sq, a, a_sq, rho) -> list[NoiseReport]:
+    """<X_sq + A^2 - 2 X * A> with its three components, in the system picture, of each
+    member of stacks ``(N, d, d)``: the squared noise with X = A_e[m], the squared
+    disturbance with X = B'."""
+    parts = expectation(np.stack([x_sq, a_sq, jordan_product(x, a)], axis=1), rho[:, None])
+    first, second, half_cross = parts.T
     cross = 2 * half_cross
     value = clip_at_floor(first + second - cross, SECOND_MOMENT_FLOOR, "second moment")
-    return NoiseReport(delta=delta, mean_squared=value, picture="system", components=(first, second, cross))
+    rows = zip(*(np.asarray(col).tolist() for col in (delta, value, first, second, cross)))
+    return [NoiseReport(dl, v, "system", (f, s, c)) for dl, v, f, s, c in rows]
 
 
-def epsilon_sq_system(
-    inst: Instrument,
-    values: ValueAssignment,
-    a: HermitianOperator,
-    rho: DensityOperator,
-    a_e: HermitianOperator | None = None,
-) -> NoiseReport:
-    """Squared noise <A_e[m^2] + A^2 - 2 A_e[m] * A> in the system picture.
+def epsilon_sq_stack(pom, values, a, rho, a_e=None) -> list[NoiseReport]:
+    """Squared noise <A_e[m^2] + A^2 - 2 A_e[m] * A> in the system picture of N
+    estimations: POM stacks ``(N, n_outcomes, d, d)``, value rows (N lists of floats in
+    outcome order), and A and rho ``(N, d, d)``.
 
     The first term uses the squared spectrum per outcome, which differs
     from A_e[m]^2 whenever the POM is not projective.  ``a_e`` is A_e[m]
     when the caller has already built it.
     """
-    am = np.asarray(a)
-    a_e = np.asarray(inst.effective_observable(values) if a_e is None else a_e)
-    a_e_sq = inst.effective_observable(squared_values(values)).matrix
-    return _noise_report(expectation(a_e - am, rho), a_e, a_e_sq, am, hermitian_part(am @ am), rho)
+    a_e = effective_observables(pom, values) if a_e is None else a_e
+    # m_k^2 as float powers, as ``squared_values`` takes them.
+    a_e_sq = effective_observables(pom, [[m**2 for m in row] for row in values])
+    return _noise_reports(expectation(a_e - a, rho), a_e, a_e_sq, a, hermitian_part(a @ a), rho)
+
+
+def epsilon_sq_system(
+    inst: Instrument, values: ValueAssignment, a: HermitianOperator, rho: DensityOperator
+) -> NoiseReport:
+    """Squared noise of one estimation: :func:`epsilon_sq_stack` on a stack of one."""
+    am, rm = np.asarray(a)[None], np.asarray(rho)[None]
+    return epsilon_sq_stack(inst.pom_stack[None], [value_row(inst, values)], am, rm)[0]
 
 
 def epsilon_sq_joint(
@@ -115,16 +125,23 @@ def three_state_cross_term(
 
 def delta_B(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> float:
     """Mean shift Tr[B (rho' - rho)] caused by the nonselective measurement."""
-    rho_after = DensityOperator(inst.apply_nonselective(rho))
-    return expectation(b, rho_after.matrix - rho.matrix)
+    return eta_sq_system(inst, b, rho).delta
+
+
+def eta_sq_stack(kraus, present, b, rho) -> list[NoiseReport]:
+    """Squared disturbance <(B^2)' + B^2 - 2 B' * B> in the system picture of N
+    instruments ``(N, n_outcomes, L_max, d, d)`` of one Kraus mask ``present``, with B
+    and rho ``(N, d, d)``; the mean shift is taken against the gated state after."""
+    b_sq = hermitian_part(b @ b)
+    primed = channel(kraus, present, np.stack([b, b_sq], axis=1), dual=True).swapaxes(0, 1)
+    b_prime, b_sq_prime = hermitian_part(sum(primed)).swapaxes(0, 1)
+    rho_after = validated_states(hermitian_part(sum(channel(kraus, present, rho).swapaxes(0, 1))))
+    return _noise_reports(expectation(b, rho_after - rho), b_prime, b_sq_prime, b, b_sq, rho)
 
 
 def eta_sq_system(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> NoiseReport:
-    """Squared disturbance <(B^2)' + B^2 - 2 B' * B> in the system picture."""
-    bm = np.asarray(b)
-    b_sq = hermitian_part(bm @ bm)
-    b_prime, b_sq_prime = inst.adjoint_nonselective(np.array([bm, b_sq]))
-    return _noise_report(delta_B(inst, b, rho), b_prime, b_sq_prime, bm, b_sq, rho)
+    """Squared disturbance of one instrument: :func:`eta_sq_stack` on a stack of one."""
+    return eta_sq_stack(inst.kraus_stack[None], inst.kraus_present, np.asarray(b)[None], np.asarray(rho)[None])[0]
 
 
 def eta_sq_joint(model: IndirectModel, b: HermitianOperator, rho_s: DensityOperator) -> float:
@@ -141,7 +158,8 @@ def lindblad_perturbation(inst: Instrument, b: np.ndarray) -> np.ndarray:
     """Perturbation L_k(B) = -sum_l (M† [M, B] - [M†, B] M)/2 of every outcome,
     ``(n_outcomes, ..., d, d)``; ``b`` may be a stack.  This Lindblad form stays apart
     from the instrument's channel maps: it is the independent form eta^2 is checked against."""
-    return inst.kraus_sum(lambda m, md: -(md @ (m @ b - b @ m) - (md @ b - b @ md) @ m) / 2, b.ndim)
+    term = lambda m, md: -(md @ (m @ b - b @ m) - (md @ b - b @ md) @ m) / 2
+    return kraus_sum(inst.kraus_stack, inst.kraus_present, term, b.ndim)
 
 
 def lindblad_decomposition(inst: Instrument, label: str, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -161,9 +179,11 @@ def eta_sq_lindblad(inst: Instrument, b: HermitianOperator, rho: DensityOperator
     return clip_at_floor(total, SECOND_MOMENT_FLOOR, "second moment")
 
 
-def is_unbiased(a_e: HermitianOperator, a: HermitianOperator) -> bool:
-    """True iff the estimated observable A_e[m] equals A as operators (to CV_RESIDUAL_TOL)."""
-    return max_norm(np.asarray(a_e) - np.asarray(a)) <= CV_RESIDUAL_TOL
+def is_unbiased(a_e, a):
+    """True iff the estimated observable A_e[m] equals A as operators (to CV_RESIDUAL_TOL);
+    for stacks ``(..., d, d)``, a list of bools."""
+    ok = np.abs(np.asarray(a_e) - np.asarray(a)).max(axis=(-2, -1)) <= CV_RESIDUAL_TOL
+    return bool(ok) if ok.ndim == 0 else ok.tolist()
 
 
 def is_qnd(inst: Instrument, b: HermitianOperator) -> bool:

@@ -43,7 +43,7 @@ def max_norm(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A Hermitian matrix, symmetrized to (M + M†)/2 at construction.
 
@@ -66,31 +66,13 @@ class HermitianOperator:
     @cached_property
     def spectrum(self) -> "SpectralDecomposition":
         """Eigen-branches, merging eigenvalues closer than GROUP_TOL * (1 + |λ|)."""
-        try:
-            evals, evecs = np.linalg.eigh(self.matrix)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-            raise InternalNumericError(f"eigendecomposition failed: {exc}") from exc
-        order = np.argsort(evals)[::-1]
-        evals, evecs = evals[order], evecs[:, order]
-
-        branches: list[tuple[float, HermitianOperator]] = []
-        i = 0
-        n = len(evals)
-        while i < n:
-            j = i + 1
-            while j < n and abs(evals[j] - evals[i]) <= GROUP_TOL * (1 + abs(evals[i])):
-                j += 1
-            vecs = evecs[:, i:j]
-            proj = vecs @ vecs.conj().T
-            branches.append((float(np.mean(evals[i:j])), HermitianOperator(proj)))
-            i = j
-        return SpectralDecomposition(tuple(branches))
+        return spectra([self])[0]
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator(HermitianOperator):
     """A Hermitian operator that is also positive-semidefinite with unit trace,
     gated by :func:`validated_states`."""
@@ -117,7 +99,7 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def validated_states(m: np.ndarray) -> np.ndarray:
-    """The density-operator gate on a stack ``(n, d, d)`` of Hermitian matrices.
+    """The density-operator gate on a stack ``(..., d, d)`` of Hermitian matrices.
 
     An eigenvalue below EIGENVALUE_FLOOR or NaN, or a trace off 1 by more
     than TRACE_TOL, raises StateValidationError.  A matrix with eigenvalues in
@@ -143,35 +125,32 @@ def validated_states(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalue branches of a Hermitian operator with grouped projectors.
 
-    ``branches`` is ordered by descending eigenvalue; eigenvalues closer
-    than ``GROUP_TOL * (1 + |eigenvalue|)`` share one summed projector.
+    ``eigenvalues`` are in descending order; eigenvalues closer than
+    ``GROUP_TOL * (1 + |eigenvalue|)`` form one branch, valued at their mean,
+    whose summed projector is the matching row of the read-only stack
+    ``projector_stack`` ``(n_branches, d, d)``.
     """
 
-    branches: tuple[tuple[float, HermitianOperator], ...]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([ev for ev, _ in self.branches])
-
-    @property
-    def projectors(self) -> list[HermitianOperator]:
-        return [p for _, p in self.branches]
+    eigenvalues: np.ndarray
+    projector_stack: np.ndarray
 
     @cached_property
-    def projector_stack(self) -> np.ndarray:
-        """The projectors as one read-only stack ``(n_branches, d, d)``, in branch order."""
-        stack = np.array([p.matrix for p in self.projectors])
-        stack.setflags(write=False)
-        return stack
+    def projectors(self) -> tuple[HermitianOperator, ...]:
+        return tuple(HermitianOperator(p) for p in self.projector_stack)
+
+    @cached_property
+    def branches(self) -> tuple[tuple[float, HermitianOperator], ...]:
+        """(eigenvalue, projector) per branch, in branch order."""
+        return tuple(zip(self.eigenvalues.tolist(), self.projectors))
 
     def labels(self, prefix: str) -> tuple[str, ...]:
         """Branch labels ``prefix0``, ``prefix1``, ... in branch order: ``a`` for
         the branches of A, ``b`` for B before the measurement, ``b'`` after it."""
-        return tuple(f"{prefix}{i}" for i in range(len(self.branches)))
+        return tuple(f"{prefix}{i}" for i in range(len(self.eigenvalues)))
 
 
 def _operands(*xs) -> list[np.ndarray]:
@@ -219,17 +198,23 @@ def expectation(x, rho):
     return float(t) if t.ndim == 0 else np.ascontiguousarray(t)
 
 
-def expectation_and_variance(a: HermitianOperator, rho: DensityOperator) -> tuple[float, float]:
-    """Mean Tr(A rho) and variance Tr(A^2 rho) - mean^2; round-off down to ROUNDOFF_FLOOR reads 0."""
+def expectation_and_variance(a, rho):
+    """Mean Tr(A rho) and variance Tr(A^2 rho) - mean^2; round-off down to ROUNDOFF_FLOOR
+    reads 0.  Floats for two matrices, and arrays for broadcasting stacks ``(..., d, d)``."""
     am, rm = _operands(a, rho)
-    mean, second = expectation(np.array([am, am @ am]), rm).tolist()
-    return mean, clip_at_floor(second - mean * mean, ROUNDOFF_FLOOR, "variance")
+    mean, second = np.moveaxis(expectation(np.stack([am, am @ am], axis=-3), rm[..., None, :, :]), -1, 0)
+    var = clip_at_floor(second - mean * mean, ROUNDOFF_FLOOR, "variance")
+    return (float(mean), var) if mean.ndim == 0 else (mean, var)
 
 
-def value_variance(values: np.ndarray, probs: np.ndarray) -> float:
-    """Variance v²·p - (v·p)² of values v under weights p; round-off down to ROUNDOFF_FLOOR reads 0."""
-    var = float(values**2 @ probs - (values @ probs) ** 2)
-    return clip_at_floor(var, ROUNDOFF_FLOOR, "variance")
+def value_variance(values, probs):
+    """Variance v²·p - (v·p)² of values v under weights p along the last axis: a float
+    for vectors and an array for stacks; round-off down to ROUNDOFF_FLOOR reads 0."""
+    v, p = np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
+    second, mean = np.vecdot(v**2, p), np.vecdot(v, p)
+    # (v·p)² as a float power: it rounds unlike the array square in about one case in a thousand.
+    var = [s - m**2 for s, m in zip(np.ravel(second).tolist(), np.ravel(mean).tolist())]
+    return clip_at_floor(np.reshape(var, np.shape(mean)), ROUNDOFF_FLOOR, "variance")
 
 
 def clip_at_floor(value, floor: float, what: str):
@@ -256,6 +241,34 @@ def cross_check(what: str, **pair: float) -> None:
 def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
     """Eigen-branches of ``a``, computed once per operator and kept on it."""
     return a.spectrum
+
+
+def spectra(ops) -> list[SpectralDecomposition]:
+    """Eigen-branches of each of a sequence of operators of one dimension; those not
+    yet decomposed share one stacked ``eigh``, and each result is kept on its operator."""
+    todo = [op for op in ops if "spectrum" not in vars(op)]
+    if todo:
+        try:
+            evals, evecs = np.linalg.eigh(np.stack([op.matrix for op in todo]))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+            raise InternalNumericError(f"eigendecomposition failed: {exc}") from exc
+        order = np.argsort(evals, axis=-1)[:, ::-1]
+        evals, evecs = np.take_along_axis(evals, order, -1), np.take_along_axis(evecs, order[:, None, :], -1)
+        for op, w, v in zip(todo, evals, evecs):
+            values, projectors = [], []
+            i = 0
+            while i < len(w):
+                j = i + 1
+                while j < len(w) and abs(w[j] - w[i]) <= GROUP_TOL * (1 + abs(w[i])):
+                    j += 1
+                values.append(float(np.mean(w[i:j])))
+                projectors.append(v[:, i:j] @ v[:, i:j].conj().T)
+                i = j
+            values, stack = np.array(values), hermitian_part(np.array(projectors))
+            values.setflags(write=False)
+            stack.setflags(write=False)
+            vars(op)["spectrum"] = SpectralDecomposition(values, stack)
+    return [op.spectrum for op in ops]
 
 
 def tensor_product(x, y) -> np.ndarray:

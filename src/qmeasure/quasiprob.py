@@ -31,7 +31,7 @@ from .operators import (
 from .tolerances import CV_RESIDUAL_TOL, IDENTITY_TOL, MASS_TOL, ZERO_WEIGHT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiDistribution:
     """Real (possibly negative) table over two labelled index sets.
 

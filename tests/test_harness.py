@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmeasure import harness
+from qmeasure import harness, inequalities, instruments, metrics
 from qmeasure.errors import InternalNumericError
 from qmeasure.harness import (
     analyze,
@@ -108,8 +108,9 @@ class TestAnalyze:
         # decision shares, and once each for eps_B when values_mB is given.
         s = load_scenario(os.path.join(SCENARIO_DIR, name))
         calls = []
-        real = Instrument.effective_observable
-        monkeypatch.setattr(Instrument, "effective_observable", lambda self, v: calls.append(1) or real(self, v))
+        real = instruments.effective_observables
+        for module in (inequalities, metrics):
+            monkeypatch.setattr(module, "effective_observables", lambda pom, v: calls.append(1) or real(pom, v))
         analyze(s)
         assert len(calls) == (2 if s.values_mB is None else 4)
 

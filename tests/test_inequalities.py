@@ -7,6 +7,7 @@ from qmeasure.errors import InternalNumericError, MissingIngredient
 from qmeasure.inequalities import (
     RELATION_IDS,
     ScenarioContext,
+    _in_blocks,
     evaluate,
     evaluate_all,
     heisenberg_form_violation_search,
@@ -19,8 +20,18 @@ from qmeasure.operators import (
     DensityOperator,
     HermitianOperator,
 )
-from qmeasure.instruments import Instrument
-from qmeasure.scenario import Scenario, projective_instrument, theta_pom_instrument
+from qmeasure.instruments import Instrument, KrausSet
+from qmeasure.scenario import (
+    Scenario,
+    _rng,
+    generate_random,
+    projective_instrument,
+    random_density,
+    random_hermitian,
+    random_unitary,
+    subseed,
+    theta_pom_instrument,
+)
 
 THETA = np.pi / 3
 HOFMANN_SWEEP_SHA256 = "2e580f6938e16c470bd98fc3e167e787f00f5a27329df053468debee27333504"
@@ -69,13 +80,12 @@ class TestSingleRelations:
         assert rec.satisfied
 
     def test_naive_product_fails_where_ozawa_holds(self):
-        s = violation_scenario()
-        ctx = ScenarioContext(s)
-        assert ctx.eps_A * ctx.eta_B - ctx.c_ab == pytest.approx(-0.8, abs=1e-9)
+        ctx = ScenarioContext([violation_scenario()])
+        assert ctx.eps_A[0] * ctx.eta_B[0] - ctx.c_ab[0] == pytest.approx(-0.8, abs=1e-9)
 
     def test_schrodinger_tighter_than_heisenberg(self):
         s = theta_scenario(np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]]))
-        ctx = ScenarioContext(s)
+        ctx = ScenarioContext([s])
         h = evaluate("heisenberg", s, ctx)
         sch = evaluate("schrodinger", s, ctx)
         # lhs^2 - rhs for Schroedinger minus Heisenberg equals -covariance^2 <= 0.
@@ -114,12 +124,12 @@ class TestSingleRelations:
             evaluate("galois", theta_scenario(np.eye(2) / 2))
 
 
-    def test_negative_stream_variance_below_floor_raises(self, monkeypatch):
-        # p = (2, -1) with values (1, -1): variance 1 - 3^2 = -8.
-        monkeypatch.setattr(Instrument, "outcome_probabilities", lambda self, rho: np.array([2.0, -1.0]))
-        ctx = ScenarioContext(theta_scenario(np.eye(2) / 2))
+    def test_negative_stream_variance_below_floor_raises(self):
+        # p = (2, -1) with values (2, -2): variance 4 - 6^2 = -32.
+        ctx = ScenarioContext([theta_scenario(np.eye(2) / 2)])
+        ctx.outcome_probs = np.array([[2.0, -1.0]])
         with pytest.raises(InternalNumericError):
-            ctx.sigma_est({"+": 1.0, "-": -1.0})
+            ctx.sigma_est
 
 
 class TestEvaluateAll:
@@ -180,3 +190,58 @@ class TestViolationSearch:
         result = heisenberg_form_violation_search([2], 20, 99)
         assert result.margin <= -0.8 + 1e-9
         assert result.ozawa_margin >= -1e-9
+
+
+def _rows(records) -> list[str]:
+    return [repr((r.relation_id, r.lhs, r.rhs, r.inputs_digest, r.sub_records)) for r in records]
+
+
+def _special_d3(kind: int) -> Scenario:
+    """d = 3 scenarios that share no block signature: outcomes with 1, 2 and 3
+    Kraus operators (kind 0), a null outcome (kind 1), a B with a grouped
+    eigenvalue (kind 2)."""
+    rng = _rng((61, kind))
+    state, a, b = random_density(3, rng), random_hermitian(3, rng), random_hermitian(3, rng)
+    isometry = random_unitary(18, rng)[:, :3]
+    m = [isometry[3 * i : 3 * i + 3] for i in range(6)]
+    if kind == 0:
+        sets = [KrausSet("one", (m[0],)), KrausSet("two", tuple(m[1:3])), KrausSet("three", tuple(m[3:]))]
+    else:
+        isometry = random_unitary(9, rng)[:, :3]
+        m = [isometry[3 * i : 3 * i + 3] for i in range(3)]
+        sets = [KrausSet(str(k), (mk,)) for k, mk in enumerate(m)]
+    if kind == 1:
+        sets.insert(1, KrausSet("null", (1e-8 * np.eye(3, dtype=complex),)))
+    if kind == 2:
+        u = random_unitary(3, rng)
+        b = HermitianOperator(u @ np.diag([1.0, 1.0, -0.5]) @ u.conj().T)
+    inst = Instrument.from_kraus(sets)
+    values = {ks.label: float(i) for i, ks in enumerate(sets)}
+    return Scenario(3, state, a, inst, values, observable_B=b, values_mB=values)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("dim, short, long", [(2, 3, 7), (3, 3, 7), (8, 34, 40)])
+    def test_a_longer_sweep_keeps_the_records_of_a_shorter_one(self, dim, short, long):
+        # The sweeps stack different numbers of members per block; at d = 8 the
+        # block holds 32 scenarios, so scenarios 32 and 33 sit in blocks of 2 and 8.
+        a, b = random_sweep([dim], short, 31), random_sweep([dim], long, 31)
+        assert len(a.records) == 10 * short
+        assert _rows(b.records[: 10 * short]) == _rows(a.records)
+
+    def test_mixed_signatures_match_blocks_of_one(self):
+        def batch():
+            randoms = [generate_random(3, 4, subseed(5, (3, i))) for i in range(4)]
+            return [randoms[0], _special_d3(0), randoms[1], _special_d3(1), _special_d3(2), randoms[2], randoms[3]]
+
+        blocked = list(_in_blocks(batch()))
+        assert len({id(ctx) for _, ctx in blocked}) == 4
+        assert sum(len(ctx.scenarios) == 1 for ctx in {id(c): c for _, c in blocked}.values()) == 3
+        for (s, ctx), alone in zip(blocked, batch()):
+            assert _rows(evaluate_all(s, ctx).values()) == _rows(evaluate_all(alone).values())
+
+    def test_context_needs_one_signature(self):
+        with pytest.raises(ValueError):
+            ScenarioContext([generate_random(3, 4, 1), _special_d3(0)])
+        with pytest.raises(ValueError):
+            evaluate("heisenberg", generate_random(3, 4, 1), ScenarioContext([generate_random(3, 4, 1)]))

@@ -26,8 +26,10 @@ from qmeasure.operators import (
     max_norm,
     spectral_decompose,
 )
+from qmeasure.quasiprob import QuasiDistribution
 from qmeasure.scenario import (
     _rng,
+    generate_random,
     random_density,
     random_hermitian,
     random_indirect_model,
@@ -370,3 +372,22 @@ class TestContextualValues:
 
     def test_squared_values(self):
         assert squared_values({"a": -3.0, "b": 2.0}) == {"a": 9.0, "b": 4.0}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: KrausSet("a", (np.eye(2),)),
+        lambda: random_indirect_model(2, _rng(4)),
+        lambda: theta_pom_instrument(0.3),
+        lambda: HermitianOperator(SIGMA_Z),
+        lambda: DensityOperator(np.eye(2) / 2),
+        lambda: generate_random(2, 4, 1),
+        lambda: QuasiDistribution(("a0",), ("k",), [[1.0]], [1.0], [1.0]),
+    ],
+)
+def test_equality_of_array_holders_is_a_bool(build):
+    # Equality is identity: comparing the ndarray fields would raise on truth value.
+    x, y = build(), build()
+    assert (x == y) is False
+    assert (x == x) is True
