@@ -87,8 +87,7 @@ class InequalityRecord:
 
 
 # A block's largest member-stacked arrays, the Kraus stacks (N, n_outcomes, L_max, d, d)
-# and the kernel stacks (N, n_live, n_b, d, d), hold at most this many complex entries;
-# the interdictive-table product inside ``outcome_kernels`` is d times larger.
+# and the kernel stacks (N, n_live, n_b, d, d), hold at most this many complex entries.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -186,8 +185,7 @@ class ScenarioContext:
 
     @cached_property
     def eps_B(self) -> list[float]:
-        reports = epsilon_sq_stack(self._pom, self._values_mB, self._b, self._rho)
-        return [math.sqrt(r.mean_squared) for r in reports]
+        return [math.sqrt(r.mean_squared) for r in epsilon_sq_stack(self._pom, self._values_mB, self._b, self._rho)]
 
     @cached_property
     def eta_B(self) -> list[float]:

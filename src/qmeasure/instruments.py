@@ -280,11 +280,6 @@ class Instrument:
         return self.contextual_values(HermitianOperator((power + power.conj().T) / 2))
 
 
-def squared_values(values: ValueAssignment) -> dict[str, float]:
-    """The pointwise-squared spectrum {label: m_k^2}."""
-    return {label: float(v) ** 2 for label, v in values.items()}
-
-
 def value_row(inst: Instrument, values: ValueAssignment) -> list[float]:
     """The values m_k of an assignment as floats, in the instrument's outcome order."""
     missing = [label for label in inst.labels if label not in values]

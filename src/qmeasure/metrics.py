@@ -78,7 +78,7 @@ def epsilon_sq_stack(pom, values, a, rho, a_e=None) -> list[NoiseReport]:
     when the caller has already built it.
     """
     a_e = effective_observables(pom, values) if a_e is None else a_e
-    # m_k^2 as float powers, as ``squared_values`` takes them.
+    # m_k^2 as float powers: an array square rounds differently in about one case in a thousand.
     a_e_sq = effective_observables(pom, [[m**2 for m in row] for row in values])
     return _noise_reports(expectation(a_e - a, rho), a_e, a_e_sq, a, hermitian_part(a @ a), rho)
 

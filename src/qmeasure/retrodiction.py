@@ -94,7 +94,9 @@ def outcome_kernels(
         # T_k divides each trace by Tr P_k; the conditioned states divide
         # A*_k(Π_b') before the trace.  The two orders round differently.
         forward = channel(kraus, present, proj)[:, live]
-        table = expectation(proj[:, None, None], forward[:, :, :, None]) / tr[:, :, None, None]
+        # One posterior branch b' at a time bounds the product at (N, n_live, n_b, d, d).
+        table = np.stack([expectation(p[:, None, None], forward) for p in proj.swapaxes(0, 1)], axis=-1)
+        table /= tr[:, :, None, None]
         backward = channel(kraus, present, proj, dual=True)[:, live] / tr[:, :, None, None, None]
         weights = np.real(np.trace(backward, axis1=-2, axis2=-1))
         posterior = weights > ZERO_WEIGHT

@@ -67,27 +67,27 @@ class Scenario:
     def to_dict(self) -> dict:
         doc = {
             "dimension": self.dimension,
-            "state": _complex_to_json(self.state.matrix),
-            "observable_A": _complex_to_json(self.observable_A.matrix),
+            "state": _matrix_to_json(self.state.matrix),
+            "observable_A": _matrix_to_json(self.observable_A.matrix),
             "values_m": {k: float(v) for k, v in sorted(self.values_m.items())},
             "meta": self.meta,
         }
         if self.observable_B is not None:
-            doc["observable_B"] = _complex_to_json(self.observable_B.matrix)
+            doc["observable_B"] = _matrix_to_json(self.observable_B.matrix)
         if self.indirect is not None:
             model = self.indirect
             doc["apparatus"] = {
                 "type": "indirect",
-                "unitary": _complex_to_json(model.unitary),
-                "detector_state": _complex_to_json(model.detector_state.matrix),
-                "readout_basis": [_complex_to_json(v) for v in model.readout_basis],
+                "unitary": _matrix_to_json(model.unitary),
+                "detector_state": _matrix_to_json(model.detector_state.matrix),
+                "readout_basis": [_matrix_to_json(v) for v in model.readout_basis],
                 "labels": list(model.labels),
             }
         else:
             doc["apparatus"] = {
                 "type": "kraus",
                 "outcomes": [
-                    {"label": ks.label, "kraus": [_complex_to_json(m) for m in ks.operators]}
+                    {"label": ks.label, "kraus": [_matrix_to_json(m) for m in ks.operators]}
                     for ks in self.apparatus.outcomes
                 ],
             }
@@ -101,8 +101,8 @@ class Scenario:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _complex_to_json(m: np.ndarray) -> list:
-    """A complex matrix or vector as nested [re, im] pairs of floats, row-major."""
+def _matrix_to_json(m: np.ndarray) -> list:
+    """A complex matrix, or vector, as nested [re, im] pairs of floats, row-major."""
     m = np.ascontiguousarray(m, dtype=complex)
     return m.view(np.float64).reshape(m.shape + (2,)).tolist()
 

@@ -14,7 +14,6 @@ from qmeasure.instruments import (
     Instrument,
     KrausSet,
     solve_contextual_values,
-    squared_values,
 )
 from qmeasure.operators import (
     SIGMA_X,
@@ -369,9 +368,6 @@ class TestContextualValues:
                 recon = np.array([m_n[l] for l in inst.labels]) @ p
                 exact = expectation(HermitianOperator(power), rho)
                 assert abs(recon - exact) < 1e-10
-
-    def test_squared_values(self):
-        assert squared_values({"a": -3.0, "b": 2.0}) == {"a": 9.0, "b": 4.0}
 
 
 @pytest.mark.parametrize(

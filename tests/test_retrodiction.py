@@ -135,10 +135,10 @@ class TestInterdictive:
             assert interdictive_disturbance(inst, label, SZ) == pytest.approx(0.0, abs=1e-10)
 
     def test_negative_second_moment_below_floor_raises(self, monkeypatch):
-        # sum (B_b - B_b')^2 p(b, b'|k) = 4 * (-0.1): far below SECOND_MOMENT_FLOOR.
-        tampered = np.array([[0.6, -0.1], [0.0, 0.5]])
+        # Every cell of T_k lowered by 0.3; its off-diagonal cells are 0, so
+        # sum (B_b - B_b')^2 p(b, b'|k) = 4 * (-0.6): far below SECOND_MOMENT_FLOOR.
         real = retrodiction.expectation
-        monkeypatch.setattr(retrodiction, "expectation", lambda x, rho: np.broadcast_to(tampered, real(x, rho).shape))
+        monkeypatch.setattr(retrodiction, "expectation", lambda x, rho: real(x, rho) - 0.3)
         with pytest.raises(InternalNumericError):
             interdictive_disturbance(theta_pom_instrument(0.4), "+", SZ)
 
