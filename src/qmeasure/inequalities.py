@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .operators import (
     value_variance,
 )
 from .retrodiction import OutcomeKernel, outcome_kernels
-from .scenario import Scenario, generate_random, subseed
+from .scenario import Scenario, generate_window, subseed
 from .tolerances import ROUNDOFF_FLOOR, SATISFACTION_TOL
 
 RELATION_IDS = (
@@ -282,22 +283,16 @@ def evaluate_all(scenario: Scenario, ctx: ScenarioContext | None = None) -> dict
     return records
 
 
-def _in_blocks(scenarios: Iterable[Scenario]) -> Iterator[tuple[Scenario, ScenarioContext]]:
-    """Each scenario with the context of its block, in the order given.  Scenarios are
-    read in windows of one dimension and at most ``_BLOCK_ENTRIES`` entries, a member
-    counting n_outcomes * max(L_max, d) * d^2."""
-    window: list[Scenario] = []
-    entries = 0
-    for s in scenarios:
-        n, n_kraus, d, _ = s.apparatus.kraus_stack.shape
-        size = n * max(n_kraus, d) * d * d
-        if window and (s.dimension != window[0].dimension or entries + size > _BLOCK_ENTRIES):
-            yield from _blocks_of(window)
-            window, entries = [], 0
-        window.append(s)
-        entries += size
-    if window:
-        yield from _blocks_of(window)
+def _windows(dims: Sequence[int], count: int, seed: int, n_outcomes: int) -> Iterator[list[Scenario]]:
+    """The random scenarios of a sweep, scenario i in dimension d from the subseed
+    ``subseed(seed, (d, i))``, generated window by window: one dimension and at most
+    ``_BLOCK_ENTRIES`` entries a window, a member counting n_outcomes * d^3 (one Kraus
+    operator per outcome, at most d branches of B)."""
+    for dim in dims:
+        size = max(1, _BLOCK_ENTRIES // (n_outcomes * dim**3))
+        for start in range(0, count, size):
+            seeds = [subseed(seed, (dim, i)) for i in range(start, min(start + size, count))]
+            yield generate_window(dim, n_outcomes, seeds)
 
 
 def _blocks_of(window: list[Scenario]) -> list[tuple[Scenario, ScenarioContext]]:
@@ -326,13 +321,13 @@ def random_sweep(dims, count: int, seed: int, n_outcomes: int = 4) -> SweepResul
         raise ValueError(f"count must be >= 1, got {count}")
     records: list[InequalityRecord] = []
     min_margins: dict[str, float] = {}
-    scenarios = (generate_random(dim, n_outcomes, subseed(seed, (dim, i))) for dim in dims for i in range(count))
-    for scenario, ctx in _in_blocks(scenarios):
-        for rid, rec in evaluate_all(scenario, ctx).items():
-            records.append(rec)
-            cur = min_margins.get(rid)
-            if cur is None or rec.margin < cur:
-                min_margins[rid] = rec.margin
+    for window in _windows(dims, count, seed, n_outcomes):
+        for scenario, ctx in _blocks_of(window):
+            for rid, rec in evaluate_all(scenario, ctx).items():
+                records.append(rec)
+                cur = min_margins.get(rid)
+                if cur is None or rec.margin < cur:
+                    min_margins[rid] = rec.margin
     return SweepResult(tuple(records), min_margins)
 
 
@@ -354,18 +349,19 @@ def heisenberg_form_violation_search(dims, count: int, seed: int, n_outcomes: in
     of one Pauli axis, disturbance probed along another), which violates the
     naive form by construction while the Ozawa relation still holds.
     """
-    candidates = [_projective_violation_scenario()] if 2 in list(dims) else []
-    candidates += [generate_random(dim, n_outcomes, subseed(seed, (dim, i))) for dim in dims for i in range(count)]
+    dims = list(dims)
+    analytic = [_projective_violation_scenario()] if 2 in dims else []
     best: ViolationSearchResult | None = None
-    for scenario, ctx in _in_blocks(s for s in candidates if s.observable_B is not None):
-        i = ctx.position(scenario)
-        product = ctx.eps_A[i] * ctx.eta_B[i]
-        margin = product - ctx.c_ab[i]
-        if best is None or margin < best.margin:
-            ozawa = evaluate("ozawa", scenario, ctx)
-            best = ViolationSearchResult(product, ctx.c_ab[i], margin, scenario, ozawa.margin)
+    for window in chain([analytic], _windows(dims, count, seed, n_outcomes)):
+        for scenario, ctx in _blocks_of(window):
+            i = ctx.position(scenario)
+            product = ctx.eps_A[i] * ctx.eta_B[i]
+            margin = product - ctx.c_ab[i]
+            if best is None or margin < best.margin:
+                ozawa = evaluate("ozawa", scenario, ctx)
+                best = ViolationSearchResult(product, ctx.c_ab[i], margin, scenario, ozawa.margin)
     if best is None:
-        raise MissingIngredient("no candidate scenario had observable_B")
+        raise MissingIngredient("no candidate scenario to search")
     return best
 
 

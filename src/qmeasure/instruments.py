@@ -21,15 +21,18 @@ from .errors import (
     MissingLabel,
     NotExpressible,
     NullOutcome,
+    StateValidationError,
     UnknownLabel,
 )
 from .operators import (
     DensityOperator,
     HermitianOperator,
     as_complex_matrix,
+    at_index,
     expectation,
     hermitian_part,
     max_norm,
+    prebuilt,
     validated_states,
 )
 from .tolerances import CV_RESIDUAL_TOL, IDENTITY_TOL, POM_PSD_FLOOR, ZERO_WEIGHT
@@ -52,8 +55,7 @@ class KrausSet:
         dims = {m.shape[0] for m in ops}
         if len(dims) != 1:
             raise DimensionMismatch(f"outcome {self.label!r} mixes dimensions {sorted(dims)}")
-        if all(max_norm(m) == 0.0 for m in ops):
-            raise CompletenessViolation(f"outcome {self.label!r} has only zero operators")
+        kraus_gate(np.stack(ops)[None, None], np.ones((1, len(ops)), dtype=bool), (self.label,))
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -109,11 +111,12 @@ class IndirectModel:
 class Instrument:
     """Validated family of Kraus sets, one per outcome label.
 
-    Build through :meth:`from_kraus` or :meth:`from_indirect`; the constructor
-    stacks the Kraus operators ``(n_outcomes, L_max, d, d)`` (absent slots are
-    NaN, False in ``kraus_present``, and enter no sum), enforces completeness
-    and positivity of the induced POM, and keeps its stack with the traces
-    Tr P_k.  An outcome is null when its trace is at most ``ZERO_WEIGHT``.
+    Build through :meth:`from_kraus` or :meth:`from_indirect`, or many at once
+    through :func:`instruments_of`; the constructor stacks the Kraus operators
+    ``(n_outcomes, L_max, d, d)`` (absent slots are NaN, False in
+    ``kraus_present``, and enter no sum), passes them through :func:`pom_gate`,
+    and keeps the POM stack with the traces Tr P_k.  An outcome is null when
+    its trace is at most ``ZERO_WEIGHT``.
     """
 
     outcomes: tuple[KrausSet, ...]
@@ -135,25 +138,10 @@ class Instrument:
         present = np.arange(counts.max()) < counts[:, None]
         kraus = np.full(present.shape + (self.dim, self.dim), np.nan, dtype=complex)
         kraus[present] = [m for ks in self.outcomes for m in ks.operators]
-        kraus.setflags(write=False)
-        present.setflags(write=False)
-        object.__setattr__(self, "kraus_stack", kraus)
-        object.__setattr__(self, "kraus_present", present)
-        pom = kraus_sum(kraus, present, lambda m, mh: mh @ m)
-        defect = max_norm(sum(pom) - np.eye(self.dim))
-        if defect > IDENTITY_TOL:
-            raise CompletenessViolation(
-                f"sum of M†M deviates from identity by {defect:.3e} > {IDENTITY_TOL}"
-            )
-        not_psd = np.linalg.eigvalsh(pom).min(axis=-1) < POM_PSD_FLOOR
-        if not_psd.any():
-            raise CompletenessViolation(f"POM element {labels[np.argmax(not_psd)]!r} is not PSD")
-        pom = hermitian_part(pom)
-        traces = np.real(np.trace(pom, axis1=-2, axis2=-1))
-        pom.setflags(write=False)
-        traces.setflags(write=False)
-        object.__setattr__(self, "pom_stack", pom)
-        object.__setattr__(self, "pom_traces", traces)
+        pom, traces = pom_gate(kraus[None], present, labels)
+        for name, value in (("kraus_stack", kraus), ("kraus_present", present), ("pom_stack", pom[0]), ("pom_traces", traces[0])):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "_index", {label: i for i, label in enumerate(labels)})
 
     @classmethod
@@ -288,6 +276,69 @@ def value_row(inst: Instrument, values: ValueAssignment) -> list[float]:
     return [float(values[label]) for label in inst.labels]
 
 
+def kraus_gate(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]) -> None:
+    """The Kraus-operator gates on the stacks ``(N, n_outcomes, L_max, d, d)`` of N
+    instruments with one mask ``present`` and one label per outcome: every present
+    entry must be finite (StateValidationError), and every outcome needs an operator
+    that is not zero (CompletenessViolation).  The error names the first failing member."""
+    norms = np.abs(kraus).max(axis=(-2, -1), where=present[..., None, None], initial=0.0)
+    if not np.isfinite(norms).all():
+        raise StateValidationError(f"matrix entries must be finite{at_index(~np.isfinite(norms).all(axis=(-2, -1)))}")
+    zero = ~(norms > 0).any(axis=-1)
+    if zero.any():
+        member = zero.any(axis=-1)
+        label = labels[np.argmax(zero[np.argmax(member)])]
+        raise CompletenessViolation(f"outcome {label!r} has only zero operators{at_index(member)}")
+
+
+def pom_gate(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """POM stacks ``(N, n_outcomes, d, d)`` of the Kraus stacks of N instruments, as in
+    :func:`kraus_gate`, with their traces ``(N, n_outcomes)``.  Each POM must sum to the
+    identity within IDENTITY_TOL and each element have no eigenvalue below
+    POM_PSD_FLOOR (CompletenessViolation, naming the first failing member); it is then
+    symmetrized by ``hermitian_part``."""
+    pom = kraus_sum(kraus, present, lambda m, mh: mh @ m)
+    defect = np.abs(pom.sum(axis=-3) - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
+    incomplete = defect > IDENTITY_TOL
+    if incomplete.any():
+        raise CompletenessViolation(
+            f"sum of M†M deviates from identity by {defect[incomplete][0]:.3e}{at_index(incomplete)} > {IDENTITY_TOL}"
+        )
+    not_psd = np.linalg.eigvalsh(pom).min(axis=-1) < POM_PSD_FLOOR
+    if not_psd.any():
+        member = not_psd.any(axis=-1)
+        label = labels[np.argmax(not_psd[np.argmax(member)])]
+        raise CompletenessViolation(f"POM element {label!r}{at_index(member)} is not PSD")
+    pom = hermitian_part(pom)
+    return pom, np.real(np.trace(pom, axis1=-2, axis2=-1))
+
+
+def instruments_of(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]) -> list[Instrument]:
+    """N instruments of Kraus stacks ``(N, n_outcomes, L_max, d, d)`` that share the mask
+    ``present`` and the labels (absent slots hold NaN): the gates of :func:`kraus_gate`
+    and :func:`pom_gate` run once on the stacks, and each instrument keeps its rows."""
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise DuplicateLabel(f"duplicate outcome labels in {list(labels)}")
+    kraus_gate(kraus, present, labels)
+    pom, traces = pom_gate(kraus, present, labels)
+    for value in (kraus, present, pom, traces):
+        value.setflags(write=False)
+    counts = present.sum(axis=1)
+    shared = {"dim": kraus.shape[-1], "kraus_present": present, "_index": {l: i for i, l in enumerate(labels)}}
+    return [
+        prebuilt(
+            Instrument,
+            outcomes=tuple(prebuilt(KrausSet, label=l, operators=tuple(ops[:c])) for l, ops, c in zip(labels, k, counts)),
+            kraus_stack=k,
+            pom_stack=p,
+            pom_traces=t,
+            **shared,
+        )
+        for k, p, t in zip(kraus, pom, traces)
+    ]
+
+
 def kraus_sum(kraus: np.ndarray, present: np.ndarray, term, ndim: int = 2) -> np.ndarray:
     """sum_l term(M, M†) over the Kraus stacks ``(..., n_outcomes, L_max, d, d)`` of one
     mask ``present``, in l order, skipping absent slots; M broadcasts against
@@ -328,20 +379,34 @@ def retrodicted_states(pom: np.ndarray, traces: np.ndarray, live: np.ndarray) ->
 def solve_contextual_values(pom, target: HermitianOperator) -> np.ndarray:
     """Minimum-Euclidean-norm solution of sum_k m_k P_k = target.
 
-    ``pom`` is a stack ``(n, d, d)`` or a sequence of POM elements.  They and
-    the target are vectorized over the real vector space of Hermitian
-    matrices and the system is solved by pseudoinverse.  Raises
+    ``pom`` is a stack ``(n, d, d)`` or a sequence of POM elements.  The solve
+    is :func:`contextual_value_rows` of one member and one target.  Raises
     :class:`NotExpressible` if the residual exceeds ``CV_RESIDUAL_TOL`` in
     max-norm.
     """
     stack, tm = np.asarray(pom, dtype=complex), np.asarray(target)
     if len(stack) == 0 or stack.shape[1:] != tm.shape:
         raise DimensionMismatch(f"POM elements {stack.shape} and target {tm.shape} must share one dimension")
-    design = np.concatenate([stack.real, stack.imag], axis=-2).reshape(len(stack), -1).T
-    m_vals, *_ = np.linalg.lstsq(design, np.concatenate([tm.real.ravel(), tm.imag.ravel()]), rcond=None)
-    residual = max_norm(sum(m_vals[:, None, None] * stack) - tm)
-    if residual > CV_RESIDUAL_TOL:
+    m_vals, residual = contextual_value_rows(stack[None], tm[None, None])
+    if residual[0, 0] > CV_RESIDUAL_TOL:
         raise NotExpressible(
-            f"target outside POM span (residual {residual:.3e} > {CV_RESIDUAL_TOL})"
+            f"target outside POM span (residual {residual[0, 0]:.3e} > {CV_RESIDUAL_TOL})"
         )
-    return m_vals
+    return m_vals[0, 0]
+
+
+def contextual_value_rows(pom: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-Euclidean-norm values m of sum_k m_k P_k = X for each target X of
+    ``targets`` ``(N, T, d, d)`` on the POM stack ``(N, n, d, d)`` of its member: the
+    values ``(N, T, n)`` and the max-norm residual of each ``(N, T)``.
+
+    POM elements and targets are vectorized over the real vector space of
+    Hermitian matrices, and each (member, target) pair is one least-squares
+    solve by pseudoinverse: a solve of several targets at once rounds otherwise.
+    """
+    n_members, n_targets, n = len(pom), targets.shape[1], pom.shape[1]
+    design = np.concatenate([pom.real, pom.imag], axis=-2).reshape(n_members, n, -1).swapaxes(-1, -2)
+    rhs = np.concatenate([targets.real, targets.imag], axis=-2).reshape(n_members, n_targets, -1)
+    m = np.array([[np.linalg.lstsq(a, b, rcond=None)[0] for b in bs] for a, bs in zip(design, rhs)])
+    fit = sum(m[..., k, None, None] * pom[:, None, k] for k in range(n))
+    return m, np.abs(fit - targets).max(axis=(-2, -1))

@@ -43,6 +43,23 @@ def max_norm(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+def at_index(bad: np.ndarray) -> str:
+    """" at index (i, ...)" of the first True of a mask over the leading axes of a
+    stack, as ``clip_at_floor`` names it; "" for a single matrix or a stack of one."""
+    if bad.size < 2:
+        return ""
+    return f" at index {tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))}"
+
+
+def prebuilt(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` from fields that already passed,
+    as rows of a stack, the gates its constructor runs; they do not run again."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A Hermitian matrix, symmetrized to (M + M†)/2 at construction.
@@ -87,14 +104,15 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 
     Raises StateValidationError on a non-finite entry, and HermiticityViolation
     if an anti-Hermitian part exceeds ``IDENTITY_TOL`` in max-norm; smaller
-    ones are round-off.
+    ones are round-off.  On a stack, the error names the first failing matrix.
     """
     if not np.isfinite(m).all():
-        raise StateValidationError("matrix entries must be finite")
+        raise StateValidationError(f"matrix entries must be finite{at_index(~np.isfinite(m).all(axis=(-2, -1)))}")
     mh = np.swapaxes(m, -1, -2).conj()
     defect = max_norm(m - mh)
     if defect > IDENTITY_TOL:
-        raise HermiticityViolation(f"anti-Hermitian part has max-norm {defect:.3e} > {IDENTITY_TOL}")
+        at = at_index(np.abs(m - mh).max(axis=(-2, -1)) > IDENTITY_TOL)
+        raise HermiticityViolation(f"anti-Hermitian part has max-norm {defect:.3e}{at} > {IDENTITY_TOL}")
     return (m + mh) / 2
 
 
@@ -105,15 +123,17 @@ def validated_states(m: np.ndarray) -> np.ndarray:
     than TRACE_TOL, raises StateValidationError.  A matrix with eigenvalues in
     [EIGENVALUE_FLOOR, 0) is rebuilt with them set to zero and renormalized,
     in a read-only copy of the stack; with nothing to clip, ``m`` is returned.
+    The error names the first failing matrix of a stack of more than one.
     """
     evals, evecs = np.linalg.eigh(m)
     low = evals.min(axis=-1)
-    if not low.min() >= EIGENVALUE_FLOOR:
-        raise StateValidationError(f"state has eigenvalue {low.min():.3e} < {EIGENVALUE_FLOOR}")
+    if not (low >= EIGENVALUE_FLOOR).all():
+        bad = ~(low >= EIGENVALUE_FLOOR)
+        raise StateValidationError(f"state has eigenvalue {low[bad][0]:.3e}{at_index(bad)} < {EIGENVALUE_FLOOR}")
     tr = np.real(np.trace(m, axis1=-2, axis2=-1))
     off = np.abs(tr - 1.0) > TRACE_TOL
     if off.any():
-        raise StateValidationError(f"state trace {float(tr[off][0])!r} differs from 1 by > {TRACE_TOL}")
+        raise StateValidationError(f"state trace {float(tr[off][0])!r}{at_index(off)} differs from 1 by > {TRACE_TOL}")
     clip = low < 0.0
     if clip.any():
         vecs = evecs[clip]

@@ -17,14 +17,13 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     MissingLabel,
-    NotExpressible,
     ParseError,
     QMeasureError,
     ValidationError,
 )
-from .instruments import IndirectModel, Instrument, KrausSet
-from .operators import DensityOperator, HermitianOperator
-from .tolerances import TRACE_TOL
+from .instruments import IndirectModel, Instrument, KrausSet, contextual_value_rows, instruments_of
+from .operators import DensityOperator, HermitianOperator, hermitian_part, prebuilt, validated_states
+from .tolerances import CV_RESIDUAL_TOL, TRACE_TOL
 
 SCENARIO_KEYS = {"dimension", "state", "observable_A", "observable_B", "apparatus", "values_m", "values_mB", "meta"}
 REQUIRED_SCENARIO_KEYS = ("dimension", "state", "observable_A", "apparatus", "values_m")
@@ -289,69 +288,110 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Complex Ginibre matrix: the real parts are drawn first, then the imaginary parts."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _wishart(g: np.ndarray) -> np.ndarray:
+    """G G† / Tr of a Ginibre matrix, or of each of a stack."""
+    w = g @ g.conj().swapaxes(-1, -2)
+    return w / np.real(np.trace(w, axis1=-2, axis2=-1))[..., None, None]
+
+
+def _gue(g: np.ndarray) -> np.ndarray:
+    """(G + G†)/2 of a Ginibre matrix, or of each of a stack."""
+    return (g + g.conj().swapaxes(-1, -2)) / 2
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Q of the QR of a Ginibre matrix, or of each of a stack, with the phases of R's
+    diagonal moved into it: a Haar-distributed unitary."""
+    q, r = np.linalg.qr(g)
+    phase = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phase / np.abs(phase))[..., None, :]
+
+
 def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
     """Normalized complex Wishart state G G† / Tr."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    w = g @ g.conj().T
-    return DensityOperator(w / np.real(np.trace(w)))
+    return DensityOperator(_wishart(_ginibre(rng, dim)))
+
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
     """Gaussian Hermitian ensemble draw."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator((g + g.conj().T) / 2)
+    return HermitianOperator(_gue(_ginibre(rng, dim)))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return _haar(_ginibre(rng, dim))
 
 
 def random_instrument(dim: int, n_outcomes: int, rng: np.random.Generator) -> Instrument:
     """Instrument from a Haar-random isometry on a dim * n_outcomes dilation,
     partitioned into single-Kraus outcomes."""
-    u = random_unitary(dim * n_outcomes, rng)
-    isometry = u[:, :dim]
-    sets = [
-        KrausSet(str(k), (isometry[k * dim : (k + 1) * dim, :],))
-        for k in range(n_outcomes)
-    ]
-    return Instrument.from_kraus(sets)
+    return _dilation_instruments(random_unitary(dim * n_outcomes, rng), dim, n_outcomes)[0]
+
+
+def _dilation_instruments(u: np.ndarray, dim: int, n_outcomes: int) -> list[Instrument]:
+    """The instruments of the isometries, the first ``dim`` columns, of a unitary or of
+    each of a stack on a dim * n_outcomes dilation: rows k*dim to (k+1)*dim are the one
+    Kraus operator of outcome k."""
+    kraus = u[..., :dim].reshape(-1, n_outcomes, 1, dim, dim)
+    return instruments_of(kraus, np.ones((n_outcomes, 1), dtype=bool), [str(k) for k in range(n_outcomes)])
 
 
 def generate_random(dim: int, n_outcomes: int, seed) -> Scenario:
-    """Deterministic random scenario for the given seed.
+    """Deterministic random scenario for the given seed: the window of one seed
+    of :func:`generate_window`."""
+    return generate_window(dim, n_outcomes, [seed])[0]
 
-    Value assignments come from the contextual-value solver when the target
-    lies in the POM span; otherwise raw outcome indices are used.
+
+def generate_window(dim: int, n_outcomes: int, seeds) -> list[Scenario]:
+    """Deterministic random scenarios, one per seed, generated together.
+
+    Each seed keys its own Philox stream, which draws the Ginibre matrices of
+    the state, A, B and the dilation unitary of :func:`random_instrument`, in
+    this order.  All that follows, every constructor gate included, runs once
+    on the window's stacks.  Value assignments come from the contextual-value
+    solver when the target lies in the POM span; otherwise raw outcome
+    indices are used.
     """
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
     if n_outcomes < 1:
         raise ValueError(f"need at least one outcome, got {n_outcomes}")
-    rng = _rng(seed)
-    state = random_density(dim, rng)
-    obs_a = random_hermitian(dim, rng)
-    obs_b = random_hermitian(dim, rng)
-    inst = random_instrument(dim, n_outcomes, rng)
+    seeds, big = list(seeds), dim * n_outcomes
+    draws = np.array([_rng(seed).standard_normal(6 * dim * dim + 2 * big * big) for seed in seeds])
+    small = draws[:, : 6 * dim * dim].reshape(-1, 3, 2, dim, dim)
+    large = draws[:, 6 * dim * dim :].reshape(-1, 2, big, big)
+    g = small[:, :, 0] + 1j * small[:, :, 1]
+    states = validated_states(hermitian_part(_wishart(g[:, 0])))
+    ab = hermitian_part(_gue(g[:, 1:]))
+    states.setflags(write=False)
+    ab.setflags(write=False)
+    insts = _dilation_instruments(_haar(large[:, 0] + 1j * large[:, 1]), dim, n_outcomes)
+    values, residuals = contextual_value_rows(np.stack([inst.pom_stack for inst in insts]), ab)
+    labels = insts[0].labels
 
-    def assignment(target):
-        try:
-            return inst.contextual_values(target)
-        except NotExpressible:
-            return {label: float(i) for i, label in enumerate(inst.labels)}
+    def assignment(row, residual):
+        if residual > CV_RESIDUAL_TOL:
+            return {label: float(i) for i, label in enumerate(labels)}
+        return dict(zip(labels, row.tolist()))
 
-    return Scenario(
-        dimension=dim,
-        state=state,
-        observable_A=obs_a,
-        observable_B=obs_b,
-        apparatus=inst,
-        values_m=assignment(obs_a),
-        values_mB=assignment(obs_b),
-        meta={"seed": str(seed), "generator": "philox-wishart-haar"},
-    )
+    return [
+        Scenario(
+            dimension=dim,
+            state=prebuilt(DensityOperator, matrix=rho),
+            observable_A=prebuilt(HermitianOperator, matrix=a),
+            observable_B=prebuilt(HermitianOperator, matrix=b),
+            apparatus=inst,
+            values_m=assignment(m[0], r[0]),
+            values_mB=assignment(m[1], r[1]),
+            meta={"seed": str(seed), "generator": "philox-wishart-haar"},
+        )
+        for seed, rho, (a, b), inst, m, r in zip(seeds, states, ab, insts, values, residuals)
+    ]
 
 
 def random_indirect_model(dim: int, rng: np.random.Generator) -> IndirectModel:

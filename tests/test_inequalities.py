@@ -3,11 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from qmeasure import inequalities
 from qmeasure.errors import InternalNumericError, MissingIngredient
 from qmeasure.inequalities import (
     RELATION_IDS,
     ScenarioContext,
-    _in_blocks,
+    _blocks_of,
     evaluate,
     evaluate_all,
     heisenberg_form_violation_search,
@@ -191,6 +192,23 @@ class TestViolationSearch:
         assert result.margin <= -0.8 + 1e-9
         assert result.ozawa_margin >= -1e-9
 
+    @pytest.mark.parametrize("dims", [[2], [3], [2, 3]])
+    def test_an_iterator_of_dims_searches_the_same_candidates(self, dims, monkeypatch):
+        generated = []
+        window = inequalities.generate_window
+
+        def counted(dim, n_outcomes, seeds):
+            members = window(dim, n_outcomes, seeds)
+            generated.extend(members)
+            return members
+
+        monkeypatch.setattr(inequalities, "generate_window", counted)
+        listed = heisenberg_form_violation_search(dims, 5, 1)
+        n_listed = len(generated)
+        iterated = heisenberg_form_violation_search(iter(dims), 5, 1)
+        assert n_listed == 5 * len(dims) and len(generated) == 2 * n_listed
+        assert (iterated.scenario.digest(), iterated.margin) == (listed.scenario.digest(), listed.margin)
+
 
 def _rows(records) -> list[str]:
     return [repr((r.relation_id, r.lhs, r.rhs, r.inputs_digest, r.sub_records)) for r in records]
@@ -221,8 +239,9 @@ def _special_d3(kind: int) -> Scenario:
 class TestBlocks:
     @pytest.mark.parametrize("dim, short, long", [(2, 3, 7), (3, 3, 7), (8, 34, 40)])
     def test_a_longer_sweep_keeps_the_records_of_a_shorter_one(self, dim, short, long):
-        # The sweeps stack different numbers of members per block; at d = 8 the
-        # block holds 32 scenarios, so scenarios 32 and 33 sit in blocks of 2 and 8.
+        # The sweeps stack different numbers of members per window; at d = 8 a
+        # window holds 32 scenarios, so scenarios 32 and 33 are generated and
+        # evaluated in windows of 2 and 8.
         a, b = random_sweep([dim], short, 31), random_sweep([dim], long, 31)
         assert len(a.records) == 10 * short
         assert _rows(b.records[: 10 * short]) == _rows(a.records)
@@ -232,7 +251,7 @@ class TestBlocks:
             randoms = [generate_random(3, 4, subseed(5, (3, i))) for i in range(4)]
             return [randoms[0], _special_d3(0), randoms[1], _special_d3(1), _special_d3(2), randoms[2], randoms[3]]
 
-        blocked = list(_in_blocks(batch()))
+        blocked = list(_blocks_of(batch()))
         contexts = {id(ctx): ctx for _, ctx in blocked}.values()
         assert sorted(len(ctx.scenarios) for ctx in contexts) == [1, 1, 1, 4]
         for (s, ctx), alone in zip(blocked, batch()):
