@@ -30,7 +30,7 @@ def as_complex_matrix(entries, square: bool = False) -> np.ndarray:
     m = np.array(entries, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise StateValidationError("matrix entries must be finite")
     if square and m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")

@@ -362,6 +362,8 @@ def generate_window(dim: int, n_outcomes: int, seeds) -> list[Scenario]:
     if n_outcomes < 1:
         raise ValueError(f"need at least one outcome, got {n_outcomes}")
     seeds, big = list(seeds), dim * n_outcomes
+    # One standard_normal call per seed yields the values of the per-matrix calls of
+    # random_density, random_hermitian (twice) and random_unitary, in their order.
     draws = np.array([_rng(seed).standard_normal(6 * dim * dim + 2 * big * big) for seed in seeds])
     small = draws[:, : 6 * dim * dim].reshape(-1, 3, 2, dim, dim)
     large = draws[:, 6 * dim * dim :].reshape(-1, 2, big, big)
