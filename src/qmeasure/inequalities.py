@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -283,7 +283,7 @@ def evaluate_all(scenario: Scenario, ctx: ScenarioContext | None = None) -> dict
     return records
 
 
-def _windows(dims: Sequence[int], count: int, seed: int, n_outcomes: int) -> Iterator[list[Scenario]]:
+def _windows(dims: Iterable[int], count: int, seed: int, n_outcomes: int) -> Iterator[list[Scenario]]:
     """The random scenarios of a sweep, scenario i in dimension d from the subseed
     ``subseed(seed, (d, i))``, generated window by window: one dimension and at most
     ``_BLOCK_ENTRIES`` entries a window, a member counting n_outcomes * d^3 (one Kraus
