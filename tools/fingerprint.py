@@ -16,10 +16,13 @@ A-branch) pair, every field of ``restricted_metrics`` per live
 outcome and posterior branch, and every cell of both weak-probe tables at
 each of ``STRENGTHS``; ``random_sweep`` at d = 2 x 60, 3 x 30, 8 x 6, 8 x 40 and
 16 x 6 (seed 777), with every record's lhs, rhs, digest and sub-records; ``sample``
-at 1, 10^3 and 2 x 10^5 shots and ``weak_sweep`` on each bundled file; and
+at 1, 3, 10^3, 2^16 + 1, 2 x 10^5, 300 001, 10^6 and 10^7 shots and ``weak_sweep``
+on each bundled file; and
 ``heisenberg_form_violation_search([2], 50, 808)``.  Floats are written with
-``repr``, so the hash changes when any bit of any value does.  It takes a
-few seconds on one core.
+``repr``, so the hash changes when any bit of any value does.  The shot
+counts on either side of 2^16 (one chunk of the sampled stream) and those
+that are no multiple of it test where ``sample`` cuts its stream.  It takes
+a few seconds.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from qmeasure.harness import report_to_dict
 from qmeasure.scenario import random_density, random_hermitian, random_indirect_model, random_unitary
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
-SHOTS = (1, 1_000, 200_000)
+SHOTS = (1, 3, 1_000, 2**16 + 1, 200_000, 300_001, 10**6, 10**7)
 STRENGTHS = (0.4, 0.2, 0.1, 0.05)
 
 
