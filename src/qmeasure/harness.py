@@ -3,7 +3,9 @@
 Everything here is deterministic given its inputs: sampling uses the Philox
 counter-based generator, so the i-th draw is a pure function of (seed, i)
 and results are byte-identical across runs and independent of evaluation
-order.
+order.  ``sample`` counts its stream in counter-advanced shards, one per
+available CPU, each in chunks; the counts depend on neither the CPU count
+nor the chunk, and at most 2^16 uniforms are in memory at once.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,12 +248,15 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     (outcome, posterior-branch) pairs from p(k, b') = Tr[Π_b' A_k(rho)].
     A non-finite cell probability, or one below POM_PSD_FLOOR, raises
     InternalNumericError; round-off in [POM_PSD_FLOOR, 0) is set to 0 before
-    renormalizing.  The stream is drawn and counted in fixed chunks, so
-    memory is bounded by the chunk, not by ``shots``; the counts equal those
-    of one draw of all ``shots`` uniforms.
+    renormalizing.  The stream is cut into contiguous shards, one per
+    available CPU, each on its own generator advanced to its first draw;
+    the shards are counted concurrently, in chunks.  So memory is bounded by
+    2^16 uniforms in total, not by ``shots``, and the counts equal those of
+    one draw of all ``shots`` uniforms, whatever the CPU count.
     """
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
         raise TypeError(f"shots must be an integer, got {shots!r}")
+    shots = int(shots)  # numpy integers overflow in Philox.advance
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     s = scenario
@@ -266,8 +273,7 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
         raise InternalNumericError(f"cell probability {probs.min():.3e} not finite or below {POM_PSD_FLOOR}")
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    binned = _cell_counts(rng, shots, probs)
+    binned = _cell_counts(int(seed), shots, probs)
     outcome_counts = dict(zip(labels, binned.reshape(len(labels), -1).sum(axis=1).tolist()))
     pair_counts = None if s.observable_B is None else dict(zip(cells, binned.tolist()))
 
@@ -304,22 +310,75 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     )
 
 
-def _cell_counts(rng: np.random.Generator, shots: int, probs: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
-    """Count ``shots`` uniforms from ``rng`` into the cells of ``probs``, ``chunk`` at a time.
+def _cell_counts(
+    seed: int, shots: int, probs: np.ndarray, chunk: int = _CHUNK, shards: int | None = None
+) -> np.ndarray:
+    """Count ``shots`` uniforms of the Philox stream of ``seed`` into the cells of ``probs``.
 
     Cell i (i < n - 1) takes the draws in [cumsum[i - 1], cumsum[i]); the
     last cell takes every draw at or above the last inner edge, so a
     cumulative total that rounds below 1 still places every draw.  The
     counts are those of ``bincount(minimum(searchsorted(cumsum, u, "right"),
-    n - 1))`` on one draw of all the uniforms, whatever ``chunk`` is.
+    n - 1))`` on one draw of all the uniforms, whatever ``chunk`` and
+    ``shards`` are.
+
+    Shard w takes draws [b_w, b_{w+1}) with b_w = 4 floor(shots w / 4S) and
+    b_S = ``shots``, so each starts on a Philox4x64 counter step (four
+    doubles).  The caller counts shard 0 and one thread each counts the
+    others, ``chunk // S`` uniforms at a time (whole counter steps once that
+    is 4 or more), so at most ``chunk`` are in memory at once.  S is the number of CPUs this process may run on, and
+    no more than the number of ``_CHUNK``-sized pieces of the stream.
     """
+    if shards is None:
+        shards = min(_cpus(), -(-shots // _CHUNK))
     edges = np.cumsum(probs)[:-1]
-    below = np.zeros(len(edges), dtype=np.int64)
-    for start in range(0, shots, chunk):
-        u = rng.random(min(chunk, shots - start))
-        for i, e in enumerate(edges):
-            below[i] += np.count_nonzero(u < e)
+    bounds = [4 * (shots * w // (4 * shards)) for w in range(shards)] + [shots]
+    step = max(chunk // shards, 1)
+    if step >= 4:
+        step -= step % 4
+    results: list = [None] * shards
+
+    def count(w: int) -> None:
+        try:
+            results[w] = _count_shard(seed, bounds[w], bounds[w + 1], edges, step)
+        except BaseException as exc:  # raised again below, once every thread has joined
+            results[w] = exc
+
+    threads = [threading.Thread(target=count, args=(w,)) for w in range(1, shards)]
+    for t in threads:
+        t.start()
+    count(0)
+    for t in threads:
+        t.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    below = sum(results)
     return np.diff(below, prepend=0, append=shots)
+
+
+def _count_shard(seed: int, start: int, stop: int, edges: np.ndarray, step: int) -> np.ndarray:
+    """Per-edge counts of the draws [start, stop) that fall below each edge,
+    ``step`` at a time into buffers allocated once."""
+    bitgen = np.random.Philox(np.random.SeedSequence(seed))
+    bitgen.advance(start // 4)
+    rng = np.random.Generator(bitgen)
+    below = np.zeros(len(edges), dtype=np.int64)
+    buf = np.empty(min(step, stop - start))
+    mask = np.empty(len(buf), dtype=bool)
+    for lo in range(start, stop, step):
+        n = min(step, stop - lo)
+        u = rng.random(out=buf[:n])
+        for i, e in enumerate(edges):
+            below[i] += np.count_nonzero(np.less(u, e, out=mask[:n]))
+    return below
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _stream_se(values: np.ndarray, p_hat: np.ndarray, shots: int) -> float:

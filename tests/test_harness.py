@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -166,25 +167,82 @@ class TestSample:
     def test_numpy_integer_shots(self, theta_pom_scenario):
         assert sample(theta_pom_scenario, np.int64(1000), 5) == sample(theta_pom_scenario, 1000, 5)
 
-    @pytest.mark.parametrize(
+    PROBS = pytest.mark.parametrize(
         "probs",
         [[0.25, 0.0, 0.35, 0.35], [0.1, 0.2, 0.0, 0.0, 0.4, 0.3 - 1e-12], [1.0], [0.5, 0.5]],
         ids=["short-total", "zero-widths", "one-cell", "two-cells"],
     )
+
+    @staticmethod
+    def _one_draw_counts(seed, shots, probs):
+        """The reference: one draw of every uniform, placed by ``searchsorted``."""
+        u = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).random(shots)
+        draw = np.searchsorted(np.cumsum(probs), u, side="right")
+        return np.bincount(np.minimum(draw, len(probs) - 1), minlength=len(probs))
+
+    @PROBS
     @pytest.mark.parametrize("chunk", [1, 7, 2**20])
     def test_chunked_counts_equal_one_draw(self, probs, chunk):
         # "short-total" sums to 0.95: the last cell takes the draws above it.
         probs = np.array(probs)
         shots = 5000
-
-        def philox():
-            return np.random.Generator(np.random.Philox(np.random.SeedSequence(17)))
-
-        u = philox().random(shots)
-        draw = np.searchsorted(np.cumsum(probs), u, side="right")
-        expected = np.bincount(np.minimum(draw, len(probs) - 1), minlength=len(probs))
-        counts = harness._cell_counts(philox(), shots, probs, chunk)
+        expected = self._one_draw_counts(17, shots, probs)
+        counts = harness._cell_counts(17, shots, probs, chunk)
         assert counts.tolist() == expected.tolist()
+
+    @PROBS
+    @pytest.mark.parametrize("chunk", [1, 7, 2**20])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 5])
+    @pytest.mark.parametrize("shots", [3, 19, 5001])
+    def test_sharded_counts_equal_one_draw(self, probs, chunk, shards, shots):
+        # Below 4 shards' worth of draws the leading shards are empty; 5001
+        # splits unevenly and leaves each shard a partial last chunk.
+        probs = np.array(probs)
+        expected = self._one_draw_counts(23, shots, probs)
+        counts = harness._cell_counts(23, shots, probs, chunk, shards)
+        assert counts.tolist() == expected.tolist()
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        class Broken(RuntimeError):
+            pass
+
+        class AdvanceRaises(np.random.Philox):
+            def advance(self, delta):
+                if delta > 0:
+                    raise Broken(f"advance({delta})")
+                return super().advance(delta)
+
+        # Only the worker threads advance: shard 0 starts at draw 0.
+        monkeypatch.setattr(np.random, "Philox", AdvanceRaises)
+        with pytest.raises(Broken):
+            harness._cell_counts(1, 5000, np.array([0.5, 0.5]), shards=3)
+
+    @staticmethod
+    def _record_threads(monkeypatch) -> list:
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        return started
+
+    def test_one_thread_per_extra_cpu(self, qnd_scenario, monkeypatch):
+        started = self._record_threads(monkeypatch)
+        run = sample(qnd_scenario, 10**7, 3)
+        # One shard per CPU the process may run on; the caller counts the first.
+        assert len(started) == min(harness._cpus(), -(-(10**7) // harness._CHUNK)) - 1
+        assert not any(t.is_alive() for t in started)
+        assert sum(run.counts.values()) == 10**7
+
+    def test_no_thread_on_one_cpu_or_one_chunk(self, qnd_scenario, monkeypatch):
+        started = self._record_threads(monkeypatch)
+        sample(qnd_scenario, harness._CHUNK, 3)
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)
+        sample(qnd_scenario, 10**6, 3)
+        assert started == []
 
     def test_memory_bounded_by_the_chunk(self, qnd_scenario):
         sample(qnd_scenario, 10, 2)  # warm caches outside the measurement
