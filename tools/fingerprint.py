@@ -19,7 +19,10 @@ each of ``STRENGTHS``; ``random_sweep`` at d = 2 x 60, 3 x 30, 8 x 6, 8 x 40 and
 at 1, 3, 10^3, 2^16 + 1, 2 x 10^5, 300 001, 10^6 and 10^7 shots and ``weak_sweep``
 on each bundled file; and
 ``heisenberg_form_violation_search([2], 50, 808)``.  Floats are written with
-``repr``, so the hash changes when any bit of any value does.  The shot
+``repr``, so the hash changes when any bit of any value does.  A second line
+extends that hash with every field of ``outcome_kernels`` (every T_k cell,
+posterior weight and restricted field included) on the d = 8
+``generate_window``s of 2, 5 and 32 members (seed 777).  The shot
 counts on either side of 2^16 (one chunk of the sampled stream) and those
 that are no multiple of it test where ``sample`` cuts its stream.  It takes
 a few seconds.
@@ -42,6 +45,7 @@ from qmeasure import (
     analyze,
     heisenberg_form_violation_search,
     load_scenario,
+    outcome_kernels,
     random_sweep,
     sample,
     weak_sweep,
@@ -57,9 +61,17 @@ from qmeasure import (
 )
 from qmeasure.errors import BiasedInstrument, NotExpressible, ZeroPosterior, ZeroProbabilityConditioning
 from qmeasure.harness import report_to_dict
-from qmeasure.scenario import random_density, random_hermitian, random_indirect_model, random_unitary
+from qmeasure.scenario import (
+    generate_window,
+    random_density,
+    random_hermitian,
+    random_indirect_model,
+    random_unitary,
+    subseed,
+)
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
+KERNEL_WINDOWS = (2, 5, 32)
 SHOTS = (1, 3, 1_000, 2**16 + 1, 200_000, 300_001, 10**6, 10**7)
 STRENGTHS = (0.4, 0.2, 0.1, 0.05)
 
@@ -156,6 +168,10 @@ def _entries(m) -> list[float]:
     return np.asarray(m, dtype=complex).view(float).ravel().tolist()
 
 
+def _restricted(rm) -> list[float]:
+    return [rm.p_posterior, rm.eps_A, rm.eps_B, rm.eta_B, rm.retro_mean_B]
+
+
 def single_outcome(s: Scenario) -> list:
     """The identity and single-outcome outputs of one scenario."""
     inst, a, b, rho = s.apparatus, s.observable_A, s.observable_B, s.state
@@ -182,7 +198,7 @@ def single_outcome(s: Scenario) -> list:
             except ZeroPosterior:
                 out.append([label, idx, None])
                 continue
-            out.append([label, idx, [rm.p_posterior, rm.eps_A, rm.eps_B, rm.eta_B, rm.retro_mean_B]])
+            out.append([label, idx, _restricted(rm)])
     return out
 
 
@@ -239,11 +255,39 @@ def outputs():
     yield "violation_search", [found.product, found.bound, found.margin, found.ozawa_margin, found.scenario.digest()]
 
 
+def kernel_outputs():
+    """Yield (name, value) pairs of every ``outcome_kernels`` field on d = 8 windows."""
+    for size in KERNEL_WINDOWS:
+        window = generate_window(8, 4, [subseed(777, (8, i)) for i in range(size)])
+        insts, a, b = zip(*[(s.apparatus, s.observable_A, s.observable_B) for s in window])
+        kernels = outcome_kernels(insts, a, b)
+        yield f"outcome_kernels d=8 x {size}", [
+            [
+                [
+                    label,
+                    [k.eps_A, k.eps_B, k.c_ab, k.eta_B],
+                    k.table.table.tolist(),
+                    list(k.posterior_weights),
+                    [None if rm is None else _restricted(rm) for rm in k.restricted],
+                ]
+                for label, k in member.items()
+            ]
+            for member in kernels
+        ]
+
+
+def _update(digest, pairs) -> None:
+    for name, value in pairs:
+        digest.update(json.dumps([name, _exact(value)], sort_keys=True).encode())
+
+
 def main() -> None:
     digest = hashlib.sha256()
-    for name, value in outputs():
-        digest.update(json.dumps([name, _exact(value)], sort_keys=True).encode())
+    _update(digest, outputs())
+    extended = digest.copy()
+    _update(extended, kernel_outputs())
     print(digest.hexdigest())
+    print(extended.hexdigest())
 
 
 if __name__ == "__main__":
