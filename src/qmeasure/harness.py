@@ -114,11 +114,13 @@ def analyze(scenario: Scenario) -> AnalysisReport:
             cross_check("eta^2", system=eta.mean_squared, joint=eta_joint)
 
     # Per-outcome values exist for the live outcomes only.
-    outcome_reports = []
-    for label, prob in zip(inst.labels, ctx.outcome_probs[0]):
-        kern = ctx.kernels[0].get(label)
-        values = (float("nan"), None, None) if kern is None else (kern.eps_A, kern.eps_B, kern.eta_B)
-        outcome_reports.append(OutcomeReport(label, float(prob), inst.pom_trace(label), *values))
+    kern, live = ctx.kernels, inst.live_labels
+    eta_k = [None] * len(live) if kern.eta is None else kern.eta[0].tolist()
+    values = {label: (*e, None)[:2] + (h,) for label, e, h in zip(live, kern.eps[0].tolist(), eta_k)}
+    outcome_reports = [
+        OutcomeReport(label, float(prob), inst.pom_trace(label), *values.get(label, (float("nan"), None, None)))
+        for label, prob in zip(inst.labels, ctx.outcome_probs[0])
+    ]
 
     return AnalysisReport(
         scenario_digest=ctx.digest[0],

@@ -36,10 +36,9 @@ from .operators import (
     expectation_and_variance,
     jordan_product,
     spectra,
-    spectral_decompose,
     value_variance,
 )
-from .retrodiction import OutcomeKernel, outcome_kernels
+from .retrodiction import _BLOCK_ENTRIES, _kernel_stack, _KernelStack
 from .scenario import Scenario, generate_window, subseed
 from .tolerances import ROUNDOFF_FLOOR, SATISFACTION_TOL
 
@@ -85,11 +84,6 @@ class InequalityRecord:
     @property
     def satisfied(self) -> bool:
         return bool(self.margin >= -SATISFACTION_TOL)
-
-
-# A block's largest member-stacked arrays, the Kraus stacks (N, n_outcomes, L_max, d, d)
-# and the kernel stacks (N, n_live, n_b, d, d), hold at most this many complex entries.
-_BLOCK_ENTRIES = 2**16
 
 
 def _signature(s: Scenario) -> tuple:
@@ -204,12 +198,29 @@ class ScenarioContext:
         return np.sqrt(value_variance(values, self.outcome_probs[:, None])).tolist()
 
     @cached_property
-    def kernels(self) -> list[dict[str, OutcomeKernel]]:
-        """One single-outcome kernel per live outcome of every member, for A and, if
-        present, B: ε_A,k, ε_B,k, η_B,k, C_AB,k and the restricted (k, b') quantities."""
+    def kernels(self) -> _KernelStack:
+        """The single-outcome quantities of every live outcome of every member, stacked
+        over (member, outcome), for A and, if present, B: ε_A,k, ε_B,k, η_B,k, C_AB,k and
+        the restricted (k, b') quantities."""
         ss = self.scenarios
         b = None if ss[0].observable_B is None else [s.observable_B for s in ss]
-        return outcome_kernels([s.apparatus for s in ss], [s.observable_A for s in ss], b)
+        return _kernel_stack([s.apparatus for s in ss], [s.observable_A for s in ss], b)
+
+    @cached_property
+    def hofmann(self) -> dict[str, tuple[list, list]]:
+        """lhs and rhs of the sub-records of each Hofmann relation, as nested lists over
+        (member, live outcome k): ε_A,k ε_B,k (hofmann1) and ε_A,k η_B,k (hofmann3)
+        against C_AB,k; and over (member, k, posterior branch b') the restricted ε_A η_B
+        against ε_A ε_B (hofmann2), NaN where p(b'|k) <= ZERO_WEIGHT."""
+        ks = self.kernels
+        eps_a, eps_b = np.moveaxis(ks.eps, -1, 0)
+        _, r_eps_a, r_eps_b, r_eta_b, _ = np.moveaxis(ks.restricted, -1, 0)
+        terms = {
+            "hofmann1": (eps_a * eps_b, ks.c_ab),
+            "hofmann2": (r_eps_a * r_eta_b, r_eps_a * r_eps_b),
+            "hofmann3": (eps_a * ks.eta, ks.c_ab),
+        }
+        return {rid: (lhs.tolist(), rhs.tolist()) for rid, (lhs, rhs) in terms.items()}
 
 
 def _branciard(eps_a: float, eps_b: float, sigma_a: float, sigma_b: float, c_ab: float) -> tuple[float, float]:
@@ -254,16 +265,12 @@ def evaluate(relation_id: str, scenario: Scenario, ctx: ScenarioContext | None =
 def _evaluate_hofmann(relation_id: str, scenario: Scenario, ctx: ScenarioContext, i: int) -> InequalityRecord:
     if scenario.observable_B is None:
         raise MissingIngredient("relation requires observable_B")
-    posteriors = spectral_decompose(scenario.observable_B).labels("b'")
-    subs: list[SubRecord] = []
-    for label, kern in ctx.kernels[i].items():
-        if relation_id == "hofmann2":
-            for posterior, rm in zip(posteriors, kern.restricted):
-                if rm is not None:
-                    subs.append(SubRecord(f"{label}|{posterior}", rm.eps_A * rm.eta_B, rm.eps_A * rm.eps_B))
-        else:
-            b_k = kern.eps_B if relation_id == "hofmann1" else kern.eta_B
-            subs.append(SubRecord(label, kern.eps_A * b_k, kern.c_ab))
+    labels, (lhs, rhs) = scenario.apparatus.live_labels, ctx.hofmann[relation_id]
+    if relation_id == "hofmann2":
+        rows = zip(labels, lhs[i], rhs[i], ctx.kernels.posterior[i].tolist())
+        subs = [SubRecord(f"{k}|b'{j}", x, y) for k, *row in rows for j, (x, y, p) in enumerate(zip(*row)) if p]
+    else:
+        subs = [SubRecord(*sub) for sub in zip(labels, lhs[i], rhs[i])]
     if not subs:
         raise MissingIngredient(f"{relation_id}: no live outcomes to evaluate")
     worst = min(subs, key=lambda r: r.margin)

@@ -125,12 +125,13 @@ class Instrument:
     kraus_present: np.ndarray = field(init=False, repr=False, compare=False)
     pom_stack: np.ndarray = field(init=False, repr=False, compare=False)
     pom_traces: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = [ks.label for ks in self.outcomes]
+        labels = tuple(ks.label for ks in self.outcomes)
         if len(set(labels)) != len(labels):
-            raise DuplicateLabel(f"duplicate outcome labels in {labels}")
+            raise DuplicateLabel(f"duplicate outcome labels in {list(labels)}")
         dims = {ks.dim for ks in self.outcomes}
         if dims != {self.dim}:
             raise DimensionMismatch(f"Kraus dimensions {sorted(dims)} != declared {self.dim}")
@@ -142,6 +143,7 @@ class Instrument:
         for name, value in (("kraus_stack", kraus), ("kraus_present", present), ("pom_stack", pom[0]), ("pom_traces", traces[0])):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", {label: i for i, label in enumerate(labels)})
 
     @classmethod
@@ -164,10 +166,6 @@ class Instrument:
         keep = p_l > ZERO_WEIGHT
         kraus = np.sqrt(p_l[keep])[:, None, None] * blocks[:, keep]
         return cls(tuple(KrausSet(label, tuple(ops)) for label, ops in zip(model.labels, kraus)), d_s)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(ks.label for ks in self.outcomes)
 
     def _position(self, label: str) -> int:
         try:
@@ -325,7 +323,8 @@ def instruments_of(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]
     for value in (kraus, present, pom, traces):
         value.setflags(write=False)
     counts = present.sum(axis=1)
-    shared = {"dim": kraus.shape[-1], "kraus_present": present, "_index": {l: i for i, l in enumerate(labels)}}
+    index = {l: i for i, l in enumerate(labels)}
+    shared = {"dim": kraus.shape[-1], "kraus_present": present, "labels": labels, "_index": index}
     return [
         prebuilt(
             Instrument,

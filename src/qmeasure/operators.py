@@ -106,11 +106,12 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     if an anti-Hermitian part exceeds ``IDENTITY_TOL`` in max-norm; smaller
     ones are round-off.  On a stack, the error names the first failing matrix.
     """
-    if not np.isfinite(m).all():
-        raise StateValidationError(f"matrix entries must be finite{at_index(~np.isfinite(m).all(axis=(-2, -1)))}")
     mh = np.swapaxes(m, -1, -2).conj()
+    # One reduction when the gate passes: a non-finite entry makes the defect NaN or inf.
     defect = max_norm(m - mh)
-    if defect > IDENTITY_TOL:
+    if not defect <= IDENTITY_TOL:
+        if not np.isfinite(m).all():
+            raise StateValidationError(f"matrix entries must be finite{at_index(~np.isfinite(m).all(axis=(-2, -1)))}")
         at = at_index(np.abs(m - mh).max(axis=(-2, -1)) > IDENTITY_TOL)
         raise HermiticityViolation(f"anti-Hermitian part has max-norm {defect:.3e}{at} > {IDENTITY_TOL}")
     return (m + mh) / 2
@@ -265,7 +266,9 @@ def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
 
 def spectra(ops) -> list[SpectralDecomposition]:
     """Eigen-branches of each of a sequence of operators of one dimension; those not
-    yet decomposed share one stacked ``eigh``, and each result is kept on its operator."""
+    yet decomposed share one stacked ``eigh`` and one ``hermitian_part``, and each
+    result is kept on its operator.  Operators with no two adjacent eigenvalues in one
+    branch get a branch per eigenvalue from the stack, and the others :func:`_branches`."""
     todo = [op for op in ops if "spectrum" not in vars(op)]
     if todo:
         try:
@@ -274,21 +277,34 @@ def spectra(ops) -> list[SpectralDecomposition]:
             raise InternalNumericError(f"eigendecomposition failed: {exc}") from exc
         order = np.argsort(evals, axis=-1)[:, ::-1]
         evals, evecs = np.take_along_axis(evals, order, -1), np.take_along_axis(evecs, order[:, None, :], -1)
-        for op, w, v in zip(todo, evals, evecs):
-            values, projectors = [], []
-            i = 0
-            while i < len(w):
-                j = i + 1
-                while j < len(w) and abs(w[j] - w[i]) <= GROUP_TOL * (1 + abs(w[i])):
-                    j += 1
-                values.append(float(np.mean(w[i:j])))
-                projectors.append(v[:, i:j] @ v[:, i:j].conj().T)
-                i = j
-            values, stack = np.array(values), hermitian_part(np.array(projectors))
-            values.setflags(write=False)
-            stack.setflags(write=False)
-            vars(op)["spectrum"] = SpectralDecomposition(values, stack)
+        columns = evecs.swapaxes(-1, -2).reshape(*evecs.shape, 1)
+        values, projectors = list(evals), list(columns @ columns.conj().swapaxes(-1, -2))
+        for i in np.flatnonzero((np.abs(np.diff(evals)) <= GROUP_TOL * (1 + np.abs(evals[:, :-1]))).any(axis=-1)):
+            values[i], projectors[i] = _branches(evals[i], evecs[i])
+        stack = hermitian_part(np.concatenate(projectors))
+        stack.setflags(write=False)
+        start = 0
+        for op, v in zip(todo, values):
+            v.setflags(write=False)
+            vars(op)["spectrum"] = SpectralDecomposition(v, stack[start : start + len(v)])
+            start += len(v)
     return [op.spectrum for op in ops]
+
+
+def _branches(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The branch values and summed projectors of eigenvalues ``w`` in descending order
+    with eigenvectors ``v``: eigenvalues within GROUP_TOL * (1 + |λ|) of a branch's
+    first one join it, and the branch is valued at their mean."""
+    values, projectors = [], []
+    i = 0
+    while i < len(w):
+        j = i + 1
+        while j < len(w) and abs(w[j] - w[i]) <= GROUP_TOL * (1 + abs(w[i])):
+            j += 1
+        values.append(float(np.mean(w[i:j])))
+        projectors.append(v[:, i:j] @ v[:, i:j].conj().T)
+        i = j
+    return np.array(values), np.array(projectors)
 
 
 def tensor_product(x, y) -> np.ndarray:

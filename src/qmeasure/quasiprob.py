@@ -22,6 +22,7 @@ from .instruments import HermitianOperator, Instrument, ValueAssignment
 from .operators import (
     DensityOperator,
     SpectralDecomposition,
+    at_index,
     expectation,
     hermitian_part,
     jordan_product,
@@ -53,9 +54,7 @@ class QuasiDistribution:
                 f"table shape {table.shape} does not match labels "
                 f"({len(self.row_labels)}, {len(self.col_labels)})"
             )
-        mass = float(table.sum())
-        if abs(mass - 1.0) > MASS_TOL:
-            raise InternalNumericError(f"total mass {mass!r} deviates from 1 beyond {MASS_TOL}")
+        unit_mass(table)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "row_values", np.asarray(self.row_values, dtype=float))
@@ -74,6 +73,16 @@ class QuasiDistribution:
     @property
     def col_marginals(self) -> np.ndarray:
         return self.table.sum(axis=0)
+
+
+def unit_mass(tables: np.ndarray) -> None:
+    """The mass gate on a table or a stack ``(..., rows, cols)`` of tables: a total mass
+    off 1 by more than MASS_TOL, or NaN, raises InternalNumericError naming the first
+    failing table of a stack."""
+    mass = tables.sum(axis=(-2, -1))
+    off = ~(np.abs(mass - 1.0) <= MASS_TOL)
+    if off.any():
+        raise InternalNumericError(f"total mass {float(mass[off][0])!r}{at_index(off)} deviates from 1 beyond {MASS_TOL}")
 
 
 def weak_probe(projectors, g: float) -> tuple[np.ndarray, np.ndarray]:

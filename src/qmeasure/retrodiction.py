@@ -3,10 +3,12 @@
 These quantities are intrinsic to an instrument outcome: no preparation
 state enters any signature.  Degenerate observables are handled at the
 eigen-branch level, with squared deviations taken between branch
-eigenvalues.  :func:`outcome_kernels` computes them all for every live
-outcome of N instruments in one pass, from their stacked maps A_k and A*_k
-on the stacked spectral projectors of B; the four single-outcome functions
-read one outcome's row of a stack of one.
+eigenvalues.  One stacked pass computes them for the live outcomes of N
+instruments, from their stacked maps A_k and A*_k on the stacked spectral
+projectors of B, and keeps them as stacks over (member, outcome), which
+sweeps read directly.  :func:`outcome_kernels` builds records from those
+stacks, and the four single-outcome functions from a pass over their one
+outcome alone.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from .errors import DimensionMismatch, ZeroPosterior
 from .instruments import Instrument, channel, retrodicted_states
 from .operators import (
     HermitianOperator,
+    SpectralDecomposition,
     clip_at_floor,
     commutator_bound,
     expectation,
     spectra,
     validated_states,
 )
-from .quasiprob import QuasiDistribution
+from .quasiprob import QuasiDistribution, unit_mass
 from .tolerances import ROUNDOFF_FLOOR, SECOND_MOMENT_FLOOR, ZERO_WEIGHT
 
 
@@ -64,23 +67,71 @@ class OutcomeKernel:
     eta_B: float | None = None
 
 
-def outcome_kernels(
-    insts: Sequence[Instrument], a: Sequence[HermitianOperator], b: Sequence[HermitianOperator] | None = None
-) -> list[dict[str, OutcomeKernel]]:
-    """The single-outcome quantities of every live outcome of N instruments of one
-    Kraus layout and live mask, each with its A and, if given, its B: one dict per
-    instrument, keyed by label in ``live_labels`` order.  The instrument and outcome
-    axes are stack axes, ``(N, n_live, n_b, d, d)``, and every product a stacked
-    ``matmul``, so every value has the bits of its per-matrix computation; each gate
-    runs once, on a stacked output.
+# A stack that grows with the block, the kernel's T_k product (N, n_live, n_b, k, d, d)
+# or a sweep window's Kraus stacks (N, n_outcomes, L_max, d, d), holds at most this
+# many complex entries.
+_BLOCK_ENTRIES = 2**16
+
+
+@dataclass(frozen=True, eq=False)
+class _KernelStack:
+    """The single-outcome quantities of the selected outcomes of N instruments, stacked
+    over (member, outcome) with the outcomes in declared order.  ``eps`` ``(N, n, 1)``
+    holds ε_A,k and, with B, ``(N, n, 2)`` ε_A,k and ε_B,k.  With B, ``c_ab`` and ``eta``
+    are ``(N, n)``, ``table`` is T_k ``(N, n, n_b, n_b)``, ``weights`` p(b'|k)
+    ``(N, n, n_b)``, ``posterior`` marks the weights above ZERO_WEIGHT, and
+    ``restricted`` ``(N, n, n_b, 5)`` holds the fields of :class:`RestrictedMetrics` in
+    order, NaN off ``posterior``."""
+
+    eps: np.ndarray
+    c_ab: np.ndarray | None = None
+    eta: np.ndarray | None = None
+    table: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    posterior: np.ndarray | None = None
+    restricted: np.ndarray | None = None
+
+    def records(self, i: int, labels: Sequence[str], spec: SpectralDecomposition | None) -> dict[str, OutcomeKernel]:
+        """Member i's kernels keyed by ``labels``, those of the selected outcomes; ``spec``
+        is its B's decomposition, None without B."""
+        eps = self.eps[i].tolist()
+        if self.table is None:
+            return {label: OutcomeKernel(*e) for label, e in zip(labels, eps)}
+        rows = zip(labels, eps, self.c_ab[i].tolist(), self.table[i], self.weights[i].tolist(), self.eta[i].tolist())
+        restricted = [
+            tuple(RestrictedMetrics(*r) if p else None for r, p in zip(rs, ps))
+            for rs, ps in zip(self.restricted[i].tolist(), self.posterior[i].tolist())
+        ]
+        return {
+            label: OutcomeKernel(
+                *e, c_ab, QuasiDistribution.on_branches(spec, "b", "b'", table), tuple(weights), r, eta
+            )
+            for (label, e, c_ab, table, weights, eta), r in zip(rows, restricted)
+        }
+
+
+def _kernel_stack(
+    insts: Sequence[Instrument],
+    a: Sequence[HermitianOperator],
+    b: Sequence[HermitianOperator] | None = None,
+    select: np.ndarray | None = None,
+) -> _KernelStack:
+    """The single-outcome quantities of N instruments of one Kraus layout and live mask,
+    each with its A and, if given, its B, for the live outcomes that the mask ``select``
+    over the declared outcomes picks (all of them by default).  The instrument and
+    outcome axes are stack axes, ``(N, n, n_b, d, d)``, and every product a stacked
+    ``matmul``, so every value has the bits of its per-matrix computation, whatever the
+    block and the selection; each gate runs once, on a stacked output, and names the
+    first failing (member, outcome).
     """
     live, present = insts[0].live_mask, insts[0].kraus_present
     if len({(inst.kraus_present.tobytes(), inst.live_mask.tobytes()) for inst in insts}) > 1:
         raise DimensionMismatch("outcome_kernels needs instruments of one Kraus layout and live mask")
-    n_inst, n = len(insts), int(live.sum())
+    select = live if select is None else select
+    n_inst, n = len(insts), int(select.sum())
     traces = np.stack([inst.pom_traces for inst in insts])
-    tr = traces[:, live]
-    states = retrodicted_states(np.stack([inst.pom_stack for inst in insts]), traces, live)
+    tr = traces[:, select]
+    states = retrodicted_states(np.stack([inst.pom_stack for inst in insts]), traces, select)
     states = states.reshape((-1,) + states.shape[-2:])
     member = np.repeat(np.arange(n_inst), n)
     am = np.stack([np.asarray(x) for x in a])
@@ -89,15 +140,17 @@ def outcome_kernels(
         bm = np.stack([np.asarray(x) for x in b])
         obs = np.stack([am, bm], axis=1)
         specs = spectra(b)
+        values = np.stack([spec.eigenvalues for spec in specs])
         proj = np.stack([spec.projector_stack for spec in specs])
-        kraus = np.stack([inst.kraus_stack for inst in insts])
+        kraus = np.stack([inst.kraus_stack for inst in insts])[:, select]
         # T_k divides each trace by Tr P_k; the conditioned states divide
         # A*_k(Π_b') before the trace.  The two orders round differently.
-        forward = channel(kraus, present, proj)[:, live]
-        # One posterior branch b' at a time bounds the product at (N, n_live, n_b, d, d).
-        table = np.stack([expectation(p[:, None, None], forward) for p in proj.swapaxes(0, 1)], axis=-1)
-        table /= tr[:, :, None, None]
-        backward = channel(kraus, present, proj, dual=True)[:, live] / tr[:, :, None, None, None]
+        forward = channel(kraus, present[select], proj)[..., None, :, :]
+        # A chunk of posterior branches b' at a time keeps the product within _BLOCK_ENTRIES.
+        step = max(1, _BLOCK_ENTRIES // forward.size)
+        chunks = [expectation(proj[:, None, None, j : j + step], forward) for j in range(0, proj.shape[1], step)]
+        table = np.concatenate(chunks, axis=-1) / tr[:, :, None, None]
+        backward = channel(kraus, present[select], proj, dual=True) / tr[:, :, None, None, None]
         weights = np.real(np.trace(backward, axis1=-2, axis2=-1))
         posterior = weights > ZERO_WEIGHT
         conditioned = validated_states(backward[posterior] / weights[posterior][:, None, None])
@@ -111,43 +164,44 @@ def outcome_kernels(
     mean = np.real(np.trace(obs[member] @ states[:, None], axis1=-2, axis2=-1))
     second = np.real(np.trace(squares[member] @ states[:, None], axis1=-2, axis2=-1))
     var = clip_at_floor(second - mean * mean, ROUNDOFF_FLOOR, "variance")
-    sd = np.sqrt(var).tolist()
-    labels = [inst.live_labels for inst in insts]
+    sd = np.sqrt(var)
+    eps = sd[: n_inst * n].reshape(n_inst, n, -1)
     if b is None:
-        return [{label: OutcomeKernel(*sd[i * n + k]) for k, label in enumerate(labels[i])} for i in range(n_inst)]
-    values = np.stack([spec.eigenvalues for spec in specs])
+        return _KernelStack(eps)
     diff = values[:, :, None] - values[:, None, :]
     msd = clip_at_floor(np.sum(diff[:, None] ** 2 * table, axis=(-2, -1)), SECOND_MOMENT_FLOOR, "second moment")
-    eta = np.sqrt(msd).tolist()
-    restricted: list = [[[None] * len(spec.eigenvalues) for _ in range(n)] for spec in specs]
-    rows = zip(mean[n_inst * n :, 1].tolist(), var[n_inst * n :, 1].tolist(), sd[n_inst * n :])
-    weight_rows, branch_values = weights.tolist(), values.tolist()
-    for (i, k, idx), (mean_b, var_b, (eps_a, eps_b)) in zip(np.argwhere(posterior).tolist(), rows):
-        eta_b = math.sqrt(var_b + (branch_values[i][idx] - mean_b) ** 2)
-        restricted[i][k][idx] = RestrictedMetrics(weight_rows[i][k][idx], eps_a, eps_b, eta_b, mean_b)
-    c_ab = commutator_bound(am[:, None], bm[:, None], states[: n_inst * n].reshape(tr.shape + am.shape[-2:])).tolist()
-    return [
-        {
-            label: OutcomeKernel(
-                *sd[i * n + k],
-                c_ab[i][k],
-                QuasiDistribution.on_branches(specs[i], "b", "b'", table[i, k]),
-                tuple(weight_rows[i][k]),
-                tuple(restricted[i][k]),
-                eta[i][k],
-            )
-            for k, label in enumerate(labels[i])
-        }
-        for i in range(n_inst)
-    ]
+    unit_mass(table)
+    # η_B,k,b' in Python floats: (B_b' - mean)**2 is a libm power, which rounds unlike an array square.
+    mean_b, var_b = mean[n_inst * n :, 1], var[n_inst * n :, 1]
+    branch = np.broadcast_to(values[:, None], posterior.shape)[posterior]
+    eta_b = [math.sqrt(v + (x - m) ** 2) for v, x, m in zip(var_b.tolist(), branch.tolist(), mean_b.tolist())]
+    restricted = np.full(posterior.shape + (5,), np.nan)
+    restricted[posterior] = np.column_stack([weights[posterior], sd[n_inst * n :], eta_b, mean_b])
+    c_ab = commutator_bound(am[:, None], bm[:, None], states[: n_inst * n].reshape(tr.shape + am.shape[-2:]))
+    return _KernelStack(eps, c_ab, np.sqrt(msd), table, weights, posterior, restricted)
+
+
+def outcome_kernels(
+    insts: Sequence[Instrument], a: Sequence[HermitianOperator], b: Sequence[HermitianOperator] | None = None
+) -> list[dict[str, OutcomeKernel]]:
+    """The single-outcome quantities of every live outcome of N instruments of one
+    Kraus layout and live mask, each with its A and, if given, its B: one dict per
+    instrument, keyed by label in ``live_labels`` order, built from one stacked pass.
+    """
+    ks = _kernel_stack(insts, a, b)
+    specs = [None] * len(insts) if b is None else spectra(b)
+    return [ks.records(i, inst.live_labels, spec) for i, (inst, spec) in enumerate(zip(insts, specs))]
 
 
 def outcome_kernel(
     inst: Instrument, label: str, a: HermitianOperator, b: HermitianOperator | None = None
 ) -> OutcomeKernel:
-    """The row of :func:`outcome_kernels` of one outcome; a null one raises NullOutcome."""
+    """The kernel of one outcome, computed for that outcome alone with the bits of its
+    row of :func:`outcome_kernels`; a null one raises NullOutcome."""
     inst.live_index(label)
-    return outcome_kernels([inst], [a], None if b is None else [b])[0][label]
+    select = np.array([l == label for l in inst.labels])
+    bs = None if b is None else [b]
+    return _kernel_stack([inst], [a], bs, select).records(0, [label], None if b is None else b.spectrum)[label]
 
 
 def retrodictive_error(inst: Instrument, label: str, a: HermitianOperator) -> float:

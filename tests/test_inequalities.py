@@ -257,6 +257,16 @@ class TestBlocks:
         for (s, ctx), alone in zip(blocked, batch()):
             assert _rows(evaluate_all(s, ctx).values()) == _rows(evaluate_all(alone).values())
 
+    def test_evaluation_runs_each_gate_once_per_block(self, gate_calls):
+        # Both sweeps are one d = 3 window and one block: the gates of its spectra,
+        # kernels and noise reports run on the block's stacks, whatever its size.
+        def evaluated(count: int) -> dict:
+            gate_calls.clear()
+            random_sweep([3], count, 777)
+            return dict(gate_calls)
+
+        assert evaluated(20) == evaluated(40)
+
     def test_context_needs_one_signature(self):
         with pytest.raises(ValueError):
             ScenarioContext([generate_random(3, 4, 1), _special_d3(0)])

@@ -58,6 +58,12 @@ class TestConstruction:
         for i, label in enumerate(inst.labels):
             assert inst.pom_element(label) is inst.pom()[i]
 
+    def test_labels_are_stored_once(self):
+        # Built by the constructor and by a window's instruments_of alike.
+        for inst in (projective_z(), generate_random(3, 4, 1).apparatus):
+            assert inst.labels is inst.labels
+            assert inst.labels == tuple(ks.label for ks in inst.outcomes)
+
     def test_theta_pom_completeness_any_theta(self):
         for theta in (0.0, 0.3, np.pi / 3, np.pi / 2, 2.9):
             inst = theta_pom_instrument(theta)

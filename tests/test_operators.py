@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qmeasure
+from qmeasure import operators
 from qmeasure.errors import (
     DimensionMismatch,
     HermiticityViolation,
@@ -27,11 +28,12 @@ from qmeasure.operators import (
     jordan_product,
     max_norm,
     partial_trace,
+    spectra,
     spectral_decompose,
     tensor_product,
     validated_states,
 )
-from qmeasure.scenario import _rng, random_density, random_hermitian
+from qmeasure.scenario import _rng, random_density, random_hermitian, random_unitary
 from qmeasure.tolerances import CROSS_CHECK_TOL, ROUNDOFF_FLOOR
 
 
@@ -176,6 +178,24 @@ class TestSpectralDecompose:
             spec = spectral_decompose(a)
             resum = sum(ev * p.matrix for ev, p in spec.branches)
             assert max_norm(resum - a.matrix) < 1e-9
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
+    def test_a_stack_has_the_bits_of_grouping_one_by_one(self, dim):
+        # Ungrouped operators take their branches from the stack, grouped ones
+        # (one fully degenerate, one with a repeated eigenvalue) from _branches;
+        # every operator matches _branches on its own sorted eigh.
+        rng = _rng((7, dim))
+        u = random_unitary(dim, rng)
+        degenerate = np.linspace(1.0, -1.0, dim)
+        degenerate[1] = degenerate[0]
+        ops = [random_hermitian(dim, rng) for _ in range(5)]
+        ops[1:1] = [HermitianOperator(np.eye(dim)), HermitianOperator((u * degenerate) @ u.conj().T)]
+        for op, spec in zip(ops, spectra(ops)):
+            w, v = np.linalg.eigh(op.matrix)
+            values, projectors = operators._branches(w[::-1], v[:, ::-1])
+            assert np.array_equal(spec.eigenvalues, values)
+            assert np.array_equal(spec.projector_stack, hermitian_part(projectors))
+        assert [len(op.spectrum.eigenvalues) for op in ops[:3]] == [dim, 1, dim - 1]
 
     def test_projector_completeness_and_orthogonality(self):
         rng = _rng(6)
@@ -328,7 +348,7 @@ class TestClipAtFloor:
 # the commutator's |Tr| and in the two moment lines of the stacked outcome kernel,
 # which keep their own traces so that an overflowed A^2 reaches its floor.
 TRACE_OWNERS = Counter(
-    {("operators.py", "expectation"): 1, ("operators.py", "commutator_bound"): 1, ("retrodiction.py", "outcome_kernels"): 2}
+    {("operators.py", "expectation"): 1, ("operators.py", "commutator_bound"): 1, ("retrodiction.py", "_kernel_stack"): 2}
 )
 
 

@@ -12,7 +12,9 @@ from qmeasure.operators import (
     DensityOperator,
     HermitianOperator,
     commutator_bound,
+    expectation,
     max_norm,
+    spectra,
 )
 from qmeasure.retrodiction import (
     interdictive_disturbance,
@@ -26,11 +28,13 @@ from qmeasure.scenario import (
     Scenario,
     _rng,
     generate_random,
+    generate_window,
     projective_instrument,
     random_hermitian,
     random_indirect_model,
     random_instrument,
     random_unitary,
+    subseed,
     theta_pom_instrument,
 )
 
@@ -256,6 +260,75 @@ def test_kernel_matches_per_matrix_loops(dim):
             values = kernel.table.row_values
             eta = np.sqrt(np.sum((values[:, None] - values[None, :]) ** 2 * table))
             assert abs(kernel.eta_B - eta) < 1e-12
+
+
+def _per_branch_reference(insts, b):
+    """T_k and p(b'|k) of every live outcome of a block, one posterior branch b' at a time."""
+    live, present = insts[0].live_mask, insts[0].kraus_present
+    kraus = np.stack([inst.kraus_stack for inst in insts])
+    proj = np.stack([spec.projector_stack for spec in spectra(b)])
+    tr = np.stack([inst.pom_traces for inst in insts])[:, live]
+    forward = instruments.channel(kraus, present, proj)[:, live]
+    table, weights = [], []
+    for j in range(proj.shape[1]):
+        table.append(expectation(proj[:, None, None, j], forward))
+        backward = instruments.channel(kraus, present, proj[:, j : j + 1], dual=True)[:, live, 0]
+        weights.append(np.real(np.trace(backward / tr[:, :, None, None], axis1=-2, axis2=-1)))
+    return np.stack(table, axis=-1) / tr[:, :, None, None], np.stack(weights, axis=-1)
+
+
+def _grouped(b: HermitianOperator) -> HermitianOperator:
+    """B with its two largest eigenvalues merged into one branch."""
+    evals, vecs = np.linalg.eigh(b.matrix)
+    evals[-2] = evals[-1]
+    return HermitianOperator((vecs * evals) @ vecs.conj().T)
+
+
+@pytest.mark.parametrize("size, step", [(2, 16), (5, 6), (32, 1)])
+def test_chunked_table_has_the_bits_of_a_per_branch_loop(size, step):
+    # At d = 8 with 4 outcomes a chunk holds `step` of the 8 posterior branches:
+    # all of them, a chunk that does not divide 8, and one at a time.
+    assert max(1, retrodiction._BLOCK_ENTRIES // (size * 4 * 8 * 8**2)) == step
+    window = generate_window(8, 4, [subseed(777, (8, i)) for i in range(size)])
+    insts, a, b = (list(x) for x in zip(*[(s.apparatus, s.observable_A, s.observable_B) for s in window]))
+    blocks = [(insts, a, b), ([insts[0]], [a[0]], [_grouped(b[0])])]
+    assert len(blocks[1][2][0].spectrum.eigenvalues) == 7
+    for insts, a, b in blocks:
+        table, weights = _per_branch_reference(insts, b)
+        for i, kernels in enumerate(outcome_kernels(insts, a, b)):
+            for k, kernel in enumerate(kernels.values()):
+                assert np.array_equal(kernel.table.table, table[i, k])
+                assert np.array_equal(kernel.posterior_weights, weights[i, k])
+
+
+def test_one_outcome_has_the_bits_of_its_row():
+    # outcome_kernel computes its outcome alone; each field keeps its bits.
+    window = generate_window(8, 4, [subseed(777, (8, i)) for i in range(3)])
+    scenarios = [window[2], generate_random(3, 2, 11)]
+    for s in scenarios:
+        inst, a, b = s.apparatus, s.observable_A, s.observable_B
+        for label, row in outcome_kernels([inst], [a], [b])[0].items():
+            one = outcome_kernel(inst, label, a, b)
+            assert np.array_equal(one.table.table, row.table.table)
+            assert (one.eps_A, one.eps_B, one.c_ab, one.eta_B) == (row.eps_A, row.eps_B, row.c_ab, row.eta_B)
+            assert (one.posterior_weights, one.restricted) == (row.posterior_weights, row.restricted)
+            assert retrodictive_error(inst, label, a) == row.eps_A
+
+
+def test_the_mass_gate_names_the_first_bad_member_and_outcome(monkeypatch):
+    window = generate_window(3, 4, [subseed(5, i) for i in range(3)])
+    channel = retrodiction.channel
+
+    def heavy(kraus, present, x, dual=False):
+        out = channel(kraus, present, x, dual)
+        if not dual:
+            out = out.copy()
+            out[1, 2] *= 1.01
+        return out
+
+    monkeypatch.setattr(retrodiction, "channel", heavy)
+    with pytest.raises(InternalNumericError, match=r"total mass .* at index \(1, 2\)"):
+        outcome_kernels([s.apparatus for s in window], [s.observable_A for s in window], [s.observable_B for s in window])
 
 
 class TestRestrictedMetrics:
