@@ -142,15 +142,15 @@ def _kernel_stack(
         specs = spectra(b)
         values = np.stack([spec.eigenvalues for spec in specs])
         proj = np.stack([spec.projector_stack for spec in specs])
-        kraus = np.stack([inst.kraus_stack for inst in insts])[:, select]
+        kraus, present = np.stack([inst.kraus_stack for inst in insts])[:, select], present[select]
         # T_k divides each trace by Tr P_k; the conditioned states divide
         # A*_k(Π_b') before the trace.  The two orders round differently.
-        forward = channel(kraus, present[select], proj)[..., None, :, :]
+        forward = channel(kraus, present, proj)[..., None, :, :]
         # A chunk of posterior branches b' at a time keeps the product within _BLOCK_ENTRIES.
         step = max(1, _BLOCK_ENTRIES // forward.size)
         chunks = [expectation(proj[:, None, None, j : j + step], forward) for j in range(0, proj.shape[1], step)]
         table = np.concatenate(chunks, axis=-1) / tr[:, :, None, None]
-        backward = channel(kraus, present[select], proj, dual=True) / tr[:, :, None, None, None]
+        backward = channel(kraus, present, proj, dual=True) / tr[:, :, None, None, None]
         weights = np.real(np.trace(backward, axis1=-2, axis2=-1))
         posterior = weights > ZERO_WEIGHT
         conditioned = validated_states(backward[posterior] / weights[posterior][:, None, None])

@@ -216,9 +216,9 @@ def _loop_reference(inst, label, a, b):
     return eps, table, np.array(rows)
 
 
-def test_one_call_keys_every_live_outcome():
-    # Outcomes with 1, 2 and 3 Kraus operators and a null one between them: one
-    # call gives a kernel for each live outcome, and each matches the loops.
+def _ragged_with_null():
+    """d = 3 outcomes with 1, 2 and 3 Kraus operators and a null one between them,
+    with random A and B."""
     rng = _rng(59)
     a, b = random_hermitian(3, rng), random_hermitian(3, rng)
     isometry = random_unitary(18, rng)[:, :3]
@@ -227,6 +227,12 @@ def test_one_call_keys_every_live_outcome():
     inst = Instrument.from_kraus(
         [KrausSet("one", (m[0],)), KrausSet("null", tiny), KrausSet("two", tuple(m[1:3])), KrausSet("three", tuple(m[3:]))]
     )
+    return inst, a, b
+
+
+def test_one_call_keys_every_live_outcome():
+    # One call gives a kernel for each live outcome, and each matches the loops.
+    inst, a, b = _ragged_with_null()
     kernels = outcome_kernels([inst], [a], [b])[0]
     assert tuple(kernels) == inst.live_labels == ("one", "two", "three")
     for label, kernel in kernels.items():
@@ -303,10 +309,8 @@ def test_chunked_table_has_the_bits_of_a_per_branch_loop(size, step):
 
 def test_one_outcome_has_the_bits_of_its_row():
     # outcome_kernel computes its outcome alone; each field keeps its bits.
-    window = generate_window(8, 4, [subseed(777, (8, i)) for i in range(3)])
-    scenarios = [window[2], generate_random(3, 2, 11)]
-    for s in scenarios:
-        inst, a, b = s.apparatus, s.observable_A, s.observable_B
+    member = generate_window(8, 4, [subseed(777, (8, i)) for i in range(3)])[2]
+    for inst, a, b in [(member.apparatus, member.observable_A, member.observable_B), _ragged_with_null()]:
         for label, row in outcome_kernels([inst], [a], [b])[0].items():
             one = outcome_kernel(inst, label, a, b)
             assert np.array_equal(one.table.table, row.table.table)
