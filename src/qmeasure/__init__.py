@@ -45,10 +45,9 @@ from .quasiprob import (
     weak_probe_error_distribution,
 )
 from .retrodiction import (
-    OutcomeKernel,
+    OutcomeKernels,
     interdictive_disturbance,
     interdictive_joint_distribution,
-    outcome_kernel,
     outcome_kernels,
     restricted_metrics,
     retrodictive_error,

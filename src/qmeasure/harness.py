@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InternalNumericError, InvalidStrength, NotExpressible
 from .inequalities import InequalityRecord, ScenarioContext, evaluate_all
+from .instruments import value_row
 from .metrics import (
     NoiseReport,
     epsilon_sq_joint,
@@ -280,7 +281,7 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     pair_counts = None if s.observable_B is None else dict(zip(cells, binned.tolist()))
 
     p_hat = np.array([outcome_counts[label] / shots for label in labels])
-    m = np.array([float(s.values_m[label]) for label in labels])
+    m = np.array(value_row(inst, s.values_m))
     mean = float(m @ p_hat)
     mean_se = _stream_se(m, p_hat, shots)
 

@@ -38,7 +38,7 @@ from .operators import (
     spectra,
     value_variance,
 )
-from .retrodiction import _BLOCK_ENTRIES, _kernel_stack, _KernelStack
+from .retrodiction import _BLOCK_ENTRIES, OutcomeKernels, outcome_kernels
 from .scenario import Scenario, generate_window, subseed
 from .tolerances import ROUNDOFF_FLOOR, SATISFACTION_TOL
 
@@ -198,13 +198,13 @@ class ScenarioContext:
         return np.sqrt(value_variance(values, self.outcome_probs[:, None])).tolist()
 
     @cached_property
-    def kernels(self) -> _KernelStack:
+    def kernels(self) -> OutcomeKernels:
         """The single-outcome quantities of every live outcome of every member, stacked
         over (member, outcome), for A and, if present, B: ε_A,k, ε_B,k, η_B,k, C_AB,k and
         the restricted (k, b') quantities."""
         ss = self.scenarios
         b = None if ss[0].observable_B is None else [s.observable_B for s in ss]
-        return _kernel_stack([s.apparatus for s in ss], [s.observable_A for s in ss], b)
+        return outcome_kernels([s.apparatus for s in ss], [s.observable_A for s in ss], b)
 
     @cached_property
     def hofmann(self) -> dict[str, tuple[list, list]]:

@@ -205,7 +205,7 @@ def unbiased_dispersion(
     if not is_unbiased(inst.effective_observable(values), a):
         raise BiasedInstrument("dispersion is defined only for unbiased estimations")
     p_k = inst.outcome_probabilities(rho)
-    m_k = np.array([float(values[label]) for label in inst.labels])
+    m_k = np.array(value_row(inst, values))
     spec = spectral_decompose(a)
     p_a = expectation(spec.projector_stack, rho)
     eigen_side = float(m_k**2 @ p_k - spec.eigenvalues**2 @ p_a)

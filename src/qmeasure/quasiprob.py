@@ -18,7 +18,7 @@ from .errors import (
     InvalidStrength,
     ZeroProbabilityConditioning,
 )
-from .instruments import HermitianOperator, Instrument, ValueAssignment
+from .instruments import HermitianOperator, Instrument, ValueAssignment, value_row
 from .operators import (
     DensityOperator,
     SpectralDecomposition,
@@ -119,8 +119,7 @@ def _probed_states(rho: DensityOperator, spec: SpectralDecomposition, g: float):
 
 def _error_table(spec: SpectralDecomposition, inst: Instrument, values: ValueAssignment, table):
     """A table over the eigen-branches a of A (rows) and the outcomes k, valued m_k (columns)."""
-    values_k = np.array([float(values[label]) for label in inst.labels])
-    return QuasiDistribution(spec.labels("a"), inst.labels, table, spec.eigenvalues, values_k)
+    return QuasiDistribution(spec.labels("a"), inst.labels, table, spec.eigenvalues, np.array(value_row(inst, values)))
 
 
 def tmh_error_distribution(

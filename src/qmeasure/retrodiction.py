@@ -3,12 +3,12 @@
 These quantities are intrinsic to an instrument outcome: no preparation
 state enters any signature.  Degenerate observables are handled at the
 eigen-branch level, with squared deviations taken between branch
-eigenvalues.  One stacked pass computes them for the live outcomes of N
-instruments, from their stacked maps A_k and A*_k on the stacked spectral
-projectors of B, and keeps them as stacks over (member, outcome), which
-sweeps read directly.  :func:`outcome_kernels` builds records from those
-stacks, and the four single-outcome functions from a pass over their one
-outcome alone.
+eigenvalues.  :func:`outcome_kernels` computes them in one stacked pass over
+the live outcomes of N instruments, from their stacked maps A_k and A*_k on
+the stacked spectral projectors of B, and returns them as the stacks over
+(member, outcome) of an :class:`OutcomeKernels`.  The four single-outcome
+functions run that pass over their one outcome and read its row, which has
+the bits of that outcome's row of the full call.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import DimensionMismatch, ZeroPosterior
 from .instruments import Instrument, channel, retrodicted_states
 from .operators import (
     HermitianOperator,
-    SpectralDecomposition,
     clip_at_floor,
     commutator_bound,
     expectation,
@@ -45,28 +44,6 @@ class RestrictedMetrics:
     retro_mean_B: float
 
 
-@dataclass(frozen=True)
-class OutcomeKernel:
-    """The single-outcome quantities of one live outcome k.
-
-    ``eps_A`` and ``eps_B`` are the spreads of A and B in the retrodictive
-    state P_k / Tr P_k, and ``c_ab`` is C_AB in it.  ``table`` is the
-    interdictive table T_k[b, b'] = Tr[Π_b' A_k(Π_b)] / Tr P_k, ``eta_B`` is
-    sqrt(sum (B_b - B_b')^2 T_k[b, b']), ``posterior_weights`` are
-    p(b'|k) = Tr A*_k(Π_b') / Tr P_k, and ``restricted`` has one entry per
-    posterior branch b', None where p(b'|k) <= ZERO_WEIGHT.  Without B only
-    ``eps_A`` is set.
-    """
-
-    eps_A: float
-    eps_B: float | None = None
-    c_ab: float | None = None
-    table: QuasiDistribution | None = None
-    posterior_weights: tuple[float, ...] = ()
-    restricted: tuple[RestrictedMetrics | None, ...] = ()
-    eta_B: float | None = None
-
-
 # A stack that grows with the block, the kernel's T_k product (N, n_live, n_b, k, d, d)
 # or a sweep window's Kraus stacks (N, n_outcomes, L_max, d, d), holds at most this
 # many complex entries.
@@ -74,14 +51,17 @@ _BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
-class _KernelStack:
+class OutcomeKernels:
     """The single-outcome quantities of the selected outcomes of N instruments, stacked
     over (member, outcome) with the outcomes in declared order.  ``eps`` ``(N, n, 1)``
-    holds ε_A,k and, with B, ``(N, n, 2)`` ε_A,k and ε_B,k.  With B, ``c_ab`` and ``eta``
-    are ``(N, n)``, ``table`` is T_k ``(N, n, n_b, n_b)``, ``weights`` p(b'|k)
-    ``(N, n, n_b)``, ``posterior`` marks the weights above ZERO_WEIGHT, and
-    ``restricted`` ``(N, n, n_b, 5)`` holds the fields of :class:`RestrictedMetrics` in
-    order, NaN off ``posterior``."""
+    holds ε_A,k and, with B, ``(N, n, 2)`` ε_A,k and ε_B,k: the spreads of A and B in
+    the retrodictive state P_k / Tr P_k.  With B, ``c_ab`` is C_AB,k in that state and
+    ``eta`` η_B,k = sqrt(Σ (B_b - B_b')² T_k[b, b']), both ``(N, n)``; ``table`` is the
+    interdictive table T_k[b, b'] = Tr[Π_b' A_k(Π_b)] / Tr P_k ``(N, n, n_b, n_b)``,
+    ``weights`` the posterior weights p(b'|k) = Tr A*_k(Π_b') / Tr P_k ``(N, n, n_b)``,
+    ``posterior`` marks the weights above ZERO_WEIGHT, and ``restricted``
+    ``(N, n, n_b, 5)`` holds the fields of :class:`RestrictedMetrics` in order, NaN off
+    ``posterior``."""
 
     eps: np.ndarray
     c_ab: np.ndarray | None = None
@@ -91,39 +71,25 @@ class _KernelStack:
     posterior: np.ndarray | None = None
     restricted: np.ndarray | None = None
 
-    def records(self, i: int, labels: Sequence[str], spec: SpectralDecomposition | None) -> dict[str, OutcomeKernel]:
-        """Member i's kernels keyed by ``labels``, those of the selected outcomes; ``spec``
-        is its B's decomposition, None without B."""
-        eps = self.eps[i].tolist()
-        if self.table is None:
-            return {label: OutcomeKernel(*e) for label, e in zip(labels, eps)}
-        rows = zip(labels, eps, self.c_ab[i].tolist(), self.table[i], self.weights[i].tolist(), self.eta[i].tolist())
-        restricted = [
-            tuple(RestrictedMetrics(*r) if p else None for r, p in zip(rs, ps))
-            for rs, ps in zip(self.restricted[i].tolist(), self.posterior[i].tolist())
-        ]
-        return {
-            label: OutcomeKernel(
-                *e, c_ab, QuasiDistribution.on_branches(spec, "b", "b'", table), tuple(weights), r, eta
-            )
-            for (label, e, c_ab, table, weights, eta), r in zip(rows, restricted)
-        }
 
-
-def _kernel_stack(
+def outcome_kernels(
     insts: Sequence[Instrument],
     a: Sequence[HermitianOperator],
     b: Sequence[HermitianOperator] | None = None,
     select: np.ndarray | None = None,
-) -> _KernelStack:
-    """The single-outcome quantities of N instruments of one Kraus layout and live mask,
-    each with its A and, if given, its B, for the live outcomes that the mask ``select``
-    over the declared outcomes picks (all of them by default).  The instrument and
-    outcome axes are stack axes, ``(N, n, n_b, d, d)``, and every product a stacked
-    ``matmul``, so every value has the bits of its per-matrix computation, whatever the
-    block and the selection; each gate runs once, on a stacked output, and names the
-    first failing (member, outcome).
+) -> OutcomeKernels:
+    """The single-outcome quantities of N ≥ 1 instruments of one Kraus layout and live
+    mask, each with its own A and, if given, its own B, for the live outcomes that the
+    mask ``select`` over the declared outcomes picks (all of them by default).  The
+    instrument and outcome axes are stack axes, ``(N, n, n_b, d, d)``, and every product
+    a stacked ``matmul``, so every value has the bits of its per-matrix computation,
+    whatever the block and the selection; each gate runs once, on a stacked output, and
+    names the first failing (member, outcome).  A block that is empty, or whose counts
+    of instruments, A and B differ, raises DimensionMismatch before any stacking.
     """
+    counts = (len(insts), len(a)) + (() if b is None else (len(b),))
+    if not insts or len(set(counts)) > 1:
+        raise DimensionMismatch(f"outcome_kernels needs one A (and B) per instrument, at least one; got {counts}")
     live, present = insts[0].live_mask, insts[0].kraus_present
     if len({(inst.kraus_present.tobytes(), inst.live_mask.tobytes()) for inst in insts}) > 1:
         raise DimensionMismatch("outcome_kernels needs instruments of one Kraus layout and live mask")
@@ -167,7 +133,7 @@ def _kernel_stack(
     sd = np.sqrt(var)
     eps = sd[: n_inst * n].reshape(n_inst, n, -1)
     if b is None:
-        return _KernelStack(eps)
+        return OutcomeKernels(eps)
     diff = values[:, :, None] - values[:, None, :]
     msd = clip_at_floor(np.sum(diff[:, None] ** 2 * table, axis=(-2, -1)), SECOND_MOMENT_FLOOR, "second moment")
     unit_mass(table)
@@ -178,30 +144,13 @@ def _kernel_stack(
     restricted = np.full(posterior.shape + (5,), np.nan)
     restricted[posterior] = np.column_stack([weights[posterior], sd[n_inst * n :], eta_b, mean_b])
     c_ab = commutator_bound(am[:, None], bm[:, None], states[: n_inst * n].reshape(tr.shape + am.shape[-2:]))
-    return _KernelStack(eps, c_ab, np.sqrt(msd), table, weights, posterior, restricted)
+    return OutcomeKernels(eps, c_ab, np.sqrt(msd), table, weights, posterior, restricted)
 
 
-def outcome_kernels(
-    insts: Sequence[Instrument], a: Sequence[HermitianOperator], b: Sequence[HermitianOperator] | None = None
-) -> list[dict[str, OutcomeKernel]]:
-    """The single-outcome quantities of every live outcome of N instruments of one
-    Kraus layout and live mask, each with its A and, if given, its B: one dict per
-    instrument, keyed by label in ``live_labels`` order, built from one stacked pass.
-    """
-    ks = _kernel_stack(insts, a, b)
-    specs = [None] * len(insts) if b is None else spectra(b)
-    return [ks.records(i, inst.live_labels, spec) for i, (inst, spec) in enumerate(zip(insts, specs))]
-
-
-def outcome_kernel(
-    inst: Instrument, label: str, a: HermitianOperator, b: HermitianOperator | None = None
-) -> OutcomeKernel:
-    """The kernel of one outcome, computed for that outcome alone with the bits of its
-    row of :func:`outcome_kernels`; a null one raises NullOutcome."""
+def _outcome(inst: Instrument, label: str, a: HermitianOperator, b: HermitianOperator | None = None) -> OutcomeKernels:
+    """The pass over outcome ``label`` alone, in row ``[0, 0]``; a null one raises NullOutcome."""
     inst.live_index(label)
-    select = np.array([l == label for l in inst.labels])
-    bs = None if b is None else [b]
-    return _kernel_stack([inst], [a], bs, select).records(0, [label], None if b is None else b.spectrum)[label]
+    return outcome_kernels([inst], [a], None if b is None else [b], np.array(inst.labels) == label)
 
 
 def retrodictive_error(inst: Instrument, label: str, a: HermitianOperator) -> float:
@@ -210,7 +159,7 @@ def retrodictive_error(inst: Instrument, label: str, a: HermitianOperator) -> fl
     This is the resolution of the outcome: it depends only on P_k and A,
     never on a preparation.
     """
-    return outcome_kernel(inst, label, a).eps_A
+    return float(_outcome(inst, label, a).eps[0, 0, 0])
 
 
 def interdictive_joint_distribution(inst: Instrument, label: str, b: HermitianOperator) -> QuasiDistribution:
@@ -218,13 +167,13 @@ def interdictive_joint_distribution(inst: Instrument, label: str, b: HermitianOp
 
     Rows index the preparation branch b, columns the posterior branch b'.
     """
-    return outcome_kernel(inst, label, b, b).table
+    return QuasiDistribution.on_branches(b.spectrum, "b", "b'", _outcome(inst, label, b, b).table[0, 0])
 
 
 def interdictive_disturbance(inst: Instrument, label: str, b: HermitianOperator) -> float:
     """Root-mean-squared deviation between preparations and post-selections
     bracketing outcome k: sqrt(sum (B_b - B_b')^2 p(b, b' | k))."""
-    return outcome_kernel(inst, label, b, b).eta_B
+    return float(_outcome(inst, label, b, b).eta[0, 0])
 
 
 def restricted_metrics(
@@ -235,10 +184,10 @@ def restricted_metrics(
     The conditioned state is rho_{k,b'} = A*_k(Π_b') / (Tr(P_k) p(b'|k)).
     The disturbance obeys eta^2 = eps_B^2 + (B_b' - <B>)^2 exactly.
     """
-    kernel = outcome_kernel(inst, label, a, b)
-    if not 0 <= posterior_index < len(kernel.restricted):
+    ks = _outcome(inst, label, a, b)
+    weights = ks.weights[0, 0].tolist()
+    if not 0 <= posterior_index < len(weights):
         raise ZeroPosterior(f"no eigen-branch with index {posterior_index}")
-    if kernel.restricted[posterior_index] is None:
-        p_post = kernel.posterior_weights[posterior_index]
-        raise ZeroPosterior(f"posterior branch {posterior_index} has probability {p_post!r}")
-    return kernel.restricted[posterior_index]
+    if not ks.posterior[0, 0, posterior_index]:
+        raise ZeroPosterior(f"posterior branch {posterior_index} has probability {weights[posterior_index]!r}")
+    return RestrictedMetrics(*ks.restricted[0, 0, posterior_index].tolist())

@@ -348,7 +348,11 @@ class TestClipAtFloor:
 # the commutator's |Tr| and in the two moment lines of the stacked outcome kernel,
 # which keep their own traces so that an overflowed A^2 reaches its floor.
 TRACE_OWNERS = Counter(
-    {("operators.py", "expectation"): 1, ("operators.py", "commutator_bound"): 1, ("retrodiction.py", "_kernel_stack"): 2}
+    {
+        ("operators.py", "expectation"): 1,
+        ("operators.py", "commutator_bound"): 1,
+        ("retrodiction.py", "outcome_kernels"): 2,
+    }
 )
 
 

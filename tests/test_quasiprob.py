@@ -4,10 +4,11 @@ import pytest
 from qmeasure.errors import (
     InternalNumericError,
     InvalidStrength,
+    MissingLabel,
     ZeroProbabilityConditioning,
 )
 from qmeasure.instruments import Instrument
-from qmeasure.metrics import epsilon_sq_system, eta_sq_system
+from qmeasure.metrics import epsilon_sq_system, eta_sq_system, unbiased_dispersion
 from qmeasure.operators import (
     SIGMA_X,
     SIGMA_Z,
@@ -309,3 +310,20 @@ class TestWeakProbeDistributions:
             errors.append(max_norm(approx.table - exact.table))
         slope, _ = np.polyfit(np.log([0.4, 0.2, 0.1, 0.05]), np.log(errors), 1)
         assert slope == pytest.approx(2.0, abs=0.1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho, a, inst, values: tmh_error_distribution(rho, a, inst, values),
+        lambda rho, a, inst, values: weak_probe_error_distribution(rho, a, inst, values, 0.1),
+        lambda rho, a, inst, values: epsilon_sq_system(inst, values, a, rho),
+        lambda rho, a, inst, values: unbiased_dispersion(inst, values, a, rho),
+    ],
+    ids=["tmh", "weak-probe", "epsilon-sq", "dispersion"],
+)
+def test_a_missing_label_raises_missing_label(call):
+    # Outcome "-" has no value: every reader of the values names it alike.
+    rho = DensityOperator(np.eye(2) / 2)
+    with pytest.raises(MissingLabel, match="'-'"):
+        call(rho, SZ, theta_pom_instrument(np.pi / 3), {"+": 2.0})

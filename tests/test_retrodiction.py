@@ -1,9 +1,12 @@
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qmeasure import instruments, retrodiction
-from qmeasure.errors import InternalNumericError, NullOutcome, StateValidationError, ZeroPosterior
+from qmeasure.errors import DimensionMismatch, InternalNumericError, NullOutcome, StateValidationError, ZeroPosterior
+from qmeasure.harness import analyze
 from qmeasure.inequalities import evaluate
 from qmeasure.instruments import Instrument, KrausSet
 from qmeasure.operators import (
@@ -17,9 +20,9 @@ from qmeasure.operators import (
     spectra,
 )
 from qmeasure.retrodiction import (
+    RestrictedMetrics,
     interdictive_disturbance,
     interdictive_joint_distribution,
-    outcome_kernel,
     outcome_kernels,
     restricted_metrics,
     retrodictive_error,
@@ -29,6 +32,7 @@ from qmeasure.scenario import (
     _rng,
     generate_random,
     generate_window,
+    load_scenario,
     projective_instrument,
     random_hermitian,
     random_indirect_model,
@@ -113,11 +117,12 @@ class TestInterdictive:
         rng = _rng(51)
         inst = random_instrument(2, 3, rng)
         b = random_hermitian(2, rng)
-        for label in inst.labels:
-            kernel = outcome_kernel(inst, label, b, b)
-            assert kernel.table.table.sum() == pytest.approx(1.0, abs=1e-10)
-            assert sum(kernel.posterior_weights) == pytest.approx(1.0, abs=1e-10)
-            assert max_norm(kernel.table.col_marginals - np.array(kernel.posterior_weights)) < 1e-12
+        ks = outcome_kernels([inst], [b], [b])
+        assert ks.table.shape[1] == len(inst.labels)
+        for table, weights in zip(ks.table[0], ks.weights[0]):
+            assert table.sum() == pytest.approx(1.0, abs=1e-10)
+            assert weights.sum() == pytest.approx(1.0, abs=1e-10)
+            assert max_norm(table.sum(axis=0) - weights) < 1e-12
 
     def test_identity_instrument_diagonal(self):
         d = interdictive_joint_distribution(identity_instrument(2), "0", SX)
@@ -166,7 +171,7 @@ class TestKernelGates:
         part = instruments.hermitian_part
         monkeypatch.setattr(instruments, "hermitian_part", lambda m: part(m) + kick)
         with pytest.raises(StateValidationError):
-            outcome_kernel(projective_instrument(SZ), "0", SZ, SX)
+            outcome_kernels([projective_instrument(SZ)], [SZ], [SX])
 
     def test_zero_weight_posterior_is_skipped(self):
         # Measuring z projectively never yields the other z branch afterwards:
@@ -182,10 +187,12 @@ class TestKernelGates:
         )
         rec = evaluate("hofmann2", s)
         assert len(rec.sub_records) == len(inst.live_labels) == 2
-        for label in inst.live_labels:
-            kernel = outcome_kernel(inst, label, SX, SZ)
-            dead = [i for i, rm in enumerate(kernel.restricted) if rm is None]
-            assert len(dead) == 1 and kernel.posterior_weights[dead[0]] <= 1e-12
+        ks = outcome_kernels([inst], [SX], [SZ])
+        rows = zip(inst.live_labels, ks.weights[0], ks.posterior[0], ks.restricted[0])
+        for label, weights, posterior, restricted in rows:
+            dead = np.flatnonzero(~posterior)
+            assert len(dead) == 1 and weights[dead[0]] <= 1e-12
+            assert np.isnan(restricted[dead[0]]).all() and not np.isnan(restricted[posterior]).any()
             with pytest.raises(ZeroPosterior):
                 restricted_metrics(inst, label, dead[0], SX, SZ)
 
@@ -230,22 +237,25 @@ def _ragged_with_null():
     return inst, a, b
 
 
-def test_one_call_keys_every_live_outcome():
-    # One call gives a kernel for each live outcome, and each matches the loops.
+def test_one_call_holds_every_live_outcome():
+    # One call gives a row for each live outcome in declared order, and each matches the loops.
     inst, a, b = _ragged_with_null()
-    kernels = outcome_kernels([inst], [a], [b])[0]
-    assert tuple(kernels) == inst.live_labels == ("one", "two", "three")
-    for label, kernel in kernels.items():
+    assert inst.live_labels == ("one", "two", "three")
+    ks = outcome_kernels([inst], [a], [b])
+    assert ks.eps.shape == (1, 3, 2) and ks.table.shape == (1, 3, 3, 3) and ks.restricted.shape == (1, 3, 3, 5)
+    for k, label in enumerate(inst.live_labels):
         eps, table, rows = _loop_reference(inst, label, a, b)
-        got = np.array([[rm.p_posterior, rm.eps_A, rm.eps_B, rm.eta_B, rm.retro_mean_B] for rm in kernel.restricted])
-        assert max_norm(np.array([kernel.eps_A, kernel.eps_B]) - eps) < 1e-12
-        assert max_norm(kernel.table.table - table) < 1e-12
-        assert max_norm(got - rows) < 1e-12
-        assert kernel.c_ab == commutator_bound(a, b, inst.retrodicted_state(label))
-        assert outcome_kernel(inst, label, a, b).restricted == kernel.restricted
-    assert list(outcome_kernels([inst], [a])[0]) == list(kernels)
+        assert max_norm(ks.eps[0, k] - eps) < 1e-12
+        assert max_norm(ks.table[0, k] - table) < 1e-12
+        assert max_norm(ks.restricted[0, k] - rows) < 1e-12
+        assert ks.c_ab[0, k] == commutator_bound(a, b, inst.retrodicted_state(label))
+    without_b = outcome_kernels([inst], [a])
+    assert np.array_equal(without_b.eps, ks.eps[..., :1])
+    assert without_b.table is None and without_b.restricted is None
     with pytest.raises(NullOutcome):
-        outcome_kernel(inst, "null", a, b)
+        retrodictive_error(inst, "null", a)
+    with pytest.raises(NullOutcome):
+        restricted_metrics(inst, "null", 0, a, b)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -253,19 +263,16 @@ def test_kernel_matches_per_matrix_loops(dim):
     rng = _rng((57, dim))
     a, b = random_hermitian(dim, rng), random_hermitian(dim, rng)
     indirect = Instrument.from_indirect(random_indirect_model(dim, rng))
+    values = b.spectrum.eigenvalues
     for inst in (generate_random(dim, 4, (57, dim)).apparatus, indirect):
-        for label in inst.live_labels:
-            kernel = outcome_kernel(inst, label, a, b)
+        ks = outcome_kernels([inst], [a], [b])
+        for k, label in enumerate(inst.live_labels):
             eps, table, rows = _loop_reference(inst, label, a, b)
-            got = np.array(
-                [[rm.p_posterior, rm.eps_A, rm.eps_B, rm.eta_B, rm.retro_mean_B] for rm in kernel.restricted]
-            )
-            assert max_norm(np.array([kernel.eps_A, kernel.eps_B]) - eps) < 1e-12
-            assert max_norm(kernel.table.table - table) < 1e-12
-            assert max_norm(got - rows) < 1e-12
-            values = kernel.table.row_values
+            assert max_norm(ks.eps[0, k] - eps) < 1e-12
+            assert max_norm(ks.table[0, k] - table) < 1e-12
+            assert max_norm(ks.restricted[0, k] - rows) < 1e-12
             eta = np.sqrt(np.sum((values[:, None] - values[None, :]) ** 2 * table))
-            assert abs(kernel.eta_B - eta) < 1e-12
+            assert abs(ks.eta[0, k] - eta) < 1e-12
 
 
 def _per_branch_reference(insts, b):
@@ -301,22 +308,75 @@ def test_chunked_table_has_the_bits_of_a_per_branch_loop(size, step):
     assert len(blocks[1][2][0].spectrum.eigenvalues) == 7
     for insts, a, b in blocks:
         table, weights = _per_branch_reference(insts, b)
-        for i, kernels in enumerate(outcome_kernels(insts, a, b)):
-            for k, kernel in enumerate(kernels.values()):
-                assert np.array_equal(kernel.table.table, table[i, k])
-                assert np.array_equal(kernel.posterior_weights, weights[i, k])
+        ks = outcome_kernels(insts, a, b)
+        assert np.array_equal(ks.table, table)
+        assert np.array_equal(ks.weights, weights)
 
 
 def test_one_outcome_has_the_bits_of_its_row():
-    # outcome_kernel computes its outcome alone; each field keeps its bits.
+    # Each single-outcome function runs the pass over its outcome alone; what it
+    # returns has the bits of that outcome's row of the full call, and a dead
+    # posterior branch raises.
     member = generate_window(8, 4, [subseed(777, (8, i)) for i in range(3)])[2]
-    for inst, a, b in [(member.apparatus, member.observable_A, member.observable_B), _ragged_with_null()]:
-        for label, row in outcome_kernels([inst], [a], [b])[0].items():
-            one = outcome_kernel(inst, label, a, b)
-            assert np.array_equal(one.table.table, row.table.table)
-            assert (one.eps_A, one.eps_B, one.c_ab, one.eta_B) == (row.eps_A, row.eps_B, row.c_ab, row.eta_B)
-            assert (one.posterior_weights, one.restricted) == (row.posterior_weights, row.restricted)
-            assert retrodictive_error(inst, label, a) == row.eps_A
+    cases = [
+        (member.apparatus, member.observable_A, member.observable_B),
+        _ragged_with_null(),
+        (projective_instrument(SZ), SX, SZ),
+    ]
+    dead = 0
+    for inst, a, b in cases:
+        ks = outcome_kernels([inst], [a], [b])
+        for k, label in enumerate(inst.live_labels):
+            assert retrodictive_error(inst, label, a) == ks.eps[0, k, 0]
+            assert np.array_equal(interdictive_joint_distribution(inst, label, b).table, ks.table[0, k])
+            assert interdictive_disturbance(inst, label, b) == ks.eta[0, k]
+            for j, live in enumerate(ks.posterior[0, k]):
+                if live:
+                    expected = RestrictedMetrics(*ks.restricted[0, k, j].tolist())
+                    assert restricted_metrics(inst, label, j, a, b) == expected
+                else:
+                    dead += 1
+                    with pytest.raises(ZeroPosterior):
+                        restricted_metrics(inst, label, j, a, b)
+    assert dead == 2
+
+
+_INST = theta_pom_instrument(0.4)
+
+
+@pytest.mark.parametrize(
+    "insts, a, b",
+    [([], [], []), ([_INST, _INST], [SZ], [SX, SX]), ([_INST, _INST], [SZ, SZ], [SX]), ([_INST], [SZ, SZ], [SX, SX])],
+    ids=["empty", "fewer-A", "fewer-B", "extra-A-and-B"],
+)
+def test_a_mismatched_block_is_rejected(insts, a, b):
+    with pytest.raises(DimensionMismatch):
+        outcome_kernels(insts, a, b)
+
+
+def test_outcome_quantities_depend_on_the_hilbert_space():
+    # A qubit theta-POM embedded in d = 3, the spare level in outcome "+" and
+    # unpopulated: the ensemble noise keeps its bits, but the retrodictive state
+    # P_k / Tr P_k takes the whole space as its prior, so eps_A,k and eta_B,k move.
+    s = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "theta_pom.json")
+    inst = theta_pom_instrument(0.6)
+
+    def embed(m, spare=0.0):
+        return np.pad(np.asarray(m, dtype=complex), (0, 1)) + np.diag([0, 0, spare])
+
+    spare = {"+": 1.0, "-": 0.0}
+    sets = [KrausSet(k.label, tuple(embed(m, spare[k.label]) for m in k.operators)) for k in inst.outcomes]
+    big = Instrument.from_kraus(sets)
+    a3, b3 = HermitianOperator(embed(s.observable_A)), HermitianOperator(embed(s.observable_B))
+    values = dict(values_m=s.values_m, values_mB=s.values_mB)
+    small = Scenario(2, s.state, s.observable_A, inst, observable_B=s.observable_B, **values)
+    large = Scenario(3, DensityOperator(embed(s.state)), a3, big, observable_B=b3, **values)
+    r2, r3 = analyze(small), analyze(large)
+    assert r2.epsilon.mean_squared == r3.epsilon.mean_squared and r2.eta.mean_squared == r3.eta.mean_squared
+    assert retrodictive_error(inst, "+", s.observable_A) == pytest.approx(0.5646, abs=1e-4)
+    assert retrodictive_error(big, "+", a3) == pytest.approx(0.5742, abs=1e-4)
+    assert interdictive_disturbance(inst, "+", s.observable_B) == pytest.approx(0.9331, abs=1e-4)
+    assert interdictive_disturbance(big, "+", b3) == pytest.approx(0.6598, abs=1e-4)
 
 
 def test_the_mass_gate_names_the_first_bad_member_and_outcome(monkeypatch):

@@ -25,7 +25,7 @@ posterior weight and restricted field included) on the d = 8
 ``generate_window``s of 2, 5 and 32 members (seed 777).  The shot
 counts on either side of 2^16 (one chunk of the sampled stream) and those
 that are no multiple of it test where ``sample`` cuts its stream.  It takes
-a few seconds.
+a few seconds, and ``tests/test_fingerprint.py`` pins both lines.
 """
 
 from __future__ import annotations
@@ -256,23 +256,20 @@ def outputs():
 
 
 def kernel_outputs():
-    """Yield (name, value) pairs of every ``outcome_kernels`` field on d = 8 windows."""
+    """Yield (name, value) pairs of every ``outcome_kernels`` field on d = 8 windows,
+    one row per member and live outcome."""
     for size in KERNEL_WINDOWS:
         window = generate_window(8, 4, [subseed(777, (8, i)) for i in range(size)])
         insts, a, b = zip(*[(s.apparatus, s.observable_A, s.observable_B) for s in window])
-        kernels = outcome_kernels(insts, a, b)
+        ks = outcome_kernels(insts, a, b)
+        fields = (ks.eps, ks.c_ab, ks.eta, ks.table, ks.weights, ks.restricted, ks.posterior)
+        members = zip(*(f.tolist() for f in fields))
         yield f"outcome_kernels d=8 x {size}", [
             [
-                [
-                    label,
-                    [k.eps_A, k.eps_B, k.c_ab, k.eta_B],
-                    k.table.table.tolist(),
-                    list(k.posterior_weights),
-                    [None if rm is None else _restricted(rm) for rm in k.restricted],
-                ]
-                for label, k in member.items()
+                [label, [*eps, c_ab, eta], table, weights, [r if p else None for r, p in zip(rs, ps)]]
+                for label, eps, c_ab, eta, table, weights, rs, ps in zip(inst.live_labels, *member)
             ]
-            for member in kernels
+            for inst, member in zip(insts, members)
         ]
 
 
@@ -281,13 +278,17 @@ def _update(digest, pairs) -> None:
         digest.update(json.dumps([name, _exact(value)], sort_keys=True).encode())
 
 
-def main() -> None:
+def lines() -> tuple[str, str]:
+    """The hash of :func:`outputs`, and that hash extended with :func:`kernel_outputs`."""
     digest = hashlib.sha256()
     _update(digest, outputs())
     extended = digest.copy()
     _update(extended, kernel_outputs())
-    print(digest.hexdigest())
-    print(extended.hexdigest())
+    return digest.hexdigest(), extended.hexdigest()
+
+
+def main() -> None:
+    print(*lines(), sep="\n")
 
 
 if __name__ == "__main__":
