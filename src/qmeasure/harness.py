@@ -290,8 +290,7 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     try:
         m_n = {}
         for n in range(1, 5):
-            cv = inst.moment_values(s.observable_A, n)
-            m_n[n] = np.array([cv[l] for l in labels])
+            m_n[n] = np.array(value_row(inst, inst.moment_values(s.observable_A, n)))
         moments = {n: float(v @ p_hat) for n, v in m_n.items()}
         # eps^2 = sum_k (m_k^2 - m^(2)_k) p_k, with m^(2) the n = 2 moment values.
         v = m**2 - m_n[2]

@@ -8,7 +8,7 @@ labels turns the apparatus into an effective observable on the system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -100,11 +100,7 @@ class IndirectModel:
 
     def readout_observable(self, values: ValueAssignment) -> np.ndarray:
         """Detector-space observable sum_k m_k |k><k| for the given values."""
-        missing = [label for label in self.labels if label not in values]
-        if missing:
-            raise MissingLabel(f"no value assigned to readout label {missing[0]!r}")
-        pairs = zip(self.labels, self.readout_basis)
-        return sum(float(values[label]) * np.outer(vec, vec.conj()) for label, vec in pairs)
+        return sum(m * np.outer(vec, vec.conj()) for m, vec in zip(value_row(self, values), self.readout_basis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +108,12 @@ class Instrument:
     """Validated family of Kraus sets, one per outcome label.
 
     Build through :meth:`from_kraus` or :meth:`from_indirect`, or many at once
-    through :func:`instruments_of`; the constructor stacks the Kraus operators
+    through :func:`instruments_of`, which is the one gate path: the constructor
+    checks the declared dimension, stacks the Kraus operators
     ``(n_outcomes, L_max, d, d)`` (absent slots are NaN, False in
-    ``kraus_present``, and enter no sum), passes them through :func:`pom_gate`,
-    and keeps the POM stack with the traces Tr P_k.  An outcome is null when
-    its trace is at most ``ZERO_WEIGHT``.
+    ``kraus_present``, and enter no sum), and takes the stacks, the POM stack with
+    its traces Tr P_k and the labels from :func:`instruments_of` on a block of one.
+    An outcome is null when its trace is at most ``ZERO_WEIGHT``.
     """
 
     outcomes: tuple[KrausSet, ...]
@@ -129,9 +126,6 @@ class Instrument:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = tuple(ks.label for ks in self.outcomes)
-        if len(set(labels)) != len(labels):
-            raise DuplicateLabel(f"duplicate outcome labels in {list(labels)}")
         dims = {ks.dim for ks in self.outcomes}
         if dims != {self.dim}:
             raise DimensionMismatch(f"Kraus dimensions {sorted(dims)} != declared {self.dim}")
@@ -139,12 +133,8 @@ class Instrument:
         present = np.arange(counts.max()) < counts[:, None]
         kraus = np.full(present.shape + (self.dim, self.dim), np.nan, dtype=complex)
         kraus[present] = [m for ks in self.outcomes for m in ks.operators]
-        pom, traces = pom_gate(kraus[None], present, labels)
-        for name, value in (("kraus_stack", kraus), ("kraus_present", present), ("pom_stack", pom[0]), ("pom_traces", traces[0])):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", {label: i for i, label in enumerate(labels)})
+        built = instruments_of(kraus[None], present, [ks.label for ks in self.outcomes])[0]
+        vars(self).update({f.name: getattr(built, f.name) for f in fields(self) if not f.init})
 
     @classmethod
     def from_kraus(cls, sets: Sequence[KrausSet]) -> "Instrument":
@@ -266,8 +256,9 @@ class Instrument:
         return self.contextual_values(HermitianOperator((power + power.conj().T) / 2))
 
 
-def value_row(inst: Instrument, values: ValueAssignment) -> list[float]:
-    """The values m_k of an assignment as floats, in the instrument's outcome order."""
+def value_row(inst: Instrument | IndirectModel, values: ValueAssignment) -> list[float]:
+    """The values m_k of an assignment as floats, in the outcome order of an instrument
+    or the readout order of an indirect model; a missing label raises MissingLabel."""
     missing = [label for label in inst.labels if label not in values]
     if missing:
         raise MissingLabel(f"no value assigned to outcome {missing[0]!r}")

@@ -210,8 +210,7 @@ def unbiased_dispersion(
     p_a = expectation(spec.projector_stack, rho)
     eigen_side = float(m_k**2 @ p_k - spec.eigenvalues**2 @ p_a)
 
-    m2 = inst.moment_values(a, 2)
-    m2_k = np.array([m2[label] for label in inst.labels])
+    m2_k = np.array(value_row(inst, inst.moment_values(a, 2)))
     contextual_side = float((m_k**2 - m2_k) @ p_k)
     cross_check("dispersion", eigen=eigen_side, contextual=contextual_side)
     return clip_at_floor(eigen_side, SECOND_MOMENT_FLOOR, "second moment")

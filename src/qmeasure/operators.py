@@ -220,10 +220,13 @@ def expectation(x, rho):
 
 
 def expectation_and_variance(a, rho):
-    """Mean Tr(A rho) and variance Tr(A^2 rho) - mean^2; round-off down to ROUNDOFF_FLOOR
-    reads 0.  Floats for two matrices, and arrays for broadcasting stacks ``(..., d, d)``."""
+    """Mean Tr(A rho) and variance Tr(A^2 rho) - mean^2, the package's one owner of the
+    moments of an operator in a state; round-off down to ROUNDOFF_FLOOR reads 0.  Floats
+    for two matrices, and arrays for broadcasting stacks ``(..., d, d)``.  The traces are
+    its own, outside ``expectation``, so that an A^2 that overflows gives a NaN variance
+    and raises InternalNumericError, not the finiteness error of an operand."""
     am, rm = _operands(a, rho)
-    mean, second = np.moveaxis(expectation(np.stack([am, am @ am], axis=-3), rm[..., None, :, :]), -1, 0)
+    mean, second = (np.real(np.trace(x @ rm, axis1=-2, axis2=-1)) for x in (am, am @ am))
     var = clip_at_floor(second - mean * mean, ROUNDOFF_FLOOR, "variance")
     return (float(mean), var) if mean.ndim == 0 else (mean, var)
 

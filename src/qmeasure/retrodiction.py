@@ -7,8 +7,8 @@ eigenvalues.  :func:`outcome_kernels` computes them in one stacked pass over
 the live outcomes of N instruments, from their stacked maps A_k and A*_k on
 the stacked spectral projectors of B, and returns them as the stacks over
 (member, outcome) of an :class:`OutcomeKernels`.  The four single-outcome
-functions run that pass over their one outcome and read its row, which has
-the bits of that outcome's row of the full call.
+functions run that pass over their one instrument and read the row k of their
+outcome; a null outcome raises NullOutcome before the pass.
 """
 
 from __future__ import annotations
@@ -26,11 +26,12 @@ from .operators import (
     clip_at_floor,
     commutator_bound,
     expectation,
+    expectation_and_variance,
     spectra,
     validated_states,
 )
 from .quasiprob import QuasiDistribution, unit_mass
-from .tolerances import ROUNDOFF_FLOOR, SECOND_MOMENT_FLOOR, ZERO_WEIGHT
+from .tolerances import SECOND_MOMENT_FLOOR, ZERO_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ _BLOCK_ENTRIES = 2**16
 
 @dataclass(frozen=True, eq=False)
 class OutcomeKernels:
-    """The single-outcome quantities of the selected outcomes of N instruments, stacked
+    """The single-outcome quantities of the live outcomes of N instruments, stacked
     over (member, outcome) with the outcomes in declared order.  ``eps`` ``(N, n, 1)``
     holds ε_A,k and, with B, ``(N, n, 2)`` ε_A,k and ε_B,k: the spreads of A and B in
     the retrodictive state P_k / Tr P_k.  With B, ``c_ab`` is C_AB,k in that state and
@@ -76,14 +77,12 @@ def outcome_kernels(
     insts: Sequence[Instrument],
     a: Sequence[HermitianOperator],
     b: Sequence[HermitianOperator] | None = None,
-    select: np.ndarray | None = None,
 ) -> OutcomeKernels:
-    """The single-outcome quantities of N ≥ 1 instruments of one Kraus layout and live
-    mask, each with its own A and, if given, its own B, for the live outcomes that the
-    mask ``select`` over the declared outcomes picks (all of them by default).  The
-    instrument and outcome axes are stack axes, ``(N, n, n_b, d, d)``, and every product
-    a stacked ``matmul``, so every value has the bits of its per-matrix computation,
-    whatever the block and the selection; each gate runs once, on a stacked output, and
+    """The single-outcome quantities of the live outcomes of N ≥ 1 instruments of one
+    Kraus layout and live mask, each with its own A and, if given, its own B.  The
+    instrument and outcome axes are stack axes, ``(N, n_live, n_b, d, d)``, and every
+    product a stacked ``matmul``, so every value has the bits of its per-matrix
+    computation, whatever the block; each gate runs once, on a stacked output, and
     names the first failing (member, outcome).  A block that is empty, or whose counts
     of instruments, A and B differ, raises DimensionMismatch before any stacking.
     """
@@ -93,11 +92,10 @@ def outcome_kernels(
     live, present = insts[0].live_mask, insts[0].kraus_present
     if len({(inst.kraus_present.tobytes(), inst.live_mask.tobytes()) for inst in insts}) > 1:
         raise DimensionMismatch("outcome_kernels needs instruments of one Kraus layout and live mask")
-    select = live if select is None else select
-    n_inst, n = len(insts), int(select.sum())
+    n_inst, n = len(insts), int(live.sum())
     traces = np.stack([inst.pom_traces for inst in insts])
-    tr = traces[:, select]
-    states = retrodicted_states(np.stack([inst.pom_stack for inst in insts]), traces, select)
+    tr = traces[:, live]
+    states = retrodicted_states(np.stack([inst.pom_stack for inst in insts]), traces, live)
     states = states.reshape((-1,) + states.shape[-2:])
     member = np.repeat(np.arange(n_inst), n)
     am = np.stack([np.asarray(x) for x in a])
@@ -108,7 +106,7 @@ def outcome_kernels(
         specs = spectra(b)
         values = np.stack([spec.eigenvalues for spec in specs])
         proj = np.stack([spec.projector_stack for spec in specs])
-        kraus, present = np.stack([inst.kraus_stack for inst in insts])[:, select], present[select]
+        kraus, present = np.stack([inst.kraus_stack for inst in insts])[:, live], present[live]
         # T_k divides each trace by Tr P_k; the conditioned states divide
         # A*_k(Π_b') before the trace.  The two orders round differently.
         forward = channel(kraus, present, proj)[..., None, :, :]
@@ -123,13 +121,8 @@ def outcome_kernels(
         states = np.concatenate([states, conditioned])
         member = np.concatenate([member, np.nonzero(posterior)[0]])
     # Rows: the retrodictive states of every instrument, then its live conditioned
-    # states, instrument by instrument and outcome by outcome.  The moments keep their
-    # own traces, outside ``expectation``: an overflowed A^2 must reach ``clip_at_floor``
-    # and raise InternalNumericError.
-    squares = obs @ obs
-    mean = np.real(np.trace(obs[member] @ states[:, None], axis1=-2, axis2=-1))
-    second = np.real(np.trace(squares[member] @ states[:, None], axis1=-2, axis2=-1))
-    var = clip_at_floor(second - mean * mean, ROUNDOFF_FLOOR, "variance")
+    # states, instrument by instrument and outcome by outcome.
+    mean, var = expectation_and_variance(obs[member], states[:, None])
     sd = np.sqrt(var)
     eps = sd[: n_inst * n].reshape(n_inst, n, -1)
     if b is None:
@@ -147,19 +140,14 @@ def outcome_kernels(
     return OutcomeKernels(eps, c_ab, np.sqrt(msd), table, weights, posterior, restricted)
 
 
-def _outcome(inst: Instrument, label: str, a: HermitianOperator, b: HermitianOperator | None = None) -> OutcomeKernels:
-    """The pass over outcome ``label`` alone, in row ``[0, 0]``; a null one raises NullOutcome."""
-    inst.live_index(label)
-    return outcome_kernels([inst], [a], None if b is None else [b], np.array(inst.labels) == label)
-
-
 def retrodictive_error(inst: Instrument, label: str, a: HermitianOperator) -> float:
     """Standard deviation of A under the retrodictive state for one outcome.
 
     This is the resolution of the outcome: it depends only on P_k and A,
     never on a preparation.
     """
-    return float(_outcome(inst, label, a).eps[0, 0, 0])
+    k = inst.live_index(label)
+    return float(outcome_kernels([inst], [a]).eps[0, k, 0])
 
 
 def interdictive_joint_distribution(inst: Instrument, label: str, b: HermitianOperator) -> QuasiDistribution:
@@ -167,13 +155,15 @@ def interdictive_joint_distribution(inst: Instrument, label: str, b: HermitianOp
 
     Rows index the preparation branch b, columns the posterior branch b'.
     """
-    return QuasiDistribution.on_branches(b.spectrum, "b", "b'", _outcome(inst, label, b, b).table[0, 0])
+    k = inst.live_index(label)
+    return QuasiDistribution.on_branches(b.spectrum, "b", "b'", outcome_kernels([inst], [b], [b]).table[0, k])
 
 
 def interdictive_disturbance(inst: Instrument, label: str, b: HermitianOperator) -> float:
     """Root-mean-squared deviation between preparations and post-selections
     bracketing outcome k: sqrt(sum (B_b - B_b')^2 p(b, b' | k))."""
-    return float(_outcome(inst, label, b, b).eta[0, 0])
+    k = inst.live_index(label)
+    return float(outcome_kernels([inst], [b], [b]).eta[0, k])
 
 
 def restricted_metrics(
@@ -184,10 +174,11 @@ def restricted_metrics(
     The conditioned state is rho_{k,b'} = A*_k(Π_b') / (Tr(P_k) p(b'|k)).
     The disturbance obeys eta^2 = eps_B^2 + (B_b' - <B>)^2 exactly.
     """
-    ks = _outcome(inst, label, a, b)
-    weights = ks.weights[0, 0].tolist()
+    k = inst.live_index(label)
+    ks = outcome_kernels([inst], [a], [b])
+    weights = ks.weights[0, k].tolist()
     if not 0 <= posterior_index < len(weights):
         raise ZeroPosterior(f"no eigen-branch with index {posterior_index}")
-    if not ks.posterior[0, 0, posterior_index]:
+    if not ks.posterior[0, k, posterior_index]:
         raise ZeroPosterior(f"posterior branch {posterior_index} has probability {weights[posterior_index]!r}")
-    return RestrictedMetrics(*ks.restricted[0, 0, posterior_index].tolist())
+    return RestrictedMetrics(*ks.restricted[0, k, posterior_index].tolist())

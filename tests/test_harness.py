@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qmeasure import harness, inequalities, instruments, metrics
-from qmeasure.errors import InternalNumericError
+from qmeasure.errors import InternalNumericError, StateValidationError
 from qmeasure.harness import (
     analyze,
     report_to_dict,
@@ -34,6 +34,24 @@ def theta_pom_scenario():
 @pytest.fixture(scope="module")
 def cnot_scenario():
     return load_scenario(os.path.join(SCENARIO_DIR, "cnot_projective.json"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOverflowedSquare:
+    # A = 1e160 sigma_z squares to inf, so every variance of A is inf - inf.
+    @pytest.fixture
+    def big(self, theta_pom_scenario):
+        return dataclasses.replace(theta_pom_scenario, observable_A=HermitianOperator(1e160 * SIGMA_Z))
+
+    @pytest.mark.parametrize("relation", ["heisenberg", "schrodinger", "hofmann1"])
+    def test_relations_raise_the_one_overflow_kind(self, big, relation):
+        with pytest.raises(InternalNumericError, match="^variance nan"):
+            inequalities.evaluate(relation, big)
+
+    def test_analyze_fails_first_on_epsilon_sq(self, big):
+        # epsilon^2 gates A^2 as an operand before any variance is taken.
+        with pytest.raises(StateValidationError, match="matrix entries must be finite"):
+            analyze(big)
 
 
 @pytest.fixture(scope="module")

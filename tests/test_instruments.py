@@ -84,6 +84,11 @@ class TestConstruction:
         with pytest.raises(DuplicateLabel):
             Instrument.from_kraus([KrausSet("0", (half,)), KrausSet("0", (half,))])
 
+    def test_dimension_fault_precedes_duplicate_labels(self):
+        # The constructor checks the declared dimension, then builds through instruments_of.
+        with pytest.raises(DimensionMismatch):
+            Instrument((KrausSet("0", (np.eye(2),)), KrausSet("0", (np.eye(3),))), 2)
+
     def test_empty_kraus_set_rejected(self):
         with pytest.raises(DimensionMismatch):
             KrausSet("0", ())

@@ -95,6 +95,11 @@ class TestNonFiniteGates:
         with pytest.raises(InternalNumericError):
             clip_at_floor(float(second - mean * mean), ROUNDOFF_FLOOR, "variance")
 
+    def test_expectation_and_variance_floors_the_overflowed_square(self):
+        # Its traces are its own, so the NaN variance reaches the floor, not an operand gate.
+        with pytest.raises(InternalNumericError, match="^variance nan"):
+            expectation_and_variance(self.BIG, np.diag([0.75, 0.25]))
+
 
 class TestCrossCheck:
     def test_agreement_passes(self):
@@ -345,13 +350,13 @@ class TestClipAtFloor:
 
 
 # np.trace may take a matrix product only in the one owner of Re Tr(X rho), in
-# the commutator's |Tr| and in the two moment lines of the stacked outcome kernel,
-# which keep their own traces so that an overflowed A^2 reaches its floor.
+# the commutator's |Tr| and in the one owner of the mean and variance, which keeps
+# its own traces so that an overflowed A^2 reaches its floor.
 TRACE_OWNERS = Counter(
     {
         ("operators.py", "expectation"): 1,
         ("operators.py", "commutator_bound"): 1,
-        ("retrodiction.py", "outcome_kernels"): 2,
+        ("operators.py", "expectation_and_variance"): 1,
     }
 )
 

@@ -314,9 +314,8 @@ def test_chunked_table_has_the_bits_of_a_per_branch_loop(size, step):
 
 
 def test_one_outcome_has_the_bits_of_its_row():
-    # Each single-outcome function runs the pass over its outcome alone; what it
-    # returns has the bits of that outcome's row of the full call, and a dead
-    # posterior branch raises.
+    # Each single-outcome function runs the full pass over its instrument; what it
+    # returns has the bits of its outcome's row k, and a dead posterior branch raises.
     member = generate_window(8, 4, [subseed(777, (8, i)) for i in range(3)])[2]
     cases = [
         (member.apparatus, member.observable_A, member.observable_B),
