@@ -288,9 +288,7 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     moments = None
     eps_sq = eps_sq_se = None
     try:
-        m_n = {}
-        for n in range(1, 5):
-            m_n[n] = np.array(value_row(inst, inst.moment_values(s.observable_A, n)))
+        m_n = {n: np.array(value_row(inst, inst.moment_values(s.observable_A, n))) for n in range(1, 5)}
         moments = {n: float(v @ p_hat) for n, v in m_n.items()}
         # eps^2 = sum_k (m_k^2 - m^(2)_k) p_k, with m^(2) the n = 2 moment values.
         v = m**2 - m_n[2]

@@ -8,7 +8,7 @@ labels turns the apparatus into an effective observable on the system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -108,12 +108,11 @@ class Instrument:
     """Validated family of Kraus sets, one per outcome label.
 
     Build through :meth:`from_kraus` or :meth:`from_indirect`, or many at once
-    through :func:`instruments_of`, which is the one gate path: the constructor
-    checks the declared dimension, stacks the Kraus operators
-    ``(n_outcomes, L_max, d, d)`` (absent slots are NaN, False in
-    ``kraus_present``, and enter no sum), and takes the stacks, the POM stack with
-    its traces Tr P_k and the labels from :func:`instruments_of` on a block of one.
-    An outcome is null when its trace is at most ``ZERO_WEIGHT``.
+    through :func:`instruments_of`.  The constructor checks the declared dimension,
+    stacks the Kraus operators ``(n_outcomes, L_max, d, d)`` (absent slots are NaN,
+    False in ``kraus_present``, and enter no sum), and passes them, as a block of
+    one, through the gates of :func:`instruments_of`, which give the POM stack with
+    its traces Tr P_k.  An outcome is null when its trace is at most ``ZERO_WEIGHT``.
     """
 
     outcomes: tuple[KrausSet, ...]
@@ -131,10 +130,11 @@ class Instrument:
             raise DimensionMismatch(f"Kraus dimensions {sorted(dims)} != declared {self.dim}")
         counts = np.array([len(ks.operators) for ks in self.outcomes])
         present = np.arange(counts.max()) < counts[:, None]
-        kraus = np.full(present.shape + (self.dim, self.dim), np.nan, dtype=complex)
-        kraus[present] = [m for ks in self.outcomes for m in ks.operators]
-        built = instruments_of(kraus[None], present, [ks.label for ks in self.outcomes])[0]
-        vars(self).update({f.name: getattr(built, f.name) for f in fields(self) if not f.init})
+        kraus = np.full((1,) + present.shape + (self.dim, self.dim), np.nan, dtype=complex)
+        kraus[0, present] = [m for ks in self.outcomes for m in ks.operators]
+        pom, traces, shared = _gated(kraus, present, [ks.label for ks in self.outcomes])
+        for name, value in dict(shared, kraus_stack=kraus[0], pom_stack=pom[0], pom_traces=traces[0]).items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_kraus(cls, sets: Sequence[KrausSet]) -> "Instrument":
@@ -302,10 +302,9 @@ def pom_gate(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]) -> t
     return pom, np.real(np.trace(pom, axis1=-2, axis2=-1))
 
 
-def instruments_of(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]) -> list[Instrument]:
-    """N instruments of Kraus stacks ``(N, n_outcomes, L_max, d, d)`` that share the mask
-    ``present`` and the labels (absent slots hold NaN): the gates of :func:`kraus_gate`
-    and :func:`pom_gate` run once on the stacks, and each instrument keeps its rows."""
+def _gated(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray, dict]:
+    """POM stacks, traces and shared fields of Kraus stacks ``(N, n_outcomes, L_max, d, d)``
+    past the label check, :func:`kraus_gate` and :func:`pom_gate`; all arrays read-only."""
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
         raise DuplicateLabel(f"duplicate outcome labels in {list(labels)}")
@@ -313,13 +312,20 @@ def instruments_of(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]
     pom, traces = pom_gate(kraus, present, labels)
     for value in (kraus, present, pom, traces):
         value.setflags(write=False)
+    return pom, traces, {"kraus_present": present, "labels": labels, "_index": {l: i for i, l in enumerate(labels)}}
+
+
+def instruments_of(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]) -> list[Instrument]:
+    """N instruments of Kraus stacks ``(N, n_outcomes, L_max, d, d)`` that share the mask
+    ``present`` and the labels (absent slots hold NaN): the gates of :func:`kraus_gate`
+    and :func:`pom_gate` run once on the stacks, and each instrument keeps its rows."""
+    pom, traces, shared = _gated(kraus, present, labels)
     counts = present.sum(axis=1)
-    index = {l: i for i, l in enumerate(labels)}
-    shared = {"dim": kraus.shape[-1], "kraus_present": present, "labels": labels, "_index": index}
     return [
         prebuilt(
             Instrument,
             outcomes=tuple(prebuilt(KrausSet, label=l, operators=tuple(ops[:c])) for l, ops, c in zip(labels, k, counts)),
+            dim=kraus.shape[-1],
             kraus_stack=k,
             pom_stack=p,
             pom_traces=t,

@@ -223,8 +223,8 @@ def expectation_and_variance(a, rho):
     """Mean Tr(A rho) and variance Tr(A^2 rho) - mean^2, the package's one owner of the
     moments of an operator in a state; round-off down to ROUNDOFF_FLOOR reads 0.  Floats
     for two matrices, and arrays for broadcasting stacks ``(..., d, d)``.  The traces are
-    its own, outside ``expectation``, so that an A^2 that overflows gives a NaN variance
-    and raises InternalNumericError, not the finiteness error of an operand."""
+    its own, outside ``expectation``, so that an A^2 that overflows gives a variance of
+    inf or NaN, which raises InternalNumericError, not the finiteness error of an operand."""
     am, rm = _operands(a, rho)
     mean, second = (np.real(np.trace(x @ rm, axis1=-2, axis2=-1)) for x in (am, am @ am))
     var = clip_at_floor(second - mean * mean, ROUNDOFF_FLOOR, "variance")
@@ -244,12 +244,13 @@ def value_variance(values, probs):
 def clip_at_floor(value, floor: float, what: str):
     """A quantity, float or array, that is nonnegative in exact arithmetic: round-off
     in [floor, 0) reads 0 (and -0.0 stays, as in ``max(v, 0.0)``), and a value below
-    ``floor`` or NaN raises InternalNumericError naming its index."""
+    ``floor``, NaN or an overflow to +inf raises InternalNumericError naming its index."""
     x = np.asarray(value, dtype=float)
-    bad = np.flatnonzero(~(x >= floor))
+    bad = np.flatnonzero(~((x >= floor) & (x < np.inf)))
     if bad.size:
+        v = x.flat[bad[0]]
         at = f" at index {tuple(map(int, np.unravel_index(bad[0], x.shape)))}" if x.ndim else ""
-        raise InternalNumericError(f"{what} {x.flat[bad[0]]:.3e}{at} below {floor}")
+        raise InternalNumericError(f"{what} {v:.3e}{at} " + ("overflows" if v == np.inf else f"below {floor}"))
     x = np.where(x < 0.0, 0.0, x)
     return float(x) if x.ndim == 0 else x
 

@@ -19,7 +19,7 @@ from qmeasure.harness import (
 )
 from qmeasure.inequalities import evaluate_all
 from qmeasure.instruments import Instrument
-from qmeasure.operators import SIGMA_X, SIGMA_Z, HermitianOperator, expectation
+from qmeasure.operators import SIGMA_X, SIGMA_Z, DensityOperator, HermitianOperator, expectation
 from qmeasure.scenario import Scenario, load_scenario
 from qmeasure.tolerances import POM_PSD_FLOOR
 
@@ -38,15 +38,33 @@ def cnot_scenario():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestOverflowedSquare:
-    # A = 1e160 sigma_z squares to inf, so every variance of A is inf - inf.
-    @pytest.fixture
-    def big(self, theta_pom_scenario):
-        return dataclasses.replace(theta_pom_scenario, observable_A=HermitianOperator(1e160 * SIGMA_Z))
+    # A = 1e160 sigma_z squares to inf, so every variance of A is NaN.  In the
+    # unbiased state <A> = 0, so only Tr(A^2 rho) overflows there.
+    @pytest.fixture(params=["theta_pom", "unbiased"])
+    def big(self, request, theta_pom_scenario):
+        s = dataclasses.replace(theta_pom_scenario, observable_A=HermitianOperator(1e160 * SIGMA_Z))
+        return s if request.param == "theta_pom" else dataclasses.replace(s, state=DensityOperator(np.eye(2) / 2))
 
     @pytest.mark.parametrize("relation", ["heisenberg", "schrodinger", "hofmann1"])
     def test_relations_raise_the_one_overflow_kind(self, big, relation):
         with pytest.raises(InternalNumericError, match="^variance nan"):
             inequalities.evaluate(relation, big)
+
+    @pytest.mark.parametrize("relation", ["heisenberg", "schrodinger"])
+    def test_infinite_second_moment_raises(self, relation):
+        # A and A^2 have finite entries, <A> = 0, and Tr(A^2 rho) = (1.5e154)^2 is +inf.
+        u, v = np.ones(4) / 2, np.array([1, -1, 1, -1]) / 2
+        inst = Instrument.from_kraus([instruments.KrausSet(str(k), (np.diag(np.eye(4)[k]),)) for k in range(4)])
+        s = Scenario(
+            4,
+            DensityOperator((np.outer(u, u) + np.outer(v, v)) / 2),
+            HermitianOperator(1.5e154 * (np.outer(u, u) - np.outer(v, v))),
+            inst,
+            {label: 0.0 for label in inst.labels},
+            observable_B=HermitianOperator(np.diag([1.0, -1.0, 1.0, -1.0])),
+        )
+        with pytest.raises(InternalNumericError, match=r"^variance inf at index \(0, 0\) overflows"):
+            inequalities.evaluate(relation, s)
 
     def test_analyze_fails_first_on_epsilon_sq(self, big):
         # epsilon^2 gates A^2 as an operand before any variance is taken.

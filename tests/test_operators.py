@@ -95,10 +95,19 @@ class TestNonFiniteGates:
         with pytest.raises(InternalNumericError):
             clip_at_floor(float(second - mean * mean), ROUNDOFF_FLOOR, "variance")
 
-    def test_expectation_and_variance_floors_the_overflowed_square(self):
+    @pytest.mark.parametrize("rho", [np.diag([0.75, 0.25]), np.eye(2) / 2], ids=["biased", "unbiased"])
+    def test_expectation_and_variance_floors_the_overflowed_square(self, rho):
         # Its traces are its own, so the NaN variance reaches the floor, not an operand gate.
         with pytest.raises(InternalNumericError, match="^variance nan"):
-            expectation_and_variance(self.BIG, np.diag([0.75, 0.25]))
+            expectation_and_variance(self.BIG, rho)
+
+    def test_expectation_and_variance_rejects_an_infinite_second_moment(self):
+        # A = lam (|u><u| - |v><v|) has finite entries and a finite square, but
+        # Tr(A^2 rho) = lam^2 overflows to +inf while <A> = 0 in rho = (|u><u| + |v><v|)/2.
+        u, v = np.ones(4) / 2, np.array([1, -1, 1, -1]) / 2
+        a = 1.5e154 * (np.outer(u, u) - np.outer(v, v))
+        with pytest.raises(InternalNumericError, match="^variance inf overflows"):
+            expectation_and_variance(a, (np.outer(u, u) + np.outer(v, v)) / 2)
 
 
 class TestCrossCheck:
@@ -337,7 +346,7 @@ class TestClipAtFloor:
         assert np.signbit(clip_at_floor(-0.0, ROUNDOFF_FLOOR, "variance"))
         assert np.signbit(clip_at_floor(np.array([1.0, -0.0]), ROUNDOFF_FLOOR, "variance")).tolist() == [False, True]
 
-    @pytest.mark.parametrize("bad", [np.nan, -1e-6])
+    @pytest.mark.parametrize("bad", [np.nan, -1e-6, np.inf])
     def test_array_names_the_first_offending_index(self, bad):
         values = np.array([[0.25, 0.5, 0.0], [1.0, bad, -1.0]])
         with pytest.raises(InternalNumericError, match=r"at index \(1, 1\)"):
@@ -347,6 +356,8 @@ class TestClipAtFloor:
         assert type(clip_at_floor(0.25, ROUNDOFF_FLOOR, "variance")) is float
         with pytest.raises(InternalNumericError, match=r"^variance -1.000e-06 below"):
             clip_at_floor(-1e-6, ROUNDOFF_FLOOR, "variance")
+        with pytest.raises(InternalNumericError, match=r"^variance inf overflows"):
+            clip_at_floor(np.inf, ROUNDOFF_FLOOR, "variance")
 
 
 # np.trace may take a matrix product only in the one owner of Re Tr(X rho), in
