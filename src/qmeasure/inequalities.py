@@ -87,13 +87,12 @@ class InequalityRecord:
 
 
 def _signature(s: Scenario) -> tuple:
-    """What the members of one block share: the dimension, the Kraus count of each
-    outcome, the live mask, the branch count of B (None without B), and whether
-    values_mB is absent.  B's spectrum must already be known to be cheap here."""
+    """What the members of one block share: the dimension, the Kraus slot count L,
+    the live mask, the branch count of B (None without B), and whether values_mB is
+    absent.  B's spectrum must already be known to be cheap here."""
     inst, b = s.apparatus, s.observable_B
-    counts = tuple(inst.kraus_present.sum(axis=1).tolist())
     branches = None if b is None else len(b.spectrum.eigenvalues)
-    return s.dimension, counts, tuple(inst.live_mask.tolist()), branches, s.values_mB is None
+    return s.dimension, inst.kraus_stack.shape[1], tuple(inst.live_mask.tolist()), branches, s.values_mB is None
 
 
 class ScenarioContext:
@@ -172,7 +171,7 @@ class ScenarioContext:
     @cached_property
     def eta(self) -> list[NoiseReport]:
         kraus = np.stack([s.apparatus.kraus_stack for s in self.scenarios])
-        return eta_sq_stack(kraus, self.scenarios[0].apparatus.kraus_present, self._b, self._rho)
+        return eta_sq_stack(kraus, self._b, self._rho)
 
     @cached_property
     def eps_A(self) -> list[float]:

@@ -55,7 +55,7 @@ class KrausSet:
         dims = {m.shape[0] for m in ops}
         if len(dims) != 1:
             raise DimensionMismatch(f"outcome {self.label!r} mixes dimensions {sorted(dims)}")
-        kraus_gate(np.stack(ops)[None, None], np.ones((1, len(ops)), dtype=bool), (self.label,))
+        kraus_gate(np.stack(ops)[None, None], (self.label,))
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -109,16 +109,16 @@ class Instrument:
 
     Build through :meth:`from_kraus` or :meth:`from_indirect`, or many at once
     through :func:`instruments_of`.  The constructor checks the declared dimension,
-    stacks the Kraus operators ``(n_outcomes, L_max, d, d)`` (absent slots are NaN,
-    False in ``kraus_present``, and enter no sum), and passes them, as a block of
-    one, through the gates of :func:`instruments_of`, which give the POM stack with
-    its traces Tr P_k.  An outcome is null when its trace is at most ``ZERO_WEIGHT``.
+    stacks the Kraus operators ``(n_outcomes, L, d, d)``, L the largest Kraus count,
+    with zeros in an outcome's spare slots (they add nothing to a Kraus sum), and
+    passes them, as a block of one, through the gates of :func:`instruments_of`,
+    which give the POM stack with its traces Tr P_k; ``outcomes`` keeps each
+    outcome's own operators.  An outcome is null when its trace is at most ``ZERO_WEIGHT``.
     """
 
     outcomes: tuple[KrausSet, ...]
     dim: int
     kraus_stack: np.ndarray = field(init=False, repr=False, compare=False)
-    kraus_present: np.ndarray = field(init=False, repr=False, compare=False)
     pom_stack: np.ndarray = field(init=False, repr=False, compare=False)
     pom_traces: np.ndarray = field(init=False, repr=False, compare=False)
     labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
@@ -128,11 +128,11 @@ class Instrument:
         dims = {ks.dim for ks in self.outcomes}
         if dims != {self.dim}:
             raise DimensionMismatch(f"Kraus dimensions {sorted(dims)} != declared {self.dim}")
-        counts = np.array([len(ks.operators) for ks in self.outcomes])
-        present = np.arange(counts.max()) < counts[:, None]
-        kraus = np.full((1,) + present.shape + (self.dim, self.dim), np.nan, dtype=complex)
-        kraus[0, present] = [m for ks in self.outcomes for m in ks.operators]
-        pom, traces, shared = _gated(kraus, present, [ks.label for ks in self.outcomes])
+        slots = max(len(ks.operators) for ks in self.outcomes)
+        kraus = np.zeros((1, len(self.outcomes), slots, self.dim, self.dim), dtype=complex)
+        for k, ks in enumerate(self.outcomes):
+            kraus[0, k, : len(ks.operators)] = ks.operators
+        pom, traces, shared = _gated(kraus, [ks.label for ks in self.outcomes])
         for name, value in dict(shared, kraus_stack=kraus[0], pom_stack=pom[0], pom_traces=traces[0]).items():
             object.__setattr__(self, name, value)
 
@@ -147,7 +147,8 @@ class Instrument:
     def from_indirect(cls, model: IndirectModel) -> "Instrument":
         """Kraus operators M_{k,l} = sqrt(p_l) <k|U|l> over detector eigenbranches.
 
-        Eigenbranches with weight at or below ``ZERO_WEIGHT`` are dropped.
+        Eigenbranches with weight at or below ``ZERO_WEIGHT`` are dropped; every outcome
+        keeps the same count, so the stack is gated as a block of one.
         """
         d_s, d_d = model.system_dim, model.detector_state.dim
         p_l, vecs = np.linalg.eigh(model.detector_state.matrix)
@@ -155,7 +156,7 @@ class Instrument:
         blocks = np.einsum("kb,ibjd,dl->klij", np.array(model.readout_basis).conj(), u4, vecs)
         keep = p_l > ZERO_WEIGHT
         kraus = np.sqrt(p_l[keep])[:, None, None] * blocks[:, keep]
-        return cls(tuple(KrausSet(label, tuple(ops)) for label, ops in zip(model.labels, kraus)), d_s)
+        return instruments_of(kraus[None], model.labels)[0]
 
     def _position(self, label: str) -> int:
         try:
@@ -215,7 +216,7 @@ class Instrument:
 
     def _channel(self, x, dual: bool = False) -> np.ndarray:
         """:func:`channel` of this instrument, ``(n_outcomes, ..., d, d)``."""
-        return channel(self.kraus_stack[None], self.kraus_present, np.asarray(x)[None], dual)[0]
+        return channel(self.kraus_stack[None], np.asarray(x)[None], dual)[0]
 
     def apply_selective(self, label: str, rho) -> np.ndarray:
         """Unnormalized post-measurement operator A_k(rho) = sum_l M rho M† of one outcome."""
@@ -265,12 +266,12 @@ def value_row(inst: Instrument | IndirectModel, values: ValueAssignment) -> list
     return [float(values[label]) for label in inst.labels]
 
 
-def kraus_gate(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]) -> None:
-    """The Kraus-operator gates on the stacks ``(N, n_outcomes, L_max, d, d)`` of N
-    instruments with one mask ``present`` and one label per outcome: every present
-    entry must be finite (StateValidationError), and every outcome needs an operator
-    that is not zero (CompletenessViolation).  The error names the first failing member."""
-    norms = np.abs(kraus).max(axis=(-2, -1), where=present[..., None, None], initial=0.0)
+def kraus_gate(kraus: np.ndarray, labels: Sequence[str]) -> None:
+    """The Kraus-operator gates on the stacks ``(N, n_outcomes, L, d, d)`` of N
+    instruments with one label per outcome: every entry must be finite
+    (StateValidationError), and every outcome needs an operator that is not zero
+    (CompletenessViolation).  The error names the first failing member."""
+    norms = np.abs(kraus).max(axis=(-2, -1))
     if not np.isfinite(norms).all():
         raise StateValidationError(f"matrix entries must be finite{at_index(~np.isfinite(norms).all(axis=(-2, -1)))}")
     zero = ~(norms > 0).any(axis=-1)
@@ -280,13 +281,13 @@ def kraus_gate(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]) ->
         raise CompletenessViolation(f"outcome {label!r} has only zero operators{at_index(member)}")
 
 
-def pom_gate(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def pom_gate(kraus: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """POM stacks ``(N, n_outcomes, d, d)`` of the Kraus stacks of N instruments, as in
     :func:`kraus_gate`, with their traces ``(N, n_outcomes)``.  Each POM must sum to the
     identity within IDENTITY_TOL and each element have no eigenvalue below
     POM_PSD_FLOOR (CompletenessViolation, naming the first failing member); it is then
     symmetrized by ``hermitian_part``."""
-    pom = kraus_sum(kraus, present, lambda m, mh: mh @ m)
+    pom = kraus_sum(kraus, lambda m, mh: mh @ m)
     defect = np.abs(pom.sum(axis=-3) - np.eye(kraus.shape[-1])).max(axis=(-2, -1))
     incomplete = defect > IDENTITY_TOL
     if incomplete.any():
@@ -302,29 +303,28 @@ def pom_gate(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]) -> t
     return pom, np.real(np.trace(pom, axis1=-2, axis2=-1))
 
 
-def _gated(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray, dict]:
-    """POM stacks, traces and shared fields of Kraus stacks ``(N, n_outcomes, L_max, d, d)``
+def _gated(kraus: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray, dict]:
+    """POM stacks, traces and shared fields of Kraus stacks ``(N, n_outcomes, L, d, d)``
     past the label check, :func:`kraus_gate` and :func:`pom_gate`; all arrays read-only."""
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
         raise DuplicateLabel(f"duplicate outcome labels in {list(labels)}")
-    kraus_gate(kraus, present, labels)
-    pom, traces = pom_gate(kraus, present, labels)
-    for value in (kraus, present, pom, traces):
+    kraus_gate(kraus, labels)
+    pom, traces = pom_gate(kraus, labels)
+    for value in (kraus, pom, traces):
         value.setflags(write=False)
-    return pom, traces, {"kraus_present": present, "labels": labels, "_index": {l: i for i, l in enumerate(labels)}}
+    return pom, traces, {"labels": labels, "_index": {l: i for i, l in enumerate(labels)}}
 
 
-def instruments_of(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]) -> list[Instrument]:
-    """N instruments of Kraus stacks ``(N, n_outcomes, L_max, d, d)`` that share the mask
-    ``present`` and the labels (absent slots hold NaN): the gates of :func:`kraus_gate`
-    and :func:`pom_gate` run once on the stacks, and each instrument keeps its rows."""
-    pom, traces, shared = _gated(kraus, present, labels)
-    counts = present.sum(axis=1)
+def instruments_of(kraus: np.ndarray, labels: Sequence[str]) -> list[Instrument]:
+    """N instruments of Kraus stacks ``(N, n_outcomes, L, d, d)`` that share the labels,
+    every slot an operator of its outcome: the gates of :func:`kraus_gate` and
+    :func:`pom_gate` run once on the stacks, and each instrument keeps its rows."""
+    pom, traces, shared = _gated(kraus, labels)
     return [
         prebuilt(
             Instrument,
-            outcomes=tuple(prebuilt(KrausSet, label=l, operators=tuple(ops[:c])) for l, ops, c in zip(labels, k, counts)),
+            outcomes=tuple(prebuilt(KrausSet, label=l, operators=tuple(ops)) for l, ops in zip(labels, k)),
             dim=kraus.shape[-1],
             kraus_stack=k,
             pom_stack=p,
@@ -335,29 +335,27 @@ def instruments_of(kraus: np.ndarray, present: np.ndarray, labels: Sequence[str]
     ]
 
 
-def kraus_sum(kraus: np.ndarray, present: np.ndarray, term, ndim: int = 2) -> np.ndarray:
-    """sum_l term(M, M†) over the Kraus stacks ``(..., n_outcomes, L_max, d, d)`` of one
-    mask ``present``, in l order, skipping absent slots; M broadcasts against
-    ``ndim``-axis operands."""
+def kraus_sum(kraus: np.ndarray, term, ndim: int = 2) -> np.ndarray:
+    """sum_l term(M, M†) over the Kraus stacks ``(..., n_outcomes, L, d, d)``, in l
+    order; M broadcasts against ``ndim``-axis operands."""
     adjoint = kraus.conj().swapaxes(-1, -2)
     expand = kraus.shape[:-3] + (1,) * (ndim - 2) + kraus.shape[-2:]
     total = 0
-    for l, live in enumerate(present.T):
-        t = term(kraus[..., l, :, :].reshape(expand), adjoint[..., l, :, :].reshape(expand))
-        total = np.where(live.reshape((-1,) + (1,) * ndim), total + t, total)
+    for l in range(kraus.shape[-3]):
+        total = total + term(kraus[..., l, :, :].reshape(expand), adjoint[..., l, :, :].reshape(expand))
     return total
 
 
-def channel(kraus: np.ndarray, present: np.ndarray, x, dual: bool = False) -> np.ndarray:
+def channel(kraus: np.ndarray, x, dual: bool = False) -> np.ndarray:
     """A_k(x) = sum_l M x M† (``dual``: A*_k(x) = sum_l M† x M) of every outcome of N
-    instruments ``(N, n_outcomes, L_max, d, d)``, one per operand ``(N, ..., d, d)``."""
+    instruments ``(N, n_outcomes, L, d, d)``, one per operand ``(N, ..., d, d)``."""
     xm = np.asarray(x)
     d = kraus.shape[-1]
     if xm.shape[-2:] != (d, d):
         raise DimensionMismatch(f"operand shape {xm.shape[1:]} does not end in ({d}, {d})")
     xo = xm[:, None]
     sandwich = (lambda m, mh: (mh @ xo) @ m) if dual else (lambda m, mh: (m @ xo) @ mh)
-    return hermitian_part(kraus_sum(kraus, present, sandwich, xm.ndim - 1))
+    return hermitian_part(kraus_sum(kraus, sandwich, xm.ndim - 1))
 
 
 def effective_observables(pom: np.ndarray, values) -> np.ndarray:

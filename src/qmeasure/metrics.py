@@ -128,20 +128,20 @@ def delta_B(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> flo
     return eta_sq_system(inst, b, rho).delta
 
 
-def eta_sq_stack(kraus, present, b, rho) -> list[NoiseReport]:
+def eta_sq_stack(kraus, b, rho) -> list[NoiseReport]:
     """Squared disturbance <(B^2)' + B^2 - 2 B' * B> in the system picture of N
-    instruments ``(N, n_outcomes, L_max, d, d)`` of one Kraus mask ``present``, with B
-    and rho ``(N, d, d)``; the mean shift is taken against the gated state after."""
+    instruments of Kraus stacks ``(N, n_outcomes, L, d, d)``, with B and rho
+    ``(N, d, d)``; the mean shift is taken against the gated state after."""
     b_sq = hermitian_part(b @ b)
-    primed = channel(kraus, present, np.stack([b, b_sq], axis=1), dual=True).swapaxes(0, 1)
+    primed = channel(kraus, np.stack([b, b_sq], axis=1), dual=True).swapaxes(0, 1)
     b_prime, b_sq_prime = hermitian_part(sum(primed)).swapaxes(0, 1)
-    rho_after = validated_states(hermitian_part(sum(channel(kraus, present, rho).swapaxes(0, 1))))
+    rho_after = validated_states(hermitian_part(sum(channel(kraus, rho).swapaxes(0, 1))))
     return _noise_reports(expectation(b, rho_after - rho), b_prime, b_sq_prime, b, b_sq, rho)
 
 
 def eta_sq_system(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> NoiseReport:
     """Squared disturbance of one instrument: :func:`eta_sq_stack` on a stack of one."""
-    return eta_sq_stack(inst.kraus_stack[None], inst.kraus_present, np.asarray(b)[None], np.asarray(rho)[None])[0]
+    return eta_sq_stack(inst.kraus_stack[None], np.asarray(b)[None], np.asarray(rho)[None])[0]
 
 
 def eta_sq_joint(model: IndirectModel, b: HermitianOperator, rho_s: DensityOperator) -> float:
@@ -159,7 +159,7 @@ def lindblad_perturbation(inst: Instrument, b: np.ndarray) -> np.ndarray:
     ``(n_outcomes, ..., d, d)``; ``b`` may be a stack.  This Lindblad form stays apart
     from the instrument's channel maps: it is the independent form eta^2 is checked against."""
     term = lambda m, md: -(md @ (m @ b - b @ m) - (md @ b - b @ md) @ m) / 2
-    return kraus_sum(inst.kraus_stack, inst.kraus_present, term, b.ndim)
+    return kraus_sum(inst.kraus_stack, term, b.ndim)
 
 
 def lindblad_decomposition(inst: Instrument, label: str, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +189,7 @@ def is_unbiased(a_e, a):
 def is_qnd(inst: Instrument, b: HermitianOperator) -> bool:
     """True iff every Kraus operator commutes with B (to IDENTITY_TOL)."""
     bm, kraus = np.asarray(b), inst.kraus_stack
-    return max_norm((kraus @ bm - bm @ kraus)[inst.kraus_present]) <= IDENTITY_TOL
+    return max_norm(kraus @ bm - bm @ kraus) <= IDENTITY_TOL
 
 
 def unbiased_dispersion(

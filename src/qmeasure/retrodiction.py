@@ -46,7 +46,7 @@ class RestrictedMetrics:
 
 
 # A stack that grows with the block, the kernel's T_k product (N, n_live, n_b, k, d, d)
-# or a sweep window's Kraus stacks (N, n_outcomes, L_max, d, d), holds at most this
+# or a sweep window's Kraus stacks (N, n_outcomes, L, d, d), holds at most this
 # many complex entries.
 _BLOCK_ENTRIES = 2**16
 
@@ -79,7 +79,7 @@ def outcome_kernels(
     b: Sequence[HermitianOperator] | None = None,
 ) -> OutcomeKernels:
     """The single-outcome quantities of the live outcomes of N ≥ 1 instruments of one
-    Kraus layout and live mask, each with its own A and, if given, its own B.  The
+    Kraus stack shape and live mask, each with its own A and, if given, its own B.  The
     instrument and outcome axes are stack axes, ``(N, n_live, n_b, d, d)``, and every
     product a stacked ``matmul``, so every value has the bits of its per-matrix
     computation, whatever the block; each gate runs once, on a stacked output, and
@@ -89,9 +89,9 @@ def outcome_kernels(
     counts = (len(insts), len(a)) + (() if b is None else (len(b),))
     if not insts or len(set(counts)) > 1:
         raise DimensionMismatch(f"outcome_kernels needs one A (and B) per instrument, at least one; got {counts}")
-    live, present = insts[0].live_mask, insts[0].kraus_present
-    if len({(inst.kraus_present.tobytes(), inst.live_mask.tobytes()) for inst in insts}) > 1:
-        raise DimensionMismatch("outcome_kernels needs instruments of one Kraus layout and live mask")
+    live = insts[0].live_mask
+    if len({(inst.kraus_stack.shape, inst.live_mask.tobytes()) for inst in insts}) > 1:
+        raise DimensionMismatch("outcome_kernels needs instruments of one Kraus stack shape and live mask")
     n_inst, n = len(insts), int(live.sum())
     traces = np.stack([inst.pom_traces for inst in insts])
     tr = traces[:, live]
@@ -106,15 +106,15 @@ def outcome_kernels(
         specs = spectra(b)
         values = np.stack([spec.eigenvalues for spec in specs])
         proj = np.stack([spec.projector_stack for spec in specs])
-        kraus, present = np.stack([inst.kraus_stack for inst in insts])[:, live], present[live]
+        kraus = np.stack([inst.kraus_stack for inst in insts])[:, live]
         # T_k divides each trace by Tr P_k; the conditioned states divide
         # A*_k(Π_b') before the trace.  The two orders round differently.
-        forward = channel(kraus, present, proj)[..., None, :, :]
+        forward = channel(kraus, proj)[..., None, :, :]
         # A chunk of posterior branches b' at a time keeps the product within _BLOCK_ENTRIES.
         step = max(1, _BLOCK_ENTRIES // forward.size)
         chunks = [expectation(proj[:, None, None, j : j + step], forward) for j in range(0, proj.shape[1], step)]
         table = np.concatenate(chunks, axis=-1) / tr[:, :, None, None]
-        backward = channel(kraus, present, proj, dual=True) / tr[:, :, None, None, None]
+        backward = channel(kraus, proj, dual=True) / tr[:, :, None, None, None]
         weights = np.real(np.trace(backward, axis1=-2, axis2=-1))
         posterior = weights > ZERO_WEIGHT
         conditioned = validated_states(backward[posterior] / weights[posterior][:, None, None])

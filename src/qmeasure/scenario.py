@@ -338,7 +338,7 @@ def _dilation_instruments(u: np.ndarray, dim: int, n_outcomes: int) -> list[Inst
     each of a stack on a dim * n_outcomes dilation: rows k*dim to (k+1)*dim are the one
     Kraus operator of outcome k."""
     kraus = u[..., :dim].reshape(-1, n_outcomes, 1, dim, dim)
-    return instruments_of(kraus, np.ones((n_outcomes, 1), dtype=bool), [str(k) for k in range(n_outcomes)])
+    return instruments_of(kraus, [str(k) for k in range(n_outcomes)])
 
 
 def generate_random(dim: int, n_outcomes: int, seed) -> Scenario:

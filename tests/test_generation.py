@@ -18,7 +18,6 @@ def _arrays(s) -> list[np.ndarray]:
         s.observable_A.matrix,
         s.observable_B.matrix,
         inst.kraus_stack,
-        inst.kraus_present,
         inst.pom_stack,
         inst.pom_traces,
         *(m for ks in inst.outcomes for m in ks.operators),
@@ -52,18 +51,18 @@ def test_a_window_runs_each_gate_once(gate_calls):
 
 def _kraus_window():
     insts = [generate_random(3, 4, subseed(9, i)).apparatus for i in range(4)]
-    return np.stack([inst.kraus_stack for inst in insts]), insts[0].kraus_present, insts[0].labels
+    return np.stack([inst.kraus_stack for inst in insts]), insts[0].labels
 
 
 @pytest.mark.parametrize("fault, error", [("incomplete", CompletenessViolation), ("non-finite", StateValidationError)])
 def test_the_instrument_gates_name_a_bad_member(fault, error):
-    kraus, present, labels = _kraus_window()
+    kraus, labels = _kraus_window()
     if fault == "incomplete":
         kraus[2] *= 1.1
     else:
         kraus[2, 1, 0, 0, 0] = np.nan
     with pytest.raises(error, match=r"at index \(2,\)"):
-        instruments_of(kraus, present, labels)
+        instruments_of(kraus, labels)
     with pytest.raises(error) as alone:
         Instrument.from_kraus([KrausSet(label, tuple(ops)) for label, ops in zip(labels, kraus[2])])
     assert "index" not in str(alone.value)

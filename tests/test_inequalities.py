@@ -215,17 +215,22 @@ def _rows(records) -> list[str]:
 
 
 def _special_d3(kind: int) -> Scenario:
-    """d = 3 scenarios that share no block signature: outcomes with 1, 2 and 3
-    Kraus operators (kind 0), a null outcome (kind 1), a B with a grouped
-    eigenvalue (kind 2)."""
+    """d = 3 scenarios that share no block signature with those of four single-Kraus
+    outcomes: outcomes with 1, 2 and 3 Kraus operators (kind 0), a null outcome
+    (kind 1), a B with a grouped eigenvalue (kind 2); and three outcomes with Kraus
+    counts (1, 2, 2), (2, 1, 2) and (2, 2, 1) (kinds 3 to 5), which share one slot
+    count L = 2 and so one signature."""
     rng = _rng((61, kind))
     state, a, b = random_density(3, rng), random_hermitian(3, rng), random_hermitian(3, rng)
-    n_kraus = 6 if kind == 0 else 3
+    n_kraus = {0: 6, 3: 5, 4: 5, 5: 5}.get(kind, 3)
     isometry = random_unitary(3 * n_kraus, rng)[:, :3]
     m = [isometry[3 * i : 3 * i + 3] for i in range(n_kraus)]
     sets = [KrausSet(str(k), (mk,)) for k, mk in enumerate(m)]
     if kind == 0:
         sets = [KrausSet("one", (m[0],)), KrausSet("two", tuple(m[1:3])), KrausSet("three", tuple(m[3:]))]
+    if kind >= 3:
+        ends = np.cumsum([0] + [1 if k == kind - 3 else 2 for k in range(3)])
+        sets = [KrausSet(str(k), tuple(m[ends[k] : ends[k + 1]])) for k in range(3)]
     if kind == 1:
         sets.insert(1, KrausSet("null", (1e-8 * np.eye(3, dtype=complex),)))
     if kind == 2:
@@ -249,11 +254,19 @@ class TestBlocks:
     def test_mixed_signatures_match_blocks_of_one(self):
         def batch():
             randoms = [generate_random(3, 4, subseed(5, (3, i))) for i in range(4)]
-            return [randoms[0], _special_d3(0), randoms[1], _special_d3(1), _special_d3(2), randoms[2], randoms[3]]
+            specials = [_special_d3(kind) for kind in range(6)]
+            return [randoms[0], specials[3], *specials[:2], randoms[1], specials[4], specials[2], *randoms[2:], specials[5]]
 
         blocked = list(_blocks_of(batch()))
         contexts = {id(ctx): ctx for _, ctx in blocked}.values()
-        assert sorted(len(ctx.scenarios) for ctx in contexts) == [1, 1, 1, 4]
+        # Ragged Kraus counts of one slot count share a block: kinds 3 to 5 form one.
+        assert sorted(len(ctx.scenarios) for ctx in contexts) == [1, 1, 1, 3, 4]
+        ragged = [ctx for ctx in contexts if len(ctx.scenarios) == 3][0]
+        assert [[len(ks.operators) for ks in s.apparatus.outcomes] for s in ragged.scenarios] == [
+            [1, 2, 2],
+            [2, 1, 2],
+            [2, 2, 1],
+        ]
         for (s, ctx), alone in zip(blocked, batch()):
             assert _rows(evaluate_all(s, ctx).values()) == _rows(evaluate_all(alone).values())
 

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from qmeasure import instruments
 from qmeasure.errors import (
     CompletenessViolation,
     DimensionMismatch,
@@ -27,13 +30,16 @@ from qmeasure.operators import (
 )
 from qmeasure.quasiprob import QuasiDistribution
 from qmeasure.scenario import (
+    Scenario,
     _rng,
     generate_random,
+    load_scenario,
     random_density,
     random_hermitian,
     random_indirect_model,
     random_instrument,
     random_unitary,
+    save_scenario,
     theta_pom_instrument,
 )
 
@@ -175,6 +181,32 @@ class TestIndirectModels:
             assert abs(sum(probs) - 1.0) < 1e-10
             assert all(p >= -1e-10 for p in probs)
 
+    def test_a_d4_file_runs_each_instrument_gate_once(self, tmp_path, monkeypatch):
+        # An indirect model's Kraus stack has one count for every outcome, so it is
+        # gated as one block, with no per-outcome KrausSet gate before it.
+        rng = _rng(23)
+        model = random_indirect_model(4, rng)
+        state, a = random_density(4, rng), random_hermitian(4, rng)
+        values = {label: float(i) for i, label in enumerate(model.labels)}
+        path = tmp_path / "d4.json"
+        save_scenario(Scenario(4, state, a, Instrument.from_indirect(model), values, indirect=model), path)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("kraus_gate", "pom_gate"):
+            monkeypatch.setattr(instruments, name, counted(name, getattr(instruments, name)))
+        inst = load_scenario(path).apparatus
+        assert calls == {"kraus_gate": 1, "pom_gate": 1}
+        assert inst.kraus_stack.shape == (4, 4, 4, 4)
+        for ks, rows in zip(inst.outcomes, inst.kraus_stack, strict=True):
+            assert len(ks.operators) == 4 and np.array_equal(np.array(ks.operators), rows)
+
 
 class TestApplicationMaps:
     def test_selective_projective(self, ket_plus):
@@ -274,8 +306,10 @@ def test_ragged_stack_against_a_reference():
     isometry = random_unitary(18, rng)[:, :3]
     m = [isometry[3 * i : 3 * i + 3] for i in range(6)]
     inst = Instrument.from_kraus([KrausSet("one", (m[0],)), KrausSet("two", tuple(m[1:3])), KrausSet("three", tuple(m[3:]))])
-    assert inst.kraus_present.tolist() == [[True, False, False], [True, True, False], [True, True, True]]
-    assert np.isnan(inst.kraus_stack[~inst.kraus_present]).all()
+    pad = np.arange(3) >= np.array([len(ks.operators) for ks in inst.outcomes])[:, None]
+    assert pad.tolist() == [[False, True, True], [False, False, True], [False, False, False]]
+    assert inst.kraus_stack.shape == (3, 3, 3, 3) and not inst.kraus_stack[pad].any()
+    assert np.array_equal(inst.kraus_stack[~pad], np.array(m))
     pom = []
     for ks in inst.outcomes:
         total = 0
@@ -299,6 +333,26 @@ def test_ragged_stack_against_a_reference():
             assert np.array_equal(inst.adjoint_apply(label, x), backward[k])
         assert np.array_equal(inst.apply_nonselective(x), hermitian_part(sum(forward)))
         assert np.array_equal(inst.adjoint_nonselective(x), hermitian_part(sum(backward)))
+
+
+def test_an_explicit_zero_operator_is_kept_and_adds_nothing():
+    # outcomes and to_dict keep the zero, so the digest sees it; the POM and the
+    # maps do not.  array_equal cannot tell -0.0 from +0.0: the bit gate is the
+    # repr of every float in tools/fingerprint.py.
+    plain = theta_pom_instrument(0.7)
+    m_plus, m_minus = (ks.operators[0] for ks in plain.outcomes)
+    padded = Instrument.from_kraus([KrausSet("+", (m_plus, 0 * m_plus)), KrausSet("-", (m_minus,))])
+    assert [len(ks.operators) for ks in padded.outcomes] == [2, 1]
+
+    def scenario(inst):
+        return Scenario(2, DensityOperator(np.eye(2) / 2), HermitianOperator(SIGMA_Z), inst, {"+": 1.0, "-": -1.0})
+
+    assert [len(o["kraus"]) for o in scenario(padded).to_dict()["apparatus"]["outcomes"]] == [2, 1]
+    assert scenario(padded).digest() != scenario(plain).digest()
+    assert np.array_equal(padded.pom_stack, plain.pom_stack)
+    x = random_hermitian(2, _rng(91)).matrix
+    for dual in (False, True):
+        assert np.array_equal(padded._channel(x, dual), plain._channel(x, dual))
 
 
 def test_outcome_probabilities_of_a_stack():

@@ -277,15 +277,15 @@ def test_kernel_matches_per_matrix_loops(dim):
 
 def _per_branch_reference(insts, b):
     """T_k and p(b'|k) of every live outcome of a block, one posterior branch b' at a time."""
-    live, present = insts[0].live_mask, insts[0].kraus_present
+    live = insts[0].live_mask
     kraus = np.stack([inst.kraus_stack for inst in insts])
     proj = np.stack([spec.projector_stack for spec in spectra(b)])
     tr = np.stack([inst.pom_traces for inst in insts])[:, live]
-    forward = instruments.channel(kraus, present, proj)[:, live]
+    forward = instruments.channel(kraus, proj)[:, live]
     table, weights = [], []
     for j in range(proj.shape[1]):
         table.append(expectation(proj[:, None, None, j], forward))
-        backward = instruments.channel(kraus, present, proj[:, j : j + 1], dual=True)[:, live, 0]
+        backward = instruments.channel(kraus, proj[:, j : j + 1], dual=True)[:, live, 0]
         weights.append(np.real(np.trace(backward / tr[:, :, None, None], axis1=-2, axis2=-1)))
     return np.stack(table, axis=-1) / tr[:, :, None, None], np.stack(weights, axis=-1)
 
@@ -382,8 +382,8 @@ def test_the_mass_gate_names_the_first_bad_member_and_outcome(monkeypatch):
     window = generate_window(3, 4, [subseed(5, i) for i in range(3)])
     channel = retrodiction.channel
 
-    def heavy(kraus, present, x, dual=False):
-        out = channel(kraus, present, x, dual)
+    def heavy(kraus, x, dual=False):
+        out = channel(kraus, x, dual)
         if not dual:
             out = out.copy()
             out[1, 2] *= 1.01

@@ -1,9 +1,12 @@
-"""The benchmark's tracer must still find every layer it measures.
+"""The benchmark's tracer must still find every layer it measures, and its
+workloads must still build their inputs.
 
 ``perfbench/tracing.py`` names each traced layer as ``module.function``; a
 refactor that renames or moves one of those functions breaks the traced
-benchmark run.  The tracer module is loaded by path, without writing
-bytecode next to it, and without being imported as part of a package.
+benchmark run.  ``perfbench/workloads.py`` builds its d = 4 indirect scenarios
+through ``Instrument.from_indirect``; a change that breaks that builder breaks
+every benchmark run.  Both modules are loaded by path, without writing
+bytecode next to them, and without being imported as part of a package.
 """
 
 import importlib
@@ -11,19 +14,19 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing(monkeypatch):
+def load_perfbench(monkeypatch, name: str):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_finds_every_layer(monkeypatch):
-    tracing = load_tracing(monkeypatch)
+    tracing = load_perfbench(monkeypatch, "tracing")
     tracer = tracing.Tracer()
     patched = {(owner.__name__, attr) for owner, attr, _, _ in tracer._patches}
     for layer in tracing.LAYER_FUNCTIONS:
@@ -34,3 +37,9 @@ def test_tracer_finds_every_layer(monkeypatch):
         else:
             assert callable(getattr(importlib.import_module(f"qmeasure.{module}"), func)), layer
             assert (f"qmeasure.{module}", func) in patched, layer
+
+
+def test_workloads_build_a_d4_indirect_scenario(monkeypatch):
+    scenario = load_perfbench(monkeypatch, "workloads").generate_d4_indirect(0, 0)
+    assert scenario.dimension == 4 and scenario.indirect is not None
+    assert scenario.apparatus.kraus_stack.shape == (4, 4, 4, 4)

@@ -13,7 +13,8 @@ identity outputs that ``analyze`` does not print: ``lindblad_decomposition``
 per outcome, ``three_state_cross_term``, ``unbiased_dispersion`` where the
 estimation is unbiased, ``conditional_weak_value`` for every (outcome,
 A-branch) pair, every field of ``restricted_metrics`` per live
-outcome and posterior branch, and every cell of both weak-probe tables at
+outcome and posterior branch (read from the ``restricted`` rows of one
+``outcome_kernels`` pass, which ``restricted_metrics`` returns), and every cell of both weak-probe tables at
 each of ``STRENGTHS``; ``random_sweep`` at d = 2 x 60, 3 x 30, 8 x 6, 8 x 40 and
 16 x 6 (seed 777), with every record's lhs, rhs, digest and sub-records; ``sample``
 at 1, 3, 10^3, 2^16 + 1, 2 x 10^5, 300 001, 10^6 and 10^7 shots and ``weak_sweep``
@@ -53,13 +54,12 @@ from qmeasure import (
 from qmeasure import (
     conditional_weak_value,
     lindblad_decomposition,
-    restricted_metrics,
     three_state_cross_term,
     unbiased_dispersion,
     weak_probe_disturbance_distribution,
     weak_probe_error_distribution,
 )
-from qmeasure.errors import BiasedInstrument, NotExpressible, ZeroPosterior, ZeroProbabilityConditioning
+from qmeasure.errors import BiasedInstrument, NotExpressible, ZeroProbabilityConditioning
 from qmeasure.harness import report_to_dict
 from qmeasure.scenario import (
     generate_window,
@@ -168,10 +168,6 @@ def _entries(m) -> list[float]:
     return np.asarray(m, dtype=complex).view(float).ravel().tolist()
 
 
-def _restricted(rm) -> list[float]:
-    return [rm.p_posterior, rm.eps_A, rm.eps_B, rm.eta_B, rm.retro_mean_B]
-
-
 def single_outcome(s: Scenario) -> list:
     """The identity and single-outcome outputs of one scenario."""
     inst, a, b, rho = s.apparatus, s.observable_A, s.observable_B, s.state
@@ -191,14 +187,9 @@ def single_outcome(s: Scenario) -> list:
     for label in inst.labels:
         jordan_part, lind = lindblad_decomposition(inst, label, b)
         out.append([label, _entries(jordan_part), _entries(lind)])
-    for label in inst.live_labels:
-        for idx in range(len(b.spectrum.branches)):
-            try:
-                rm = restricted_metrics(inst, label, idx, a, b)
-            except ZeroPosterior:
-                out.append([label, idx, None])
-                continue
-            out.append([label, idx, _restricted(rm)])
+    ks = outcome_kernels([inst], [a], [b])
+    for label, rows, posterior in zip(inst.live_labels, ks.restricted[0].tolist(), ks.posterior[0].tolist()):
+        out.extend([label, idx, row if p else None] for idx, (row, p) in enumerate(zip(rows, posterior)))
     return out
 
 
