@@ -4,8 +4,9 @@ Everything here is deterministic given its inputs: sampling uses the Philox
 counter-based generator, so the i-th draw is a pure function of (seed, i)
 and results are byte-identical across runs and independent of evaluation
 order.  ``sample`` counts its stream in counter-advanced shards, one per
-available CPU, each in chunks; the counts depend on neither the CPU count
-nor the chunk, and at most 2^16 uniforms are in memory at once.
+available CPU, on a thread pool and each in chunks; the counts depend on
+neither the CPU count nor the chunk, and at most 2^16 uniforms are in
+memory at once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import csv
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,7 +253,7 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     InternalNumericError; round-off in [POM_PSD_FLOOR, 0) is set to 0 before
     renormalizing.  The stream is cut into contiguous shards, one per
     available CPU, each on its own generator advanced to its first draw;
-    the shards are counted concurrently, in chunks.  So memory is bounded by
+    the shards are counted in chunks on a thread pool.  So memory is bounded by
     2^16 uniforms in total, not by ``shots``, and the counts equal those of
     one draw of all ``shots`` uniforms, whatever the CPU count.
     """
@@ -324,36 +324,23 @@ def _cell_counts(
 
     Shard w takes draws [b_w, b_{w+1}) with b_w = 4 floor(shots w / 4S) and
     b_S = ``shots``, so each starts on a Philox4x64 counter step (four
-    doubles).  The caller counts shard 0 and one thread each counts the
-    others, ``chunk // S`` uniforms at a time (whole counter steps once that
-    is 4 or more), so at most ``chunk`` are in memory at once.  S is the number of CPUs this process may run on, and
-    no more than the number of ``_CHUNK``-sized pieces of the stream.
+    doubles).  The caller counts shard 0 and a pool of S - 1 threads counts
+    the others, each ``chunk // S`` uniforms at a time, so at most ``chunk``
+    are in memory at once; every thread has joined before the counts, or a
+    shard's exception, reach the caller.  S is the number of CPUs this process
+    may run on, and no more than the number of ``_CHUNK``-sized pieces of the
+    stream.
     """
     if shards is None:
         shards = min(_cpus(), -(-shots // _CHUNK))
     edges = np.cumsum(probs)[:-1]
     bounds = [4 * (shots * w // (4 * shards)) for w in range(shards)] + [shots]
     step = max(chunk // shards, 1)
-    if step >= 4:
-        step -= step % 4
-    results: list = [None] * shards
+    from concurrent.futures import ThreadPoolExecutor  # imports logging, which only sampling needs
 
-    def count(w: int) -> None:
-        try:
-            results[w] = _count_shard(seed, bounds[w], bounds[w + 1], edges, step)
-        except BaseException as exc:  # raised again below, once every thread has joined
-            results[w] = exc
-
-    threads = [threading.Thread(target=count, args=(w,)) for w in range(1, shards)]
-    for t in threads:
-        t.start()
-    count(0)
-    for t in threads:
-        t.join()
-    for r in results:
-        if isinstance(r, BaseException):
-            raise r
-    below = sum(results)
+    with ThreadPoolExecutor(max(shards - 1, 1)) as pool:
+        futures = [pool.submit(_count_shard, seed, bounds[w], bounds[w + 1], edges, step) for w in range(1, shards)]
+        below = _count_shard(seed, bounds[0], bounds[1], edges, step) + sum(f.result() for f in futures)
     return np.diff(below, prepend=0, append=shots)
 
 

@@ -104,7 +104,6 @@ class ScenarioContext:
 
     def __init__(self, scenarios: Sequence[Scenario]):
         ss = self.scenarios = tuple(scenarios)
-        spectra([s.observable_B for s in ss if s.observable_B is not None])
         if len({_signature(s) for s in ss}) != 1:
             raise ValueError("a context needs one or more scenarios of one signature")
         self._positions = {id(s): i for i, s in enumerate(ss)}

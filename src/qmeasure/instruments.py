@@ -43,7 +43,8 @@ ValueAssignment = Mapping[str, float]
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Kraus operators belonging to one outcome label."""
+    """Kraus operators belonging to one outcome label: finite, square and of one
+    dimension.  The :class:`Instrument` that holds them runs :func:`kraus_gate`."""
 
     label: str
     operators: tuple[np.ndarray, ...]
@@ -55,7 +56,6 @@ class KrausSet:
         dims = {m.shape[0] for m in ops}
         if len(dims) != 1:
             raise DimensionMismatch(f"outcome {self.label!r} mixes dimensions {sorted(dims)}")
-        kraus_gate(np.stack(ops)[None, None], (self.label,))
         object.__setattr__(self, "operators", ops)
 
     @property

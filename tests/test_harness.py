@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -264,6 +265,25 @@ class TestSample:
 
         monkeypatch.setattr(threading, "Thread", Recorded)
         return started
+
+    def test_the_callers_shard_exception_waits_for_the_workers(self, monkeypatch):
+        class Broken(RuntimeError):
+            pass
+
+        real = harness._count_shard
+
+        def count_shard(seed, start, stop, edges, step):
+            if start == 0:
+                raise Broken("shard 0")
+            time.sleep(0.05)
+            return real(seed, start, stop, edges, step)
+
+        started = self._record_threads(monkeypatch)
+        monkeypatch.setattr(harness, "_count_shard", count_shard)
+        with pytest.raises(Broken):
+            harness._cell_counts(1, 5000, np.array([0.5, 0.5]), shards=3)
+        assert len(started) == 2
+        assert not any(t.is_alive() for t in started)
 
     def test_one_thread_per_extra_cpu(self, qnd_scenario, monkeypatch):
         started = self._record_threads(monkeypatch)

@@ -1,9 +1,12 @@
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qmeasure import instruments
+from qmeasure.cli import main
 from qmeasure.errors import (
     CompletenessViolation,
     DimensionMismatch,
@@ -11,6 +14,7 @@ from qmeasure.errors import (
     MissingLabel,
     NotExpressible,
     UnknownLabel,
+    ValidationError,
 )
 from qmeasure.instruments import (
     IndirectModel,
@@ -40,8 +44,11 @@ from qmeasure.scenario import (
     random_instrument,
     random_unitary,
     save_scenario,
+    scenario_from_dict,
     theta_pom_instrument,
 )
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def projective_z() -> Instrument:
@@ -181,15 +188,9 @@ class TestIndirectModels:
             assert abs(sum(probs) - 1.0) < 1e-10
             assert all(p >= -1e-10 for p in probs)
 
-    def test_a_d4_file_runs_each_instrument_gate_once(self, tmp_path, monkeypatch):
-        # An indirect model's Kraus stack has one count for every outcome, so it is
-        # gated as one block, with no per-outcome KrausSet gate before it.
-        rng = _rng(23)
-        model = random_indirect_model(4, rng)
-        state, a = random_density(4, rng), random_hermitian(4, rng)
-        values = {label: float(i) for i, label in enumerate(model.labels)}
-        path = tmp_path / "d4.json"
-        save_scenario(Scenario(4, state, a, Instrument.from_indirect(model), values, indirect=model), path)
+    @staticmethod
+    def _gate_calls(monkeypatch) -> Counter:
+        """Count the calls of the two instrument gates from here on."""
         calls = Counter()
 
         def counted(name, fn):
@@ -201,11 +202,43 @@ class TestIndirectModels:
 
         for name in ("kraus_gate", "pom_gate"):
             monkeypatch.setattr(instruments, name, counted(name, getattr(instruments, name)))
+        return calls
+
+    def test_a_d4_file_runs_each_instrument_gate_once(self, tmp_path, monkeypatch):
+        # An indirect model's Kraus stack has one count for every outcome, so it is
+        # gated as one block, with no per-outcome KrausSet gate before it.
+        rng = _rng(23)
+        model = random_indirect_model(4, rng)
+        state, a = random_density(4, rng), random_hermitian(4, rng)
+        values = {label: float(i) for i, label in enumerate(model.labels)}
+        path = tmp_path / "d4.json"
+        save_scenario(Scenario(4, state, a, Instrument.from_indirect(model), values, indirect=model), path)
+        calls = self._gate_calls(monkeypatch)
         inst = load_scenario(path).apparatus
         assert calls == {"kraus_gate": 1, "pom_gate": 1}
         assert inst.kraus_stack.shape == (4, 4, 4, 4)
         for ks, rows in zip(inst.outcomes, inst.kraus_stack, strict=True):
             assert len(ks.operators) == 4 and np.array_equal(np.array(ks.operators), rows)
+
+    @pytest.mark.parametrize("name", ["theta_pom.json", "qnd.json", "weak_probe.json"])
+    def test_a_kraus_file_runs_each_instrument_gate_once(self, name, monkeypatch):
+        # A KrausSet checks only its own matrices; the instrument gates the stack.
+        calls = self._gate_calls(monkeypatch)
+        load_scenario(SCENARIO_DIR / name)
+        assert calls == {"kraus_gate": 1, "pom_gate": 1}
+
+    def test_an_all_zero_outcome_is_a_completeness_violation(self, tmp_path, capsys):
+        doc = json.loads((SCENARIO_DIR / "theta_pom.json").read_text(encoding="utf-8"))
+        plus = doc["apparatus"]["outcomes"][0]
+        plus["kraus"] = [[[[0.0, 0.0]] * 2] * 2]
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        assert err.value.kind == "CompletenessViolation"
+        assert "outcome '+' has only zero operators" in str(err.value)
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "CompletenessViolation" in capsys.readouterr().err
 
 
 class TestApplicationMaps:
