@@ -15,7 +15,7 @@ import csv
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,6 +56,14 @@ class OutcomeReport:
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """Every number ``analyze`` computes for a scenario.
+
+    ``report_to_dict`` writes the fields of this and of the report dataclasses it
+    holds as JSON keys, with ``outcome_reports`` under ``"outcomes"`` and each
+    inequality record as lhs, rhs, margin, satisfied and sub-records.  A new field
+    is a new key, so it bumps ``SCHEMA_VERSION``.
+    """
+
     scenario_digest: str
     delta_A: float
     epsilon: NoiseReport
@@ -72,6 +80,12 @@ class AnalysisReport:
     outcome_reports: tuple[OutcomeReport, ...]
     inequalities: dict[str, InequalityRecord]
     meta: dict = field(default_factory=dict)
+
+
+# The dataclasses that ``report_to_dict`` writes as dicts, with their field names.
+_REPORT_FIELDS = {
+    cls: tuple(f.name for f in fields(cls)) for cls in (AnalysisReport, NoiseReport, QuasiDistribution, OutcomeReport)
+}
 
 
 def analyze(scenario: Scenario) -> AnalysisReport:
@@ -144,81 +158,46 @@ def analyze(scenario: Scenario) -> AnalysisReport:
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    """JSON-serializable form of an analysis report (schema version 1)."""
-
-    def noise(n: NoiseReport | None):
-        if n is None:
-            return None
-        return {
-            "delta": n.delta,
-            "mean_squared": n.mean_squared,
-            "picture": n.picture,
-            "components": list(n.components),
+    """JSON-serializable form of an analysis report (schema version 1; its keys are
+    described on :class:`AnalysisReport`)."""
+    doc = {"schema_version": SCHEMA_VERSION, **_plain(report)}
+    doc["outcomes"] = doc.pop("outcome_reports")
+    doc["inequalities"] = {
+        rid: {
+            "lhs": rec.lhs,
+            "rhs": rec.rhs,
+            "margin": rec.margin,
+            "satisfied": rec.satisfied,
+            "sub_records": [
+                {"outcome": sr.outcome, "lhs": sr.lhs, "rhs": sr.rhs, "margin": sr.margin} for sr in rec.sub_records
+            ],
         }
-
-    def dist(d: QuasiDistribution | None):
-        if d is None:
-            return None
-        return {
-            "row_labels": list(d.row_labels),
-            "col_labels": list(d.col_labels),
-            "row_values": d.row_values.tolist(),
-            "col_values": d.col_values.tolist(),
-            "table": d.table.tolist(),
-        }
-
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "scenario_digest": report.scenario_digest,
-        "delta_A": report.delta_A,
-        "epsilon": noise(report.epsilon),
-        "epsilon_joint": report.epsilon_joint,
-        "unbiased": report.unbiased,
-        "dispersion_m2": report.dispersion_m2,
-        "delta_B": report.delta_B,
-        "eta": noise(report.eta),
-        "eta_joint": report.eta_joint,
-        "eta_lindblad": report.eta_lindblad,
-        "qnd": report.qnd,
-        "error_distribution": dist(report.error_distribution),
-        "disturbance_distribution": dist(report.disturbance_distribution),
-        "outcomes": [
-            {
-                "label": o.label,
-                "probability": o.probability,
-                "pom_trace": o.pom_trace,
-                "retrodictive_eps_A": o.retrodictive_eps_A,
-                "retrodictive_eps_B": o.retrodictive_eps_B,
-                "interdictive_eta_B": o.interdictive_eta_B,
-            }
-            for o in report.outcome_reports
-        ],
-        "inequalities": {
-            rid: {
-                "lhs": rec.lhs,
-                "rhs": rec.rhs,
-                "margin": rec.margin,
-                "satisfied": rec.satisfied,
-                "sub_records": [
-                    {"outcome": sr.outcome, "lhs": sr.lhs, "rhs": sr.rhs, "margin": sr.margin}
-                    for sr in rec.sub_records
-                ],
-            }
-            for rid, rec in sorted(report.inequalities.items())
-        },
-        "meta": report.meta,
+        for rid, rec in sorted(report.inequalities.items())
     }
+    return doc
+
+
+def _plain(x):
+    """A report dataclass as a dict of its fields, an array as nested lists, a tuple as
+    a list (whose report dataclasses are walked too); anything else as it is."""
+    names = _REPORT_FIELDS.get(type(x))
+    if names is not None:
+        return {name: _plain(getattr(x, name)) for name in names}
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, tuple):
+        return [_plain(v) for v in x] if x and type(x[0]) in _REPORT_FIELDS else list(x)
+    return x
 
 
 def write_distribution_csv(dist: QuasiDistribution, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_label", "col_label", "row_value", "col_value", "weight"])
-        for i, rl in enumerate(dist.row_labels):
-            for j, cl in enumerate(dist.col_labels):
-                writer.writerow(
-                    [rl, cl, repr(dist.row_values[i]), repr(dist.col_values[j]), repr(dist.table[i, j])]
-                )
+        cols = list(zip(dist.col_labels, dist.col_values.tolist()))
+        for rl, rv, weights in zip(dist.row_labels, dist.row_values.tolist(), dist.table.tolist()):
+            for (cl, cv), w in zip(cols, weights):
+                writer.writerow([rl, cl, repr(rv), repr(cv), repr(w)])
 
 
 # ---------------------------------------------------------------------------
@@ -436,21 +415,12 @@ def _loglog_slope(g_values, errors) -> float | None:
 
 
 def write_sweep_csv(sweep: WeakSweep, path) -> None:
+    def cells(values):
+        return ["" if v is None else repr(v) for v in values]
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["g", "error_dist_maxnorm", "disturbance_dist_maxnorm"])
-        for row in sweep.rows:
-            writer.writerow(
-                [
-                    repr(row.g),
-                    repr(row.error_dist_maxnorm),
-                    "" if row.disturbance_dist_maxnorm is None else repr(row.disturbance_dist_maxnorm),
-                ]
-            )
-        writer.writerow(
-            [
-                "slope-fit",
-                "" if sweep.error_slope is None else repr(sweep.error_slope),
-                "" if sweep.disturbance_slope is None else repr(sweep.disturbance_slope),
-            ]
-        )
+        names = [f.name for f in fields(SweepRow)]
+        writer.writerow(names)
+        writer.writerows(cells(getattr(row, name) for name in names) for row in sweep.rows)
+        writer.writerow(["slope-fit", *cells((sweep.error_slope, sweep.disturbance_slope))])

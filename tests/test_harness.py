@@ -133,6 +133,55 @@ class TestAnalyze:
         json.dumps(doc)  # must be serializable as-is
         assert doc["epsilon"]["mean_squared"] == pytest.approx(3.0, abs=1e-10)
 
+    @pytest.mark.parametrize("name", ["theta_pom", "cnot_projective", "weak_probe"])
+    def test_report_dict_keys(self, name):
+        # The keys are the report dataclasses' fields, with outcome_reports under
+        # "outcomes" and each inequality record written as five keys.
+        doc = report_to_dict(analyze(load_scenario(os.path.join(SCENARIO_DIR, f"{name}.json"))))
+        assert set(doc) == {
+            "schema_version",
+            "scenario_digest",
+            "delta_A",
+            "epsilon",
+            "epsilon_joint",
+            "unbiased",
+            "dispersion_m2",
+            "delta_B",
+            "eta",
+            "eta_joint",
+            "eta_lindblad",
+            "qnd",
+            "error_distribution",
+            "disturbance_distribution",
+            "outcomes",
+            "inequalities",
+            "meta",
+        }
+        with_b, joint = name != "weak_probe", name == "cnot_projective"
+        assert (doc["eta"] is None, doc["disturbance_distribution"] is None) == (not with_b, not with_b)
+        assert (doc["epsilon_joint"] is None, doc["eta_joint"] is None) == (not joint, not joint)
+        for noise in filter(None, (doc["epsilon"], doc["eta"])):
+            assert set(noise) == {"delta", "mean_squared", "picture", "components"}
+        for dist in filter(None, (doc["error_distribution"], doc["disturbance_distribution"])):
+            assert set(dist) == {"row_labels", "col_labels", "row_values", "col_values", "table"}
+        outcome_keys = {
+            "label",
+            "probability",
+            "pom_trace",
+            "retrodictive_eps_A",
+            "retrodictive_eps_B",
+            "interdictive_eta_B",
+        }
+        assert doc["outcomes"] and all(set(o) == outcome_keys for o in doc["outcomes"])
+        assert bool(doc["inequalities"]) == with_b
+        for rec in doc["inequalities"].values():
+            assert set(rec) == {"lhs", "rhs", "margin", "satisfied", "sub_records"}
+            for sub in rec["sub_records"]:
+                assert set(sub) == {"outcome", "lhs", "rhs", "margin"}
+        assert any(rec["sub_records"] for rec in doc["inequalities"].values()) == with_b
+        # No tuple or array leaks: the document survives a JSON round trip unchanged.
+        assert json.loads(json.dumps(doc)) == doc
+
     def test_digest_computed_once(self, theta_pom_scenario, monkeypatch):
         calls = []
         digest = Scenario.digest
@@ -411,13 +460,24 @@ class TestWeakSweep:
 
 
 class TestCsvOutputs:
-    def test_distribution_csv(self, theta_pom_scenario, tmp_path):
-        report = analyze(theta_pom_scenario)
-        path = tmp_path / "dist.csv"
-        write_distribution_csv(report.error_distribution, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "row_label,col_label,row_value,col_value,weight"
-        assert len(lines) == 1 + report.error_distribution.table.size
+    def test_distribution_csv(self, theta_pom_scenario, qnd_scenario, tmp_path):
+        reports = [analyze(theta_pom_scenario), analyze(qnd_scenario)]
+        for dist in [d for r in reports for d in (r.error_distribution, r.disturbance_distribution)]:
+            path = tmp_path / "dist.csv"
+            write_distribution_csv(dist, path)
+            lines = path.read_text().strip().splitlines()
+            assert lines[0] == "row_label,col_label,row_value,col_value,weight"
+            assert len(lines) == 1 + dist.table.size
+            cells = [line.split(",") for line in lines[1:]]
+            expected = [
+                [rl, cl, dist.row_values[i], dist.col_values[j], dist.table[i, j]]
+                for i, rl in enumerate(dist.row_labels)
+                for j, cl in enumerate(dist.col_labels)
+            ]
+            for row, want in zip(cells, expected):
+                # Every number is a Python float repr that reads back to its array entry, bit for bit.
+                assert row[:2] == want[:2]
+                assert [np.float64(float(x)).tobytes() for x in row[2:]] == [x.tobytes() for x in want[2:]]
 
     def test_sweep_csv(self, weak_probe_scenario, tmp_path):
         sweep = weak_sweep(weak_probe_scenario, [0.5, 0.1])

@@ -285,3 +285,29 @@ class TestBlocks:
             ScenarioContext([generate_random(3, 4, 1), _special_d3(0)])
         with pytest.raises(ValueError):
             evaluate("heisenberg", generate_random(3, 4, 1), ScenarioContext([generate_random(3, 4, 1)]))
+
+
+class TestSaturation:
+    # A projective measurement of sigma_theta = cos(theta) sigma_z + sin(theta) sigma_x
+    # on |+y>, with values +-cos(theta) for A = sigma_z and +-sin(theta) for B = sigma_x,
+    # has eps_A^2 = sin^2(theta), eps_B^2 = cos^2(theta) and sigma_A = sigma_B = C_AB = 1:
+    # Heisenberg, Schroedinger and Branciard's eps-eps relation hold with equality.
+    @pytest.mark.parametrize("theta", np.linspace(0.05, np.pi / 2 - 0.05, 25))
+    def test_closed_forms_and_zero_margins(self, theta):
+        c, s = np.cos(theta), np.sin(theta)
+        scenario = Scenario(
+            dimension=2,
+            state=DensityOperator((np.eye(2) + SIGMA_Y) / 2),
+            observable_A=HermitianOperator(SIGMA_Z),
+            observable_B=HermitianOperator(SIGMA_X),
+            apparatus=projective_instrument(HermitianOperator(c * SIGMA_Z + s * SIGMA_X)),
+            values_m={"0": c, "1": -c},
+            values_mB={"0": s, "1": -s},
+        )
+        ctx = ScenarioContext([scenario])
+        got = [ctx.epsilon[0].mean_squared, ctx.eps_B[0] ** 2, *ctx.sigma[0], ctx.c_ab[0]]
+        for x, closed in zip(got, [s**2, c**2, 1.0, 1.0, 1.0]):
+            assert abs(x - closed) <= 1e-12 * max(1.0, abs(closed))
+        for rid in ("heisenberg", "schrodinger", "branciard_ee"):
+            rec = evaluate(rid, scenario, ctx)
+            assert abs(rec.margin) <= 1e-12 * max(1.0, abs(rec.rhs)), rid
