@@ -138,7 +138,7 @@ def analyze(scenario: Scenario) -> AnalysisReport:
     ]
 
     return AnalysisReport(
-        scenario_digest=ctx.digest[0],
+        scenario_digest=s.digest(),
         delta_A=eps.delta,
         epsilon=eps,
         epsilon_joint=eps_joint,

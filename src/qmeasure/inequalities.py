@@ -39,7 +39,7 @@ from .operators import (
     value_variance,
 )
 from .retrodiction import _BLOCK_ENTRIES, OutcomeKernels, outcome_kernels
-from .scenario import Scenario, generate_window, subseed
+from .scenario import Scenario, generate_random, generate_window, subseed
 from .tolerances import ROUNDOFF_FLOOR, SATISFACTION_TOL
 
 RELATION_IDS = (
@@ -69,13 +69,44 @@ class SubRecord:
         return self.lhs - self.rhs
 
 
+class _Digest:
+    """A scenario's digest, computed on first read and kept; the records of one member
+    share it.  Its source is the scenario, or, for a sweep member, the
+    ``(dim, n_outcomes, seed)`` that :func:`generate_random` regenerates it from bit for
+    bit, so that a finished sweep keeps none of its scenarios alive."""
+
+    __slots__ = ("_source", "_value")
+
+    def __init__(self, source: Scenario | tuple[int, int, int]):
+        self._source, self._value = source, None
+
+    def __str__(self) -> str:
+        source = self._source
+        if source is not None:
+            scenario = source if isinstance(source, Scenario) else generate_random(*source)
+            # The value is set before the source is dropped, so a reader that finds no source finds the value.
+            self._value, self._source = scenario.digest(), None
+        return self._value
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Digest) and str(self) == str(other)
+
+    def __hash__(self) -> int:
+        return hash(str(self))
+
+
 @dataclass(frozen=True)
 class InequalityRecord:
     relation_id: str
     lhs: float
     rhs: float
-    inputs_digest: str
+    _digest: _Digest = field(repr=False)
     sub_records: tuple[SubRecord, ...] = ()
+
+    @property
+    def inputs_digest(self) -> str:
+        """The digest of the evaluated scenario, computed the first time it is read."""
+        return str(self._digest)
 
     @property
     def margin(self) -> float:
@@ -99,10 +130,11 @@ class ScenarioContext:
     """The one owner of the per-scenario quantities that relations and ``analyze`` share,
     over a block of N scenarios of one signature (a single scenario is a block of one).
     Each quantity is computed once for all members by stacked code, and is read per
-    member: a list of N values in member order, indexed by :meth:`position`.
+    member: a list of N values in member order, indexed by :meth:`position`.  ``sources``
+    are the members' digest sources (see :class:`_Digest`), by default the members.
     """
 
-    def __init__(self, scenarios: Sequence[Scenario]):
+    def __init__(self, scenarios: Sequence[Scenario], sources: Sequence | None = None):
         ss = self.scenarios = tuple(scenarios)
         if len({_signature(s) for s in ss}) != 1:
             raise ValueError("a context needs one or more scenarios of one signature")
@@ -111,6 +143,7 @@ class ScenarioContext:
         self._a = np.stack([s.observable_A.matrix for s in ss])
         self._pom = np.stack([s.apparatus.pom_stack for s in ss])
         self._values_m = [value_row(s.apparatus, s.values_m) for s in ss]
+        self.digests = [_Digest(source) for source in (ss if sources is None else sources)]
 
     def position(self, scenario: Scenario) -> int:
         """The member index of ``scenario``, which must be one of the block's objects."""
@@ -118,10 +151,6 @@ class ScenarioContext:
             return self._positions[id(scenario)]
         except KeyError:
             raise ValueError("scenario is not a member of this context") from None
-
-    @cached_property
-    def digest(self) -> list[str]:
-        return [s.digest() for s in self.scenarios]
 
     @cached_property
     def _b(self) -> np.ndarray:
@@ -257,7 +286,7 @@ def evaluate(relation_id: str, scenario: Scenario, ctx: ScenarioContext | None =
     else:
         eps_b = ctx.eps_B[i] if relation_id == "branciard_ee" else ctx.eta_B[i]
         lhs, rhs = _branciard(ctx.eps_A[i], eps_b, sigma_a, sigma_b, c_ab)
-    return InequalityRecord(relation_id, lhs, rhs, ctx.digest[i])
+    return InequalityRecord(relation_id, lhs, rhs, ctx.digests[i])
 
 
 def _evaluate_hofmann(relation_id: str, scenario: Scenario, ctx: ScenarioContext, i: int) -> InequalityRecord:
@@ -272,7 +301,7 @@ def _evaluate_hofmann(relation_id: str, scenario: Scenario, ctx: ScenarioContext
     if not subs:
         raise MissingIngredient(f"{relation_id}: no live outcomes to evaluate")
     worst = min(subs, key=lambda r: r.margin)
-    return InequalityRecord(relation_id, worst.lhs, worst.rhs, ctx.digest[i], tuple(subs))
+    return InequalityRecord(relation_id, worst.lhs, worst.rhs, ctx.digests[i], tuple(subs))
 
 
 def evaluate_all(scenario: Scenario, ctx: ScenarioContext | None = None) -> dict[str, InequalityRecord]:
@@ -288,25 +317,28 @@ def evaluate_all(scenario: Scenario, ctx: ScenarioContext | None = None) -> dict
     return records
 
 
-def _windows(dims: Iterable[int], count: int, seed: int, n_outcomes: int) -> Iterator[list[Scenario]]:
+def _windows(dims: Iterable[int], count: int, seed: int, n_outcomes: int) -> Iterator[tuple[list[Scenario], list]]:
     """The random scenarios of a sweep, scenario i in dimension d from the subseed
     ``subseed(seed, (d, i))``, generated window by window: one dimension and at most
     ``_BLOCK_ENTRIES`` entries a window, a member counting n_outcomes * d^3 (one Kraus
-    operator per outcome, at most d branches of B)."""
+    operator per outcome, at most d branches of B).  Each window comes with its members'
+    ``(d, n_outcomes, subseed)``, their digest sources."""
     for dim in dims:
         size = max(1, _BLOCK_ENTRIES // (n_outcomes * dim**3))
         for start in range(0, count, size):
-            seeds = [subseed(seed, (dim, i)) for i in range(start, min(start + size, count))]
-            yield generate_window(dim, n_outcomes, seeds)
+            keys = [(dim, n_outcomes, subseed(seed, (dim, i))) for i in range(start, min(start + size, count))]
+            yield generate_window(dim, n_outcomes, [key[2] for key in keys]), keys
 
 
-def _blocks_of(window: list[Scenario]) -> list[tuple[Scenario, ScenarioContext]]:
-    """The members of a window with their contexts: those that share a signature form one block."""
+def _blocks_of(window: list[Scenario], sources: Sequence | None = None) -> list[tuple[Scenario, ScenarioContext]]:
+    """The members of a window with their contexts: those that share a signature form one
+    block.  ``sources`` are the members' digest sources, by default the members."""
     spectra([s.observable_B for s in window if s.observable_B is not None])
-    blocks: dict[tuple, list[Scenario]] = {}
-    for s in window:
-        blocks.setdefault(_signature(s), []).append(s)
-    context_of = {id(s): ctx for ctx in map(ScenarioContext, blocks.values()) for s in ctx.scenarios}
+    blocks: dict[tuple, list[tuple]] = {}
+    for s, source in zip(window, window if sources is None else sources):
+        blocks.setdefault(_signature(s), []).append((s, source))
+    contexts = [ScenarioContext(*zip(*block)) for block in blocks.values()]
+    context_of = {id(s): ctx for ctx in contexts for s in ctx.scenarios}
     return [(s, context_of[id(s)]) for s in window]
 
 
@@ -326,8 +358,8 @@ def random_sweep(dims, count: int, seed: int, n_outcomes: int = 4) -> SweepResul
         raise ValueError(f"count must be >= 1, got {count}")
     records: list[InequalityRecord] = []
     min_margins: dict[str, float] = {}
-    for window in _windows(dims, count, seed, n_outcomes):
-        for scenario, ctx in _blocks_of(window):
+    for window, keys in _windows(dims, count, seed, n_outcomes):
+        for scenario, ctx in _blocks_of(window, keys):
             for rid, rec in evaluate_all(scenario, ctx).items():
                 records.append(rec)
                 cur = min_margins.get(rid)
@@ -357,7 +389,7 @@ def heisenberg_form_violation_search(dims, count: int, seed: int, n_outcomes: in
     dims = list(dims)
     analytic = [_projective_violation_scenario()] if 2 in dims else []
     best: ViolationSearchResult | None = None
-    for window in chain([analytic], _windows(dims, count, seed, n_outcomes)):
+    for window, _ in chain([(analytic, None)], _windows(dims, count, seed, n_outcomes)):
         for scenario, ctx in _blocks_of(window):
             i = ctx.position(scenario)
             product = ctx.eps_A[i] * ctx.eta_B[i]

@@ -83,7 +83,11 @@ class IndirectModel:
             )
         if max_norm(u.conj().T @ u - np.eye(d_s * d_d)) > IDENTITY_TOL:
             raise CompletenessViolation(f"coupling matrix is not unitary to {IDENTITY_TOL}")
-        basis = tuple(np.asarray(v, dtype=complex).reshape(d_d) for v in self.readout_basis)
+        vectors = [np.asarray(v, dtype=complex) for v in self.readout_basis]
+        wrong = [v.shape for v in vectors if v.size != d_d]
+        if wrong:
+            raise DimensionMismatch(f"readout vectors of shape {wrong}, need {d_d} entries each")
+        basis = tuple(v.reshape(d_d) for v in vectors)
         if len(basis) != d_d:
             raise DimensionMismatch(f"readout basis has {len(basis)} vectors, need {d_d}")
         gram = np.array([[vi.conj() @ vj for vj in basis] for vi in basis])

@@ -107,13 +107,20 @@ def _matrix_to_json(m: np.ndarray) -> list:
 
 
 def _matrix_from_json(doc, what: str, ndim: int = 2) -> np.ndarray:
-    """A complex matrix (or, with ``ndim=1``, vector) from nested [re, im] pairs."""
+    """A complex matrix (or, with ``ndim=1``, vector) from nested [re, im] pairs of JSON
+    numbers; strings and bools are not numbers here, although numpy would convert them."""
     try:
-        arr = np.asarray(doc, dtype=float)
+        arr = np.asarray(doc, dtype=object)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{what}: cannot parse entries: {exc}") from exc
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         raise ParseError(f"{what}: expected {ndim}-D nested [re, im] pairs, got shape {arr.shape}")
+    if not set(map(type, arr.flat)) <= {int, float}:
+        raise ParseError(f"{what}: entries must be JSON numbers (not strings or bools)")
+    try:
+        arr = arr.astype(float)
+    except OverflowError as exc:
+        raise ParseError(f"{what}: cannot parse entries: {exc}") from exc
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -139,11 +146,20 @@ def _values(doc, where: str) -> dict[str, float]:
     """A value assignment: a mapping from outcome label to a finite JSON number."""
     if not isinstance(doc, dict) or any(type(v) not in (int, float) for v in doc.values()):
         raise ParseError(f"{where} must map outcome labels to JSON numbers (not strings or bools)")
-    values = {str(k): float(v) for k, v in doc.items()}
+    try:
+        values = {str(k): float(v) for k, v in doc.items()}
+    except OverflowError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
     nonfinite = sorted(k for k, v in values.items() if not np.isfinite(v))
     if nonfinite:
         raise ParseError(f"{where} must be finite, got non-finite values for {nonfinite}")
     return values
+
+
+def _label(doc) -> str:
+    if not isinstance(doc, str):
+        raise ParseError(f"an outcome label must be a JSON string, got {doc!r}")
+    return doc
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -168,7 +184,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     def _wrap(kind, fn, *args):
         try:
             return fn(*args)
-        except ValidationError:
+        except (ParseError, ValidationError):
             raise
         except QMeasureError as exc:
             raise ValidationError(kind, str(exc)) from exc
@@ -195,7 +211,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         sets = []
         for outcome in _list(apparatus_doc.get("outcomes", []), "outcomes"):
             _check_keys(outcome, KRAUS_OUTCOME_KEYS, "Kraus outcome", KRAUS_OUTCOME_KEYS)
-            label = str(outcome["label"])
+            label = _label(outcome["label"])
             where = f"kraus[{label}]"
             kraus = tuple(_matrix_from_json(m, where) for m in _list(outcome["kraus"], where))
             sets.append(_wrap("InvalidKraus", lambda l=label, k=kraus: KrausSet(l, k)))
@@ -203,7 +219,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     elif app_type == "indirect":
         _check_keys(apparatus_doc, INDIRECT_KEYS, "apparatus", INDIRECT_KEYS)
         basis_doc = _list(apparatus_doc["readout_basis"], "readout_basis")
-        labels_doc = _list(apparatus_doc["labels"], "labels")
+        labels = tuple(map(_label, _list(apparatus_doc["labels"], "labels")))
         detector = _wrap(
             "InvalidState",
             lambda: DensityOperator(_matrix_from_json(apparatus_doc["detector_state"], "detector_state")),
@@ -215,7 +231,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 detector_state=detector,
                 unitary=_matrix_from_json(apparatus_doc["unitary"], "unitary"),
                 readout_basis=tuple(_matrix_from_json(v, "readout_basis", ndim=1) for v in basis_doc),
-                labels=tuple(str(l) for l in labels_doc),
+                labels=labels,
             ),
         )
         apparatus = _wrap("CompletenessViolation", lambda: Instrument.from_indirect(indirect))

@@ -101,6 +101,46 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "error (ParseError)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["state"][0][0].__setitem__(0, "0.6000000000000001"),
+            lambda doc: doc["observable_A"][1][1].__setitem__(1, False),
+        ],
+        ids=["state-string-entry", "observable_A-bool-entry"],
+    )
+    def test_matrix_entries_must_be_json_numbers(self, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.json"
+        doc = json.load(open(THETA_POM, encoding="utf-8"))
+        edit(doc)
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(bad)]) == 1
+        assert "error (ParseError)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, edit",
+        [
+            (THETA_POM, lambda doc: doc["apparatus"]["outcomes"][0].update(label=7)),
+            (CNOT, lambda doc: doc["apparatus"]["labels"].__setitem__(1, None)),
+        ],
+        ids=["kraus-label-number", "indirect-label-null"],
+    )
+    def test_labels_must_be_json_strings(self, tmp_path, capsys, path, edit):
+        bad = tmp_path / "bad.json"
+        doc = json.load(open(path, encoding="utf-8"))
+        edit(doc)
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(bad)]) == 1
+        assert "error (ParseError)" in capsys.readouterr().err
+
+    def test_oversized_readout_vector_is_a_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        doc = json.load(open(CNOT, encoding="utf-8"))
+        doc["apparatus"]["readout_basis"][0].append([0.0, 0.0])
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(bad)]) == 1
+        assert "error (InvalidIndirectModel)" in capsys.readouterr().err
+
     def test_unparseable_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[", encoding="utf-8")

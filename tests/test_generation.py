@@ -42,7 +42,7 @@ def test_each_member_has_the_bits_of_its_own_scenario(dim, n_outcomes):
 def test_a_window_runs_each_gate_once(gate_calls):
     def generated(count: int) -> dict:
         gate_calls.clear()
-        assert [len(w) for w in _windows([3], count, 777, 4)] == [count]
+        assert [len(w) for w, _ in _windows([3], count, 777, 4)] == [count]
         return dict(gate_calls)
 
     assert generated(20) == generated(40)

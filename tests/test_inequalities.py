@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -184,6 +186,36 @@ class TestSweeps:
             digest.update(repr((r.lhs, r.rhs)).encode())
         assert len(sweep.records) == 600
         assert digest.hexdigest() == SWEEP_LHS_RHS_SHA256
+
+
+def test_sweep_digests_are_computed_on_read(monkeypatch):
+    calls = []
+    digest = Scenario.digest
+    monkeypatch.setattr(Scenario, "digest", lambda self: calls.append(1) or digest(self))
+    sweep = random_sweep([2, 3], 3, 5)
+    assert calls == []
+    members = [(d, i) for d in (2, 3) for i in range(3)]
+    assert len(sweep.records) == 10 * len(members)
+    read = [r.inputs_digest for r in sweep.records]
+    assert len(calls) == len(members)
+    expected = [generate_random(d, 4, subseed(5, (d, i))).digest() for d, i in members]
+    assert read == [x for x in expected for _ in range(10)]
+
+
+def test_a_finished_sweep_keeps_no_scenario_alive(monkeypatch):
+    members = []
+    window = inequalities.generate_window
+
+    def tracked(dim, n_outcomes, seeds):
+        generated = window(dim, n_outcomes, seeds)
+        members.extend(weakref.ref(s) for s in generated)
+        return generated
+
+    monkeypatch.setattr(inequalities, "generate_window", tracked)
+    sweep = random_sweep([2, 3], 3, 5)
+    gc.collect()
+    assert len(members) == 6 and all(ref() is None for ref in members)
+    assert len(sweep.records) == 60
 
 
 class TestViolationSearch:

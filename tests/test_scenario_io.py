@@ -94,6 +94,20 @@ class TestValidationKinds:
         with pytest.raises(ParseError):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["values_m"].update({"+": 10**400}),
+            lambda doc: doc["state"][0][1].__setitem__(0, 10**400),
+        ],
+        ids=["values_m", "state"],
+    )
+    def test_integers_beyond_float_range_are_parse_errors(self, edit):
+        doc = load_doc(THETA_POM)
+        edit(doc)
+        with pytest.raises(ParseError, match="too large"):
+            scenario_from_dict(doc)
+
     def test_missing_value_label(self):
         doc = load_doc(THETA_POM)
         doc["values_m"] = {"+": 2.0}
