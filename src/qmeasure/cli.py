@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .errors import InternalNumericError, InvalidArgument, InvalidStrength, ParseError, QMeasureError, ValidationError
+from .errors import InternalNumericError, InvalidArgument, InvalidStrength, QMeasureError
 from .harness import (
     analyze,
     report_to_dict,
@@ -208,15 +208,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        kind = getattr(exc, "kind", type(exc).__name__)
-        print(f"error ({kind}): {exc}", file=sys.stderr)
-        return 1
     except InternalNumericError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
     except QMeasureError as exc:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        print(f"error ({getattr(exc, 'kind', type(exc).__name__)}): {exc}", file=sys.stderr)
         return 1
 
 

@@ -30,6 +30,10 @@ from .errors import MissingIngredient, NegativeRadicand
 from .instruments import effective_observables, value_row
 from .metrics import NoiseReport, epsilon_sq_stack, eta_sq_stack, is_unbiased
 from .operators import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    DensityOperator,
     HermitianOperator,
     commutator_bound,
     expectation,
@@ -39,7 +43,7 @@ from .operators import (
     value_variance,
 )
 from .retrodiction import _BLOCK_ENTRIES, OutcomeKernels, outcome_kernels
-from .scenario import Scenario, generate_random, generate_window, subseed
+from .scenario import Scenario, generate_random, generate_window, projective_instrument, subseed
 from .tolerances import ROUNDOFF_FLOOR, SATISFACTION_TOL
 
 RELATION_IDS = (
@@ -317,19 +321,6 @@ def evaluate_all(scenario: Scenario, ctx: ScenarioContext | None = None) -> dict
     return records
 
 
-def _windows(dims: Iterable[int], count: int, seed: int, n_outcomes: int) -> Iterator[tuple[list[Scenario], list]]:
-    """The random scenarios of a sweep, scenario i in dimension d from the subseed
-    ``subseed(seed, (d, i))``, generated window by window: one dimension and at most
-    ``_BLOCK_ENTRIES`` entries a window, a member counting n_outcomes * d^3 (one Kraus
-    operator per outcome, at most d branches of B).  Each window comes with its members'
-    ``(d, n_outcomes, subseed)``, their digest sources."""
-    for dim in dims:
-        size = max(1, _BLOCK_ENTRIES // (n_outcomes * dim**3))
-        for start in range(0, count, size):
-            keys = [(dim, n_outcomes, subseed(seed, (dim, i))) for i in range(start, min(start + size, count))]
-            yield generate_window(dim, n_outcomes, [key[2] for key in keys]), keys
-
-
 def _blocks_of(window: list[Scenario], sources: Sequence | None = None) -> list[tuple[Scenario, ScenarioContext]]:
     """The members of a window with their contexts: those that share a signature form one
     block.  ``sources`` are the members' digest sources, by default the members."""
@@ -340,6 +331,20 @@ def _blocks_of(window: list[Scenario], sources: Sequence | None = None) -> list[
     contexts = [ScenarioContext(*zip(*block)) for block in blocks.values()]
     context_of = {id(s): ctx for ctx in contexts for s in ctx.scenarios}
     return [(s, context_of[id(s)]) for s in window]
+
+
+def _members(dims: Iterable[int], count: int, seed: int, n_outcomes: int) -> Iterator[tuple[Scenario, ScenarioContext]]:
+    """The members of a sweep in order, each with the context of its block; scenario i in
+    dimension d comes from the subseed ``subseed(seed, (d, i))``.  Members are generated
+    window by window, one dimension and at most ``_BLOCK_ENTRIES`` entries a window, a
+    member counting n_outcomes * d^3 (one Kraus operator per outcome, at most d branches
+    of B), and only the current window is held.  A window splits into blocks by
+    :func:`_blocks_of`, with the members' ``(d, n_outcomes, subseed)`` as digest sources."""
+    for dim in dims:
+        size = max(1, _BLOCK_ENTRIES // (n_outcomes * dim**3))
+        for start in range(0, count, size):
+            keys = [(dim, n_outcomes, subseed(seed, (dim, i))) for i in range(start, min(start + size, count))]
+            yield from _blocks_of(generate_window(dim, n_outcomes, [key[2] for key in keys]), keys)
 
 
 @dataclass(frozen=True)
@@ -356,16 +361,9 @@ def random_sweep(dims, count: int, seed: int, n_outcomes: int = 4) -> SweepResul
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    records: list[InequalityRecord] = []
-    min_margins: dict[str, float] = {}
-    for window, keys in _windows(dims, count, seed, n_outcomes):
-        for scenario, ctx in _blocks_of(window, keys):
-            for rid, rec in evaluate_all(scenario, ctx).items():
-                records.append(rec)
-                cur = min_margins.get(rid)
-                if cur is None or rec.margin < cur:
-                    min_margins[rid] = rec.margin
-    return SweepResult(tuple(records), min_margins)
+    records = tuple(rec for s, ctx in _members(dims, count, seed, n_outcomes) for rec in evaluate_all(s, ctx).values())
+    margins = {rid: [rec.margin for rec in records if rec.relation_id == rid] for rid in RELATION_IDS}
+    return SweepResult(records, {rid: min(ms) for rid, ms in margins.items() if ms})
 
 
 @dataclass(frozen=True)
@@ -388,24 +386,22 @@ def heisenberg_form_violation_search(dims, count: int, seed: int, n_outcomes: in
     """
     dims = list(dims)
     analytic = [_projective_violation_scenario()] if 2 in dims else []
-    best: ViolationSearchResult | None = None
-    for window, _ in chain([(analytic, None)], _windows(dims, count, seed, n_outcomes)):
-        for scenario, ctx in _blocks_of(window):
-            i = ctx.position(scenario)
-            product = ctx.eps_A[i] * ctx.eta_B[i]
-            margin = product - ctx.c_ab[i]
-            if best is None or margin < best.margin:
-                ozawa = evaluate("ozawa", scenario, ctx)
-                best = ViolationSearchResult(product, ctx.c_ab[i], margin, scenario, ozawa.margin)
-    if best is None:
+
+    def naive(member: tuple[Scenario, ScenarioContext]) -> tuple[float, float, float]:
+        """ε_A η_B, C_AB and the naive margin ε_A η_B - C_AB of a member."""
+        scenario, ctx = member
+        i = ctx.position(scenario)
+        product, bound = ctx.eps_A[i] * ctx.eta_B[i], ctx.c_ab[i]
+        return product, bound, product - bound
+
+    members = chain(_blocks_of(analytic), _members(dims, count, seed, n_outcomes))
+    winner = min(members, key=lambda member: naive(member)[2], default=None)
+    if winner is None:
         raise MissingIngredient("no candidate scenario to search")
-    return best
+    return ViolationSearchResult(*naive(winner), winner[0], evaluate("ozawa", *winner).margin)
 
 
 def _projective_violation_scenario() -> Scenario:
-    from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityOperator
-    from .scenario import projective_instrument
-
     obs_a = HermitianOperator(SIGMA_Z)
     inst = projective_instrument(obs_a)
     state = DensityOperator((np.eye(2) + 0.8 * SIGMA_Y) / 2)

@@ -93,7 +93,7 @@ class IndirectModel:
         gram = np.array([[vi.conj() @ vj for vj in basis] for vi in basis])
         if max_norm(gram - np.eye(d_d)) > IDENTITY_TOL:
             raise CompletenessViolation(f"readout basis is not orthonormal to {IDENTITY_TOL}")
-        labels = tuple(str(l) for l in self.labels)
+        labels = tuple(self.labels)
         if len(labels) != d_d:
             raise DimensionMismatch(f"{len(labels)} labels for {d_d} readout vectors")
         if len(set(labels)) != len(labels):

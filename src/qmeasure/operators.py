@@ -65,14 +65,17 @@ class HermitianOperator:
     """A Hermitian matrix, symmetrized to (M + M†)/2 at construction.
 
     Construction rejects inputs whose anti-Hermitian part exceeds
-    ``IDENTITY_TOL`` in max-norm; smaller deviations (file round-trips)
-    are silently symmetrized away.
+    ``IDENTITY_TOL`` in max-norm, and finite inputs whose (M + M†)/2
+    overflows; smaller deviations (file round-trips) are silently
+    symmetrized away.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         sym = hermitian_part(as_complex_matrix(self.matrix, square=True))
+        if not np.isfinite(sym).all():
+            raise StateValidationError("(M + M†)/2 overflows the float range")
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 

@@ -162,13 +162,16 @@ def _label(doc) -> str:
     return doc
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build and fully validate a scenario from its JSON document.
 
     Unknown keys, at the top level, in the apparatus and in each Kraus
     outcome, are rejected rather than ignored; so are missing keys,
     objects or lists of the wrong shape, a ``dimension`` that is not a JSON
-    integer, and non-finite values in ``values_m`` or ``values_mB``.
+    integer, and non-finite values in ``values_m`` or ``values_mB``.  Entries
+    near the float range overflow in the gates, which reject them; numpy's
+    overflow warnings are not printed.
     """
     _check_keys(doc, SCENARIO_KEYS, "scenario", REQUIRED_SCENARIO_KEYS)
     dimension = doc["dimension"]

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from qmeasure import cli
 from qmeasure.cli import main
+from qmeasure.errors import InternalNumericError
 from qmeasure.scenario import load_scenario
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -259,3 +261,38 @@ class TestArgumentRanges:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error (")
+
+
+class TestErrorLines:
+    """Each error class keeps its stderr line and exit code: a ValidationError is
+    named by its kind, any other qmeasure error by its class."""
+
+    def test_parse_validation_and_argument_errors(self, tmp_path, capsys):
+        unparseable, untraced = tmp_path / "unparseable.json", tmp_path / "untraced.json"
+        unparseable.write_text("{", encoding="utf-8")
+        doc = json.load(open(THETA_POM, encoding="utf-8"))
+        doc["state"][0][0][0] = 0.9
+        untraced.write_text(json.dumps(doc), encoding="utf-8")
+        runs = [
+            ["validate", str(unparseable)],
+            ["validate", str(untraced)],
+            ["random", "--dim", "1", "--count", "2", "--seed", "1"],
+        ]
+        lines = []
+        for argv in runs:
+            assert main(argv) == 1
+            lines.append(capsys.readouterr().err)
+        assert lines == [
+            f"error (ParseError): invalid JSON in {unparseable}: Expecting property name enclosed in double quotes:"
+            " line 1 column 2 (char 1)\n",
+            "error (TraceNotOne): state trace is 1.2999999999999998\n",
+            "error (InvalidArgument): --dim must be >= 2, got 1\n",
+        ]
+
+    def test_internal_numeric_error_exits_with_two(self, monkeypatch, capsys):
+        def failing(scenario):
+            raise InternalNumericError("eps^2 cross-check off by 1e-3")
+
+        monkeypatch.setattr(cli, "analyze", failing)
+        assert main(["analyze", THETA_POM]) == 2
+        assert capsys.readouterr().err == "internal consistency failure: eps^2 cross-check off by 1e-3\n"

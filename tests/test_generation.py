@@ -4,8 +4,9 @@ gives alone, every gate runs once per window, and a stacked gate names a bad mem
 import numpy as np
 import pytest
 
+from qmeasure import inequalities
 from qmeasure.errors import CompletenessViolation, HermiticityViolation, StateValidationError
-from qmeasure.inequalities import _windows
+from qmeasure.inequalities import _members
 from qmeasure.instruments import Instrument, KrausSet, instruments_of
 from qmeasure.operators import DensityOperator, hermitian_part, validated_states
 from qmeasure.scenario import generate_random, generate_window, subseed
@@ -39,12 +40,21 @@ def test_each_member_has_the_bits_of_its_own_scenario(dim, n_outcomes):
         assert (member.values_m, member.values_mB, member.meta) == (alone.values_m, alone.values_mB, alone.meta)
 
 
-def test_a_window_runs_each_gate_once(gate_calls):
+def test_a_window_runs_each_gate_once(gate_calls, monkeypatch):
+    windows, window = [], inequalities.generate_window
+
+    def recorded(*args):
+        windows.append(window(*args))
+        return windows[-1]
+
     def generated(count: int) -> dict:
         gate_calls.clear()
-        assert [len(w) for w, _ in _windows([3], count, 777, 4)] == [count]
+        windows.clear()
+        assert len(list(_members([3], count, 777, 4))) == count
+        assert [len(w) for w in windows] == [count]
         return dict(gate_calls)
 
+    monkeypatch.setattr(inequalities, "generate_window", recorded)
     assert generated(20) == generated(40)
     assert generated(20)["qr"] == 1
 

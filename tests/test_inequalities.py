@@ -165,6 +165,12 @@ class TestSweeps:
         with pytest.raises(ValueError):
             random_sweep([2], 0, 1)
 
+    def test_min_margins_are_the_least_margin_of_each_relation(self):
+        sweep = random_sweep([2, 3], 5, 41)
+        least = {rid: min(r.margin for r in sweep.records if r.relation_id == rid) for rid in RELATION_IDS}
+        assert list(sweep.min_margins) == list(RELATION_IDS)
+        assert sweep.min_margins == least
+
     def test_hofmann_records_are_bit_pinned(self):
         # SHA-256 over the repr of every hofmann1/2/3 record (lhs, rhs and each
         # sub-record's outcome, lhs and rhs) of one fixed sweep.  A change to
@@ -223,6 +229,46 @@ class TestViolationSearch:
         result = heisenberg_form_violation_search([2], 20, 99)
         assert result.margin <= -0.8 + 1e-9
         assert result.ozawa_margin >= -1e-9
+
+    def test_a_generated_winner_is_bit_pinned(self):
+        # Without d = 2 no analytic member competes, so a generated member wins.
+        result = heisenberg_form_violation_search([3], 50, 808)
+        pinned = ("2.2934892908670355", "0.23064177820944468", "2.0628475126575907", "4.977291005101659")
+        assert tuple(map(repr, (result.product, result.bound, result.margin, result.ozawa_margin))) == pinned
+        assert result.scenario.digest() == "5d59de9d6cbf886d"
+
+    def test_ozawa_is_evaluated_once_for_the_winner(self, monkeypatch):
+        relations = []
+        evaluate_one = inequalities.evaluate
+
+        def counted(relation_id, *args):
+            relations.append(relation_id)
+            return evaluate_one(relation_id, *args)
+
+        monkeypatch.setattr(inequalities, "evaluate", counted)
+        result = heisenberg_form_violation_search([3], 50, 808)
+        assert relations == ["ozawa"]
+        assert result.ozawa_margin == evaluate_one("ozawa", result.scenario).margin
+
+    def test_the_search_holds_one_window_and_its_winners_block(self, monkeypatch):
+        # At d = 8 a window holds 32 members, all of one block: 70 members come in
+        # windows of 32, 32 and 6. Before each window is generated, only the block
+        # of the best member so far is alive; after the search, only the winner.
+        members, alive_before = [], []
+        window = inequalities.generate_window
+
+        def tracked(dim, n_outcomes, seeds):
+            gc.collect()
+            alive_before.append(sum(ref() is not None for ref in members))
+            generated = window(dim, n_outcomes, seeds)
+            members.extend(weakref.ref(s) for s in generated)
+            return generated
+
+        monkeypatch.setattr(inequalities, "generate_window", tracked)
+        result = heisenberg_form_violation_search([8], 70, 3)
+        gc.collect()
+        assert alive_before[0] == 0 and max(alive_before) <= 32 and len(alive_before) == 3
+        assert [ref() for ref in members if ref() is not None] == [result.scenario]
 
     @pytest.mark.parametrize("dims", [[2], [3], [2, 3]])
     def test_an_iterator_of_dims_searches_the_same_candidates(self, dims, monkeypatch):

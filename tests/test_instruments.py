@@ -168,6 +168,20 @@ class TestIndirectModels:
                 inst.pom_element(label).matrix - direct.pom_element(label).matrix
             ) < 1e-12
 
+    def test_labels_are_kept_as_given(self):
+        # As KrausSet(7, ...) keeps the int 7, so does an indirect model, and the
+        # instrument built from it; a parsed file has string labels only.
+        model = IndirectModel(
+            system_dim=2,
+            detector_state=DensityOperator(np.diag([1.0, 0.0])),
+            unitary=np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+            readout_basis=(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+            labels=[0, 7],
+        )
+        inst = Instrument.from_indirect(model)
+        assert model.labels == inst.labels == (0, 7)
+        assert max_norm(inst.pom_element(7).matrix - np.diag([0.0, 1.0])) < 1e-12
+
     def test_nonunitary_coupling_rejected(self):
         with pytest.raises(CompletenessViolation):
             IndirectModel(

@@ -51,6 +51,11 @@ class TestConstruction:
         with pytest.raises(StateValidationError):
             HermitianOperator(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
+    def test_rejects_a_hermitian_part_beyond_the_float_range(self):
+        # Finite entries whose (M + M†)/2 overflows: the sum M + M† reads inf.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StateValidationError, match="overflows"):
+            HermitianOperator(np.diag([1e308, -1e308]))
+
     def test_density_clips_tiny_negative_eigenvalue(self):
         m = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
         rho = DensityOperator(m)

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
 import json
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +109,17 @@ class TestValidationKinds:
         edit(doc)
         with pytest.raises(ParseError, match="too large"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("entry", [[1e308, 0.0], [0.0, math.inf], [math.nan, 0.0]])
+    def test_entries_beyond_the_float_range_are_rejected_quietly(self, entry):
+        # 1e308 on the diagonal is finite, but its Hermitian part (M + M†)/2 overflows.
+        doc = load_doc(THETA_POM)
+        doc["observable_A"][1][1] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as err:
+                scenario_from_dict(doc)
+        assert err.value.kind == "InvalidObservable"
 
     def test_missing_value_label(self):
         doc = load_doc(THETA_POM)

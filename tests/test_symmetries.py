@@ -3,12 +3,17 @@ invariant, each taking a different float path through every product.
 
 (a) Conjugating the state, A, B and every Kraus operator by one unitary U.
 (b) Permuting the outcomes, each with its label.
+(c) Changing the Kraus representation within each outcome, M_l -> sum_m u_lm M_m
+    with u Haar.
+(d) Merging two outcomes of equal m and m_B into one Kraus set.
 
-Every float of ``report_to_dict(analyze(.))`` except the digest and ``meta`` must
-agree to 1e-12 relative; outcomes, error-table columns and sub-records are
-compared by label.
+Under (a) to (c) every float of ``report_to_dict(analyze(.))`` except the digest and
+``meta`` must agree to 1e-12 relative; outcomes, error-table columns and
+sub-records are compared by label.  Under (d) the per-outcome fields change by
+design, so only the ensemble fields are compared.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -107,6 +112,48 @@ def test_report_is_invariant(d, transform):
     for i, s in enumerate(_members(d)):
         t = _conjugated(s, random_unitary(d, rng)) if transform == "conjugate" else _permuted(s, rng)
         assert _worst(_report(s), _report(t)) <= TOL, (transform, d, i)
+
+
+def _merged(s: Scenario) -> tuple[Scenario, Scenario]:
+    """``s`` with the second outcome given the values of the first, and that scenario
+    with the two outcomes merged into one Kraus set under the first label."""
+    first, second, *rest = s.apparatus.outcomes
+    tied = [{**values, second.label: values[first.label]} for values in (s.values_m, s.values_mB)]
+    kept = [{k: v for k, v in values.items() if k != second.label} for values in tied]
+    merged = Instrument.from_kraus([KrausSet(first.label, first.operators + second.operators), *rest])
+    return (
+        dataclasses.replace(s, values_m=tied[0], values_mB=tied[1]),
+        dataclasses.replace(s, apparatus=merged, values_m=kept[0], values_mB=kept[1]),
+    )
+
+
+def _remixed(s: Scenario, rng: np.random.Generator) -> Scenario:
+    """``s`` with each outcome's Kraus operators M_l replaced by sum_m u_lm M_m."""
+    sets = []
+    for ks in s.apparatus.outcomes:
+        u = random_unitary(len(ks.operators), rng)
+        sets.append(KrausSet(ks.label, tuple(np.tensordot(u, np.array(ks.operators), axes=1))))
+    return dataclasses.replace(s, apparatus=Instrument.from_kraus(sets))
+
+
+ENSEMBLE_FIELDS = ("epsilon", "eta", "eta_lindblad", "delta_A", "delta_B")
+ENSEMBLE_RELATIONS = ("heisenberg", "schrodinger", "ozawa", "hall", "weston", "branciard_ee", "branciard_ed")
+
+
+def _ensemble(doc: dict) -> dict:
+    return {**{k: doc[k] for k in ENSEMBLE_FIELDS}, **{rid: doc["inequalities"][rid] for rid in ENSEMBLE_RELATIONS}}
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_kraus_representation_and_merged_outcomes(d):
+    # Each merged member has one outcome of two Kraus operators, which (c) mixes
+    # by a 2 x 2 Haar unitary; the other outcomes take a phase.
+    rng = np.random.default_rng((43, d))
+    for i, s in enumerate(_members(d)[:MEMBERS // 2]):
+        tied, merged = _merged(s)
+        merged_report = _report(merged)
+        assert _worst(_ensemble(_report(tied)), _ensemble(merged_report)) <= TOL, ("merge", d, i)
+        assert _worst(merged_report, _report(_remixed(merged, rng))) <= TOL, ("kraus", d, i)
 
 
 def _rows(records) -> list:
