@@ -4,9 +4,9 @@ Everything here is deterministic given its inputs: sampling uses the Philox
 counter-based generator, so the i-th draw is a pure function of (seed, i)
 and results are byte-identical across runs and independent of evaluation
 order.  ``sample`` counts its stream in counter-advanced shards, one per
-available CPU, on a thread pool and each in chunks; the counts depend on
-neither the CPU count nor the chunk, and at most 2^16 uniforms are in
-memory at once.
+available CPU, on a thread pool and each in chunks of 64-bit words; the
+counts depend on neither the CPU count nor the chunk, and at most 2^16
+words are in memory at once.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def write_distribution_csv(dist: QuasiDistribution, path) -> None:
 # Monte Carlo sampling
 
 
-# Uniforms drawn and counted per step of ``sample`` (512 KiB of float64).
+# 64-bit words drawn and counted per step of ``sample`` (512 KiB).
 _CHUNK = 1 << 16
 
 
@@ -224,17 +224,17 @@ class SampleRun:
 def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     """Draw i.i.d. outcomes from the scenario's outcome distribution.
 
-    Uses the Philox counter-based generator keyed on ``seed``: the stream of
-    uniforms is a pure function of (seed, draw index), so runs with the same
-    seed are bitwise identical.  When observable_B is present the draws are
-    (outcome, posterior-branch) pairs from p(k, b') = Tr[Π_b' A_k(rho)].
-    A non-finite cell probability, or one below POM_PSD_FLOOR, raises
-    InternalNumericError; round-off in [POM_PSD_FLOOR, 0) is set to 0 before
-    renormalizing.  The stream is cut into contiguous shards, one per
-    available CPU, each on its own generator advanced to its first draw;
-    the shards are counted in chunks on a thread pool.  So memory is bounded by
-    2^16 uniforms in total, not by ``shots``, and the counts equal those of
-    one draw of all ``shots`` uniforms, whatever the CPU count.
+    Uses the Philox counter-based generator keyed on ``seed``: the stream of 64-bit
+    words is a pure function of (seed, draw index), so runs with the same seed are
+    bitwise identical.  When observable_B is present the draws are (outcome,
+    posterior-branch) pairs from p(k, b') = Tr[Π_b' A_k(rho)].  A non-finite cell
+    probability, or one below POM_PSD_FLOOR, raises InternalNumericError; round-off
+    in [POM_PSD_FLOOR, 0) is set to 0 before renormalizing.  The stream is cut into
+    contiguous shards, one per available CPU, each on its own generator advanced to
+    its first draw; a thread pool counts the shards in chunks, word x below cell
+    edge e when x < ceil(e 2^53) 2^11, exactly when numpy's uniform of x is below e.
+    So memory is bounded by 2^16 words, not by ``shots``, and the counts equal those
+    of one draw of all ``shots`` uniforms, whatever the CPU count.
     """
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
         raise TypeError(f"shots must be an integer, got {shots!r}")
@@ -292,7 +292,7 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
 def _cell_counts(
     seed: int, shots: int, probs: np.ndarray, chunk: int = _CHUNK, shards: int | None = None
 ) -> np.ndarray:
-    """Count ``shots`` uniforms of the Philox stream of ``seed`` into the cells of ``probs``.
+    """Count ``shots`` draws of the Philox stream of ``seed`` into the cells of ``probs``.
 
     Cell i (i < n - 1) takes the draws in [cumsum[i - 1], cumsum[i]); the
     last cell takes every draw at or above the last inner edge, so a
@@ -302,13 +302,13 @@ def _cell_counts(
     ``shards`` are.
 
     Shard w takes draws [b_w, b_{w+1}) with b_w = 4 floor(shots w / 4S) and
-    b_S = ``shots``, so each starts on a Philox4x64 counter step (four
-    doubles).  The caller counts shard 0 and a pool of S - 1 threads counts
-    the others, each ``chunk // S`` uniforms at a time, so at most ``chunk``
-    are in memory at once; every thread has joined before the counts, or a
-    shard's exception, reach the caller.  S is the number of CPUs this process
-    may run on, and no more than the number of ``_CHUNK``-sized pieces of the
-    stream.
+    b_S = ``shots``, so each starts on a Philox4x64 counter step (four words).
+    The caller counts shard 0 and a pool of S - 1 threads counts the others, each
+    ``chunk // S`` 64-bit words at a time, draw i below edge e when its word
+    x < ceil(e 2^53) 2^11, so no word becomes a float and at most ``chunk`` are in
+    memory at once; every thread has joined before the counts, or a shard's
+    exception, reach the caller.  S is the number of CPUs this process may run on,
+    and no more than the number of ``_CHUNK``-sized pieces of the stream.
     """
     if shards is None:
         shards = min(_cpus(), -(-shots // _CHUNK))
@@ -324,19 +324,19 @@ def _cell_counts(
 
 
 def _count_shard(seed: int, start: int, stop: int, edges: np.ndarray, step: int) -> np.ndarray:
-    """Per-edge counts of the draws [start, stop) that fall below each edge,
-    ``step`` at a time into buffers allocated once."""
+    """Per-edge counts of the draws [start, stop) below each edge, ``step`` words at a
+    time; a limit of 2^64 or more (an edge of 1 or above) takes every word."""
     bitgen = np.random.Philox(np.random.SeedSequence(seed))
     bitgen.advance(start // 4)
-    rng = np.random.Generator(bitgen)
+    limits = [None if k >> 64 else np.uint64(k) for k in (math.ceil(e * 2.0**53) << 11 for e in edges.tolist())]
     below = np.zeros(len(edges), dtype=np.int64)
-    buf = np.empty(min(step, stop - start))
-    mask = np.empty(len(buf), dtype=bool)
+    mask = np.empty(min(step, stop - start), dtype=bool)
     for lo in range(start, stop, step):
         n = min(step, stop - lo)
-        u = rng.random(out=buf[:n])
-        for i, e in enumerate(edges):
-            below[i] += np.count_nonzero(np.less(u, e, out=mask[:n]))
+        x = bitgen.random_raw(n)
+        for i, k in enumerate(limits):
+            below[i] += n if k is None else np.count_nonzero(np.less(x, k, out=mask[:n]))
+        del x  # the next step's words are drawn only once these are freed
     return below
 
 

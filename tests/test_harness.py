@@ -255,8 +255,16 @@ class TestSample:
 
     PROBS = pytest.mark.parametrize(
         "probs",
-        [[0.25, 0.0, 0.35, 0.35], [0.1, 0.2, 0.0, 0.0, 0.4, 0.3 - 1e-12], [1.0], [0.5, 0.5]],
-        ids=["short-total", "zero-widths", "one-cell", "two-cells"],
+        [
+            [0.25, 0.0, 0.35, 0.35],
+            [0.1, 0.2, 0.0, 0.0, 0.4, 0.3 - 1e-12],
+            [1.0],
+            [0.5, 0.5],
+            [0.0, 0.3, 0.7],
+            [0.4, 0.6, 0.0],
+            [0.6, 0.5, 0.0],
+        ],
+        ids=["short-total", "zero-widths", "one-cell", "two-cells", "leading-zero", "inner-edge-one", "edge-above-one"],
     )
 
     @staticmethod
@@ -266,10 +274,21 @@ class TestSample:
         draw = np.searchsorted(np.cumsum(probs), u, side="right")
         return np.bincount(np.minimum(draw, len(probs) - 1), minlength=len(probs))
 
+    @pytest.mark.parametrize("jump", [0, 1, 12345])
+    def test_uniforms_are_the_top_53_bits_of_the_words(self, jump):
+        # The counts compare raw words with integer limits; this is the double
+        # numpy makes of each word, on a fresh stream and after advance.
+        gen, raw = (np.random.Philox(np.random.SeedSequence(29)) for _ in range(2))
+        gen.advance(jump)
+        raw.advance(jump)
+        u = np.random.Generator(gen).random(1001)
+        assert u.tobytes() == ((raw.random_raw(1001) >> 11) * 2.0**-53).tobytes()
+
     @PROBS
     @pytest.mark.parametrize("chunk", [1, 7, 2**20])
     def test_chunked_counts_equal_one_draw(self, probs, chunk):
         # "short-total" sums to 0.95: the last cell takes the draws above it.
+        # "inner-edge-one" and "edge-above-one" have edges whose limit is >= 2^64.
         probs = np.array(probs)
         shots = 5000
         expected = self._one_draw_counts(17, shots, probs)
@@ -287,6 +306,20 @@ class TestSample:
         expected = self._one_draw_counts(23, shots, probs)
         counts = harness._cell_counts(23, shots, probs, chunk, shards)
         assert counts.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("above", [False, True], ids=["on-a-draw", "just-above-a-draw"])
+    def test_an_edge_at_a_draw(self, shards, above):
+        # On the edge, the draw lands in cell 1: the comparison is strict.  Just
+        # above a draw below 1/2 the edge is no multiple of 2^-53, and the draw
+        # lands in cell 0 only if the edge's limit rounds up.
+        shots = 5001
+        draws = np.random.Generator(np.random.Philox(np.random.SeedSequence(31))).random(shots)
+        u = draws[4322]
+        assert u < 0.5 and np.count_nonzero(draws == u) == 1
+        e = np.nextafter(u, 1.0) if above else u
+        counts = harness._cell_counts(31, shots, np.array([e, 1.0 - e]), shards=shards)
+        assert counts.tolist() == [np.count_nonzero(draws < e), np.count_nonzero(draws >= e)]
 
     def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
         class Broken(RuntimeError):

@@ -6,11 +6,12 @@ invariant, each taking a different float path through every product.
 (c) Changing the Kraus representation within each outcome, M_l -> sum_m u_lm M_m
     with u Haar.
 (d) Merging two outcomes of equal m and m_B into one Kraus set.
+(e) Embedding into d + 1 levels as a direct sum with an unpopulated level.
 
 Under (a) to (c) every float of ``report_to_dict(analyze(.))`` except the digest and
 ``meta`` must agree to 1e-12 relative; outcomes, error-table columns and
-sub-records are compared by label.  Under (d) the per-outcome fields change by
-design, so only the ensemble fields are compared.
+sub-records are compared by label.  Under (d) and (e) the per-outcome fields change
+by design, so only the ensemble fields are compared.
 """
 
 import dataclasses
@@ -154,6 +155,41 @@ def test_kraus_representation_and_merged_outcomes(d):
         merged_report = _report(merged)
         assert _worst(_ensemble(_report(tied)), _ensemble(merged_report)) <= TOL, ("merge", d, i)
         assert _worst(merged_report, _report(_remixed(merged, rng))) <= TOL, ("kraus", d, i)
+
+
+def _embedded(s: Scenario, rng: np.random.Generator) -> Scenario:
+    """``s`` on d + 1 levels: rho + 0, A + a_0 and B + b_0, each Kraus operator
+    M + 0, and the projector on the extra level one more Kraus operator of one
+    outcome."""
+    d = s.dimension
+
+    def plus(m, corner=0.0):
+        out = np.pad(m, (0, 1)).astype(complex)
+        out[d, d] = corner
+        return out
+
+    a0, b0 = rng.normal(size=2)
+    k = rng.integers(len(s.apparatus.outcomes))
+    extra = (plus(np.zeros((d, d)), 1.0),)
+    sets = [
+        KrausSet(ks.label, tuple(plus(m) for m in ks.operators) + (extra if j == k else ()))
+        for j, ks in enumerate(s.apparatus.outcomes)
+    ]
+    return dataclasses.replace(
+        s,
+        dimension=d + 1,
+        state=DensityOperator(plus(s.state.matrix)),
+        observable_A=HermitianOperator(plus(s.observable_A.matrix, a0)),
+        observable_B=HermitianOperator(plus(s.observable_B.matrix, b0)),
+        apparatus=Instrument.from_kraus(sets),
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_direct_sum_embedding(d):
+    rng = np.random.default_rng((47, d))
+    for i, s in enumerate(_members(d)[:MEMBERS // 2]):
+        assert _worst(_ensemble(_report(s)), _ensemble(_report(_embedded(s, rng)))) <= TOL, ("embed", d, i)
 
 
 def _rows(records) -> list:
