@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InternalNumericError, InvalidStrength, NotExpressible
+from .errors import InternalNumericError, NotExpressible
 from .inequalities import InequalityRecord, ScenarioContext, evaluate_all
 from .instruments import value_row
 from .metrics import (
@@ -33,8 +33,6 @@ from .operators import cross_check, expectation, max_norm, spectral_decompose, v
 from .quasiprob import (
     QuasiDistribution,
     quasi_mean_squared_difference,
-    tmh_disturbance_distribution,
-    tmh_error_distribution,
     weak_probe_disturbance_distribution,
     weak_probe_error_distribution,
 )
@@ -91,18 +89,17 @@ _REPORT_FIELDS = {
 def analyze(scenario: Scenario) -> AnalysisReport:
     """Compute every metric, distribution, and inequality for a scenario.
 
-    The quasiprobability forms of epsilon^2 and eta^2 are recomputed from
-    the TMH tables and compared with the direct forms; disagreement beyond
-    CROSS_CHECK_TOL raises an internal-consistency error.
+    The quasiprobability forms of epsilon^2 and eta^2 are recomputed from the TMH tables
+    of the scenario's ``ScenarioContext`` and compared with the direct forms; disagreement
+    beyond CROSS_CHECK_TOL raises an internal-consistency error.
     """
     s = scenario
     inst, rho, obs_a = s.apparatus, s.state, s.observable_A
     ctx = ScenarioContext([s])
 
     eps = ctx.epsilon[0]
-    err_dist = tmh_error_distribution(rho, obs_a, inst, s.values_m)
-    eps_quasi = quasi_mean_squared_difference(err_dist)
-    cross_check("epsilon^2", direct=eps.mean_squared, quasi=eps_quasi)
+    err_dist = ctx.error_distribution[0]
+    cross_check("epsilon^2", direct=eps.mean_squared, quasi=quasi_mean_squared_difference(err_dist))
     eps_joint = None
     if s.indirect is not None:
         eps_joint = epsilon_sq_joint(s.indirect, s.values_m, obs_a, rho)
@@ -114,14 +111,12 @@ def analyze(scenario: Scenario) -> AnalysisReport:
     except NotExpressible:
         pass
 
-    eta = eta_joint = eta_lind = qnd = None
-    dist_dist = None
+    eta = eta_joint = eta_lind = qnd = dist_dist = None
     obs_b = s.observable_B
     if obs_b is not None:
         eta = ctx.eta[0]
-        dist_dist = tmh_disturbance_distribution(rho, obs_b, inst)
-        eta_quasi = quasi_mean_squared_difference(dist_dist)
-        cross_check("eta^2", direct=eta.mean_squared, quasi=eta_quasi)
+        dist_dist = ctx.disturbance_distribution[0]
+        cross_check("eta^2", direct=eta.mean_squared, quasi=quasi_mean_squared_difference(dist_dist))
         eta_lind = eta_sq_lindblad(inst, obs_b, rho)
         qnd = is_qnd(inst, obs_b)
         if s.indirect is not None:
@@ -372,37 +367,23 @@ class WeakSweep:
 def weak_sweep(scenario: Scenario, g_list) -> WeakSweep:
     """Max-norm distance between weak-probe and TMH distributions per strength.
 
-    Fits a log-log slope over the provided strengths (skipped when every
-    error is at round-off, e.g. commuting scenarios).
+    The TMH tables are read from the scenario's ``ScenarioContext``, and
+    ``weak_probe`` gates each strength.  Fits a log-log slope over the provided
+    strengths (skipped when every error is at round-off, e.g. commuting scenarios).
     """
     s = scenario
-    g_values = [float(g) for g in g_list]
-    for g in g_values:
-        if not 0.0 < g <= 1.0:
-            raise InvalidStrength(f"probe strength {g!r} outside (0, 1]")
-    err_ref = tmh_error_distribution(s.state, s.observable_A, s.apparatus, s.values_m)
-    dist_ref = (
-        tmh_disturbance_distribution(s.state, s.observable_B, s.apparatus)
-        if s.observable_B is not None
-        else None
-    )
-    rows = []
+    ctx = ScenarioContext([s])
+    err_ref = ctx.error_distribution[0]
+    dist_ref = None if s.observable_B is None else ctx.disturbance_distribution[0]
+    g_values, errors, dist_errors = [float(g) for g in g_list], [], []
     for g in g_values:
         approx = weak_probe_error_distribution(s.state, s.observable_A, s.apparatus, s.values_m, g)
-        err = max_norm(approx.table - err_ref.table)
-        dist_err = None
+        errors.append(max_norm(approx.table - err_ref.table))
         if dist_ref is not None:
             approx_d = weak_probe_disturbance_distribution(s.state, s.observable_B, s.apparatus, g)
-            dist_err = max_norm(approx_d.table - dist_ref.table)
-        rows.append(SweepRow(g, err, dist_err))
-    return WeakSweep(
-        rows=tuple(rows),
-        error_slope=_loglog_slope([r.g for r in rows], [r.error_dist_maxnorm for r in rows]),
-        disturbance_slope=_loglog_slope(
-            [r.g for r in rows],
-            [r.disturbance_dist_maxnorm for r in rows if r.disturbance_dist_maxnorm is not None],
-        ),
-    )
+            dist_errors.append(max_norm(approx_d.table - dist_ref.table))
+    rows = tuple(map(SweepRow, g_values, errors, dist_errors or [None] * len(g_values)))
+    return WeakSweep(rows, _loglog_slope(g_values, errors), _loglog_slope(g_values, dist_errors))
 
 
 def _loglog_slope(g_values, errors) -> float | None:

@@ -42,6 +42,7 @@ from .operators import (
     spectra,
     value_variance,
 )
+from .quasiprob import QuasiDistribution, tmh_disturbance_stack, tmh_error_stack
 from .retrodiction import _BLOCK_ENTRIES, OutcomeKernels, outcome_kernels
 from .scenario import Scenario, generate_random, generate_window, projective_instrument, subseed
 from .tolerances import ROUNDOFF_FLOOR, SATISFACTION_TOL
@@ -133,9 +134,10 @@ def _signature(s: Scenario) -> tuple:
 class ScenarioContext:
     """The one owner of the per-scenario quantities that relations and ``analyze`` share,
     over a block of N scenarios of one signature (a single scenario is a block of one).
-    Each quantity is computed once for all members by stacked code, and is read per
-    member: a list of N values in member order, indexed by :meth:`position`.  ``sources``
-    are the members' digest sources (see :class:`_Digest`), by default the members.
+    Each quantity, the TMH tables included, is computed once for all members by stacked
+    code, and is read per member: a list of N values in member order, indexed by
+    :meth:`position`.  ``sources`` are the members' digest sources (see :class:`_Digest`),
+    by default the members.
     """
 
     def __init__(self, scenarios: Sequence[Scenario], sources: Sequence | None = None):
@@ -201,9 +203,25 @@ class ScenarioContext:
         return is_unbiased(self.effective_A, self._a)
 
     @cached_property
+    def _kraus(self) -> np.ndarray:
+        return np.stack([s.apparatus.kraus_stack for s in self.scenarios])
+
+    @cached_property
     def eta(self) -> list[NoiseReport]:
-        kraus = np.stack([s.apparatus.kraus_stack for s in self.scenarios])
-        return eta_sq_stack(kraus, self._b, self._rho)
+        return eta_sq_stack(self._kraus, self._b, self._rho)
+
+    @cached_property
+    def error_distribution(self) -> list[QuasiDistribution]:
+        """The TMH error table p~(a, k) of every member.  The block needs one branch
+        count of A, which its signature does not key on: otherwise, ValueError."""
+        ss = self.scenarios
+        return tmh_error_stack(self._rho, [s.observable_A for s in ss], [s.apparatus for s in ss], self._values_m)
+
+    @cached_property
+    def disturbance_distribution(self) -> list[QuasiDistribution]:
+        """The TMH disturbance table p~(b', b) of every member."""
+        self._b  # raises MissingIngredient without B
+        return tmh_disturbance_stack(self._rho, [s.observable_B for s in self.scenarios], self._kraus)
 
     @cached_property
     def eps_A(self) -> list[float]:

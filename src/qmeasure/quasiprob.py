@@ -3,8 +3,9 @@
 The joint tables built here may carry negative entries; negativity is the
 point, so it is preserved and never clipped.  Each TMH table is one stacked
 Jordan product of two projector or POM stacks, read by one stacked
-``expectation``.  A tunable-strength two-outcome probe reproduces each table
-operationally with an O(g^2) deviation.
+``expectation``, over a block of N scenarios; the per-scenario functions are
+blocks of one, and ``ScenarioContext`` holds the tables of its block.  A
+tunable-strength two-outcome probe reproduces each table with an O(g^2) deviation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import (
     InvalidStrength,
     ZeroProbabilityConditioning,
 )
-from .instruments import HermitianOperator, Instrument, ValueAssignment, value_row
+from .instruments import HermitianOperator, Instrument, ValueAssignment, channel, value_row
 from .operators import (
     DensityOperator,
     SpectralDecomposition,
@@ -27,6 +28,7 @@ from .operators import (
     hermitian_part,
     jordan_product,
     max_norm,
+    spectra,
     spectral_decompose,
 )
 from .tolerances import CV_RESIDUAL_TOL, IDENTITY_TOL, MASS_TOL, ZERO_WEIGHT
@@ -117,31 +119,43 @@ def _probed_states(rho: DensityOperator, spec: SpectralDecomposition, g: float):
     return (kraus @ np.asarray(rho)) @ kraus.conj().swapaxes(-1, -2), calibration
 
 
-def _error_table(spec: SpectralDecomposition, inst: Instrument, values: ValueAssignment, table):
-    """A table over the eigen-branches a of A (rows) and the outcomes k, valued m_k (columns)."""
-    return QuasiDistribution(spec.labels("a"), inst.labels, table, spec.eigenvalues, np.array(value_row(inst, values)))
+def _error_table(spec: SpectralDecomposition, inst: Instrument, row, table):
+    """A table over the eigen-branches a of A (rows) and the outcomes k, valued by ``row`` (columns)."""
+    return QuasiDistribution(spec.labels("a"), inst.labels, table, spec.eigenvalues, np.array(row))
+
+
+def tmh_error_stack(rho, a, insts, values) -> list[QuasiDistribution]:
+    """Joint tables p~(a, k) = <Π_a * P_k> over the eigen-branches of A and the outcomes
+    of N members: states ``(N, d, d)``, N observables A of one branch count, and the
+    instruments with their value rows in outcome order."""
+    specs = spectra(a)
+    proj = np.stack([spec.projector_stack for spec in specs])
+    pom = np.stack([inst.pom_stack for inst in insts])
+    tables = expectation(jordan_product(proj[:, :, None], pom[:, None]), rho[:, None, None])
+    return [_error_table(*member) for member in zip(specs, insts, values, tables)]
 
 
 def tmh_error_distribution(
-    rho: DensityOperator,
-    a: HermitianOperator,
-    inst: Instrument,
-    values: ValueAssignment,
+    rho: DensityOperator, a: HermitianOperator, inst: Instrument, values: ValueAssignment
 ) -> QuasiDistribution:
-    """Joint table p~(a, k) = <Π_a * P_k> over eigenbranches of A and outcomes."""
-    spec = spectral_decompose(a)
-    table = expectation(jordan_product(spec.projector_stack[:, None], inst.pom_stack[None]), rho)
-    return _error_table(spec, inst, values, table)
+    """Joint table p~(a, k) of one estimation: :func:`tmh_error_stack` on a stack of one."""
+    return tmh_error_stack(np.asarray(rho)[None], [a], [inst], [value_row(inst, values)])[0]
 
 
-def tmh_disturbance_distribution(
-    rho: DensityOperator, b: HermitianOperator, inst: Instrument
-) -> QuasiDistribution:
-    """Joint table p~(b', b) = <Q_b' * Π_b> with Q_b' the back-propagated projector."""
-    spec = spectral_decompose(b)
-    q = inst.adjoint_nonselective(spec.projector_stack)
-    table = expectation(jordan_product(q[:, None], spec.projector_stack[None]), rho)
-    return QuasiDistribution.on_branches(spec, "b'", "b", table)
+def tmh_disturbance_stack(rho, b, kraus) -> list[QuasiDistribution]:
+    """Joint tables p~(b', b) = <Q_b' * Π_b> of N members, with Q_b' = Σ_k A*_k(Π_b') the
+    back-propagated projector: states ``(N, d, d)``, N observables B of one branch
+    count, and the Kraus stacks ``(N, n_outcomes, L, d, d)``."""
+    specs = spectra(b)
+    proj = np.stack([spec.projector_stack for spec in specs])
+    q = hermitian_part(sum(channel(kraus, proj, dual=True).swapaxes(0, 1)))
+    tables = expectation(jordan_product(q[:, :, None], proj[:, None]), rho[:, None, None])
+    return [QuasiDistribution.on_branches(spec, "b'", "b", table) for spec, table in zip(specs, tables)]
+
+
+def tmh_disturbance_distribution(rho: DensityOperator, b: HermitianOperator, inst: Instrument) -> QuasiDistribution:
+    """Joint table p~(b', b) of one instrument: :func:`tmh_disturbance_stack` on a stack of one."""
+    return tmh_disturbance_stack(np.asarray(rho)[None], [b], inst.kraus_stack[None])[0]
 
 
 def quasi_mean_squared_difference(dist: QuasiDistribution) -> float:
@@ -177,7 +191,7 @@ def weak_probe_error_distribution(
     spec = spectral_decompose(a)
     states, (n_plus, n_minus) = _probed_states(rho, spec, g)
     probs = inst.outcome_probabilities(states)
-    return _error_table(spec, inst, values, n_plus * probs[:, 0] + n_minus * probs[:, 1])
+    return _error_table(spec, inst, value_row(inst, values), n_plus * probs[:, 0] + n_minus * probs[:, 1])
 
 
 def weak_probe_disturbance_distribution(

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmeasure import harness, inequalities, instruments, metrics
+from qmeasure import harness, inequalities, instruments, metrics, quasiprob
 from qmeasure.errors import InternalNumericError, StateValidationError
 from qmeasure.harness import (
     analyze,
@@ -200,6 +200,35 @@ class TestAnalyze:
             monkeypatch.setattr(module, "effective_observables", lambda pom, v: calls.append(1) or real(pom, v))
         analyze(s)
         assert len(calls) == (2 if s.values_mB is None else 4)
+
+    @pytest.mark.parametrize(
+        "name, prefix, message",
+        [
+            ("theta_pom", "a", r"^epsilon\^2 mismatch: direct .* vs quasi"),
+            ("qnd", "b'", r"^eta\^2 mismatch: direct .* vs quasi"),
+        ],
+    )
+    def test_quasi_cross_checks_run(self, name, prefix, message, monkeypatch):
+        # Offsetting the quasi form of one table by 1e-6 trips its cross-check.
+        real = quasiprob.quasi_mean_squared_difference
+        offset = lambda dist: real(dist) + (1e-6 if dist.row_labels[0] == f"{prefix}0" else 0.0)
+        monkeypatch.setattr(harness, "quasi_mean_squared_difference", offset)
+        with pytest.raises(InternalNumericError, match=message):
+            analyze(load_scenario(os.path.join(SCENARIO_DIR, f"{name}.json")))
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+    def test_tmh_tables_built_once(self, name, monkeypatch):
+        # One stacked build per table, and no disturbance table without B.
+        s = load_scenario(os.path.join(SCENARIO_DIR, name))
+        calls = []
+        for builder in ("tmh_error_stack", "tmh_disturbance_stack"):
+            real = getattr(quasiprob, builder)
+            counted = lambda *args, real=real, builder=builder: calls.append(builder) or real(*args)
+            for module in (inequalities, quasiprob):
+                monkeypatch.setattr(module, builder, counted)
+        analyze(s)
+        assert calls == ["tmh_error_stack"] + ([] if s.observable_B is None else ["tmh_disturbance_stack"])
+        assert (s.observable_B is None) == (name == "weak_probe.json")
 
     @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
     def test_inequalities_match_evaluate_all(self, name):
@@ -488,7 +517,7 @@ class TestWeakSweep:
     def test_invalid_strength(self, weak_probe_scenario):
         from qmeasure.errors import InvalidStrength
 
-        with pytest.raises(InvalidStrength):
+        with pytest.raises(InvalidStrength, match=r"^probe strength 0\.0 outside \(0, 1\]$"):
             weak_sweep(weak_probe_scenario, [0.5, 0.0])
 
 

@@ -1,12 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
 from qmeasure.errors import (
     InternalNumericError,
     InvalidStrength,
+    MissingIngredient,
     MissingLabel,
     ZeroProbabilityConditioning,
 )
+from qmeasure.inequalities import ScenarioContext, _members
 from qmeasure.instruments import Instrument
 from qmeasure.metrics import epsilon_sq_system, eta_sq_system, unbiased_dispersion
 from qmeasure.operators import (
@@ -32,6 +36,7 @@ from qmeasure.quasiprob import (
 from qmeasure.scenario import (
     _rng,
     generate_random,
+    load_scenario,
     projective_instrument,
     random_density,
     random_hermitian,
@@ -141,6 +146,36 @@ class TestDisturbanceDistribution:
                 d = tmh_disturbance_distribution(rho, b, inst)
                 direct = eta_sq_system(inst, b, rho).mean_squared
                 assert abs(quasi_mean_squared_difference(d) - direct) < 1e-10
+
+
+def _same_table(x: QuasiDistribution, y: QuasiDistribution) -> bool:
+    return (x.row_labels, x.col_labels) == (y.row_labels, y.col_labels) and all(
+        np.array_equal(getattr(x, name), getattr(y, name)) for name in ("table", "row_values", "col_values")
+    )
+
+
+def _bundled_members():
+    directory = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+    for name in sorted(os.listdir(directory)):
+        s = load_scenario(os.path.join(directory, name))
+        yield s, ScenarioContext([s])
+
+
+def test_block_tables_have_the_bits_of_each_scenario():
+    # Both context tables of every member, built for the whole block, equal the
+    # per-scenario tables bit for bit, labels and values included.
+    members = [*_members([2, 3, 5, 8], 10, 31, 4), *_bundled_members()]
+    assert max(len(ctx.scenarios) for _, ctx in members) > 1
+    for s, ctx in members:
+        i = ctx.position(s)
+        own = tmh_error_distribution(s.state, s.observable_A, s.apparatus, s.values_m)
+        assert _same_table(ctx.error_distribution[i], own)
+        if s.observable_B is None:
+            with pytest.raises(MissingIngredient):
+                ctx.disturbance_distribution
+        else:
+            own = tmh_disturbance_distribution(s.state, s.observable_B, s.apparatus)
+            assert _same_table(ctx.disturbance_distribution[i], own)
 
 
 class TestWeakValues:
