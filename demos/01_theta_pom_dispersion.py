@@ -13,7 +13,6 @@ import numpy as np
 from qmeasure import (
     DensityOperator,
     HermitianOperator,
-    delta_A,
     epsilon_sq_system,
     retrodictive_error,
     unbiased_dispersion,
@@ -35,8 +34,8 @@ for theta in (np.pi / 6, np.pi / 4, np.pi / 3, 1.2):
     w = g @ g.conj().T
     rho = DensityOperator(w / np.real(np.trace(w)))
 
-    bias = delta_A(inst, values, sz, rho)
-    eps_sq = epsilon_sq_system(inst, values, sz, rho).mean_squared
+    eps = epsilon_sq_system(inst, values, sz, rho)
+    bias, eps_sq = eps.delta, eps.mean_squared
     resolution = retrodictive_error(inst, "+", sz)
     print(
         f"{theta:8.4f} {bias:10.2e} {eps_sq:10.6f} {np.tan(theta) ** 2:10.6f} "

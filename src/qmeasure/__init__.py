@@ -22,8 +22,6 @@ from .instruments import (
 )
 from .metrics import (
     NoiseReport,
-    delta_A,
-    delta_B,
     epsilon_sq_joint,
     epsilon_sq_system,
     eta_sq_joint,

@@ -22,13 +22,7 @@ import numpy as np
 from .errors import InternalNumericError, NotExpressible
 from .inequalities import InequalityRecord, ScenarioContext, evaluate_all
 from .instruments import value_row
-from .metrics import (
-    NoiseReport,
-    epsilon_sq_joint,
-    eta_sq_joint,
-    eta_sq_lindblad,
-    is_qnd,
-)
+from .metrics import NoiseReport, epsilon_sq_joint, eta_sq_joint
 from .operators import cross_check, expectation, max_norm, spectral_decompose, value_variance
 from .quasiprob import (
     QuasiDistribution,
@@ -89,12 +83,14 @@ _REPORT_FIELDS = {
 def analyze(scenario: Scenario) -> AnalysisReport:
     """Compute every metric, distribution, and inequality for a scenario.
 
-    The quasiprobability forms of epsilon^2 and eta^2 are recomputed from the TMH tables
-    of the scenario's ``ScenarioContext`` and compared with the direct forms; disagreement
-    beyond CROSS_CHECK_TOL raises an internal-consistency error.
+    Every ingredient is read from the scenario's ``ScenarioContext``, a block of one;
+    only the joint-picture cross-checks of an indirect scenario are computed here.  The
+    quasiprobability forms of epsilon^2 and eta^2 are recomputed from the context's TMH
+    tables and compared with the direct forms; disagreement beyond CROSS_CHECK_TOL
+    raises an internal-consistency error.
     """
     s = scenario
-    inst, rho, obs_a = s.apparatus, s.state, s.observable_A
+    inst, rho = s.apparatus, s.state
     ctx = ScenarioContext([s])
 
     eps = ctx.epsilon[0]
@@ -102,25 +98,17 @@ def analyze(scenario: Scenario) -> AnalysisReport:
     cross_check("epsilon^2", direct=eps.mean_squared, quasi=quasi_mean_squared_difference(err_dist))
     eps_joint = None
     if s.indirect is not None:
-        eps_joint = epsilon_sq_joint(s.indirect, s.values_m, obs_a, rho)
+        eps_joint = epsilon_sq_joint(s.indirect, s.values_m, s.observable_A, rho)
         cross_check("epsilon^2", system=eps.mean_squared, joint=eps_joint)
 
-    dispersion_m2 = None
-    try:
-        dispersion_m2 = inst.moment_values(obs_a, 2)
-    except NotExpressible:
-        pass
-
     eta = eta_joint = eta_lind = qnd = dist_dist = None
-    obs_b = s.observable_B
-    if obs_b is not None:
+    if s.observable_B is not None:
         eta = ctx.eta[0]
         dist_dist = ctx.disturbance_distribution[0]
         cross_check("eta^2", direct=eta.mean_squared, quasi=quasi_mean_squared_difference(dist_dist))
-        eta_lind = eta_sq_lindblad(inst, obs_b, rho)
-        qnd = is_qnd(inst, obs_b)
+        eta_lind, qnd = ctx.eta_lindblad[0], ctx.qnd[0]
         if s.indirect is not None:
-            eta_joint = eta_sq_joint(s.indirect, obs_b, rho)
+            eta_joint = eta_sq_joint(s.indirect, s.observable_B, rho)
             cross_check("eta^2", system=eta.mean_squared, joint=eta_joint)
 
     # Per-outcome values exist for the live outcomes only.
@@ -138,7 +126,7 @@ def analyze(scenario: Scenario) -> AnalysisReport:
         epsilon=eps,
         epsilon_joint=eps_joint,
         unbiased=ctx.unbiased[0],
-        dispersion_m2=dispersion_m2,
+        dispersion_m2=ctx.dispersion_m2[0],
         delta_B=None if eta is None else eta.delta,
         eta=eta,
         eta_joint=eta_joint,

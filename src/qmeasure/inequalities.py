@@ -26,9 +26,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import MissingIngredient, NegativeRadicand
+from .errors import MissingIngredient, NegativeRadicand, NotExpressible
 from .instruments import effective_observables, value_row
-from .metrics import NoiseReport, epsilon_sq_stack, eta_sq_stack, is_unbiased
+from .metrics import NoiseReport, epsilon_sq_stack, eta_sq_lindblad_stack, eta_sq_stack, is_qnd_stack, is_unbiased
 from .operators import (
     SIGMA_X,
     SIGMA_Y,
@@ -134,10 +134,10 @@ def _signature(s: Scenario) -> tuple:
 class ScenarioContext:
     """The one owner of the per-scenario quantities that relations and ``analyze`` share,
     over a block of N scenarios of one signature (a single scenario is a block of one).
-    Each quantity, the TMH tables included, is computed once for all members by stacked
-    code, and is read per member: a list of N values in member order, indexed by
-    :meth:`position`.  ``sources`` are the members' digest sources (see :class:`_Digest`),
-    by default the members.
+    Each quantity is computed once for all members by stacked code, except m^(2), which
+    ``Instrument.moment_values`` solves per member, and is read per member: a list of N
+    values in member order, indexed by :meth:`position`.  ``sources`` are the members'
+    digest sources (see :class:`_Digest`), by default the members.
     """
 
     def __init__(self, scenarios: Sequence[Scenario], sources: Sequence | None = None):
@@ -211,9 +211,32 @@ class ScenarioContext:
         return eta_sq_stack(self._kraus, self._b, self._rho)
 
     @cached_property
+    def eta_lindblad(self) -> list[float]:
+        """η² of every member recomputed from its Lindblad perturbations, the independent
+        form ``analyze`` reports beside η²."""
+        return eta_sq_lindblad_stack(self._kraus, self._b, self._rho)
+
+    @cached_property
+    def qnd(self) -> list[bool]:
+        """Whether every Kraus operator of a member commutes with its B."""
+        return is_qnd_stack(self._kraus, self._b)
+
+    @cached_property
+    def dispersion_m2(self) -> list[dict[str, float] | None]:
+        """The contextual values m^(2) of A^2 of every member, read through
+        ``Instrument.moment_values``; None where A^2 lies outside the POM span."""
+        m2 = []
+        for s in self.scenarios:
+            try:
+                m2.append(s.apparatus.moment_values(s.observable_A, 2))
+            except NotExpressible:
+                m2.append(None)
+        return m2
+
+    @cached_property
     def error_distribution(self) -> list[QuasiDistribution]:
         """The TMH error table p~(a, k) of every member.  The block needs one branch
-        count of A, which its signature does not key on: otherwise, ValueError."""
+        count of A, which its signature does not key on: otherwise, DimensionMismatch."""
         ss = self.scenarios
         return tmh_error_stack(self._rho, [s.observable_A for s in ss], [s.apparatus for s in ss], self._values_m)
 

@@ -202,16 +202,6 @@ class Instrument:
             raise NullOutcome(f"outcome {label!r} has POM trace {self.pom_trace(label)!r}")
         return self.live_labels.index(label)
 
-    @cached_property
-    def retrodicted_stack(self) -> np.ndarray:
-        """P_k / Tr P_k of the live outcomes, in ``live_labels`` order: the states
-        inferred backward from each outcome under a uniform prior, gated together."""
-        return retrodicted_states(self.pom_stack, self.pom_traces, self.live_mask)
-
-    def retrodicted_state(self, label: str) -> np.ndarray:
-        """The row of ``retrodicted_stack`` of one live outcome."""
-        return self.retrodicted_stack[self.live_index(label)]
-
     def outcome_probabilities(self, rho) -> np.ndarray:
         """Tr(P_k rho) per outcome, in declared order on the last axis; ``rho`` may be
         unnormalized, and a stack ``(..., d, d)`` of them gives ``(..., n_outcomes)``."""
@@ -222,22 +212,10 @@ class Instrument:
         """:func:`channel` of this instrument, ``(n_outcomes, ..., d, d)``."""
         return channel(self.kraus_stack[None], np.asarray(x)[None], dual)[0]
 
-    def apply_selective(self, label: str, rho) -> np.ndarray:
-        """Unnormalized post-measurement operator A_k(rho) = sum_l M rho M† of one outcome."""
-        return self._channel(rho)[self._position(label)]
-
     def apply_nonselective(self, rho) -> np.ndarray:
         """Post-measurement operator with the outcome record discarded: the sum
         of A_k(rho) over all outcomes, in declared order.  ``rho`` may be unnormalized."""
         return hermitian_part(sum(self._channel(rho)))
-
-    def adjoint_apply(self, label: str, x) -> np.ndarray:
-        """Heisenberg-picture dual A*_k(X) = sum_l M† X M of one outcome."""
-        return self._channel(x, dual=True)[self._position(label)]
-
-    def adjoint_nonselective(self, x) -> np.ndarray:
-        """Dual of the nonselective channel: the sum of A*_k(X) over all outcomes."""
-        return hermitian_part(sum(self._channel(x, dual=True)))
 
     def effective_observable(self, values: ValueAssignment) -> HermitianOperator:
         """Observable sum_k m_k P_k actually estimated by the apparatus."""

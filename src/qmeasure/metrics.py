@@ -5,8 +5,9 @@ The same quantities are computable in the joint system-detector picture
 the instrument alone); the two must agree to ``CROSS_CHECK_TOL``, which the
 test suite exercises as a cross-picture oracle.  In the system picture, ε²
 and η² are one formula, <X_sq + A^2 - 2 X * A> with X = A_e[m] or B', and
-every trace is ``operators.expectation``; both are computed on stacks of N
-estimations, and the per-scenario functions are stacks of one.
+every trace is ``operators.expectation``.  ε², η², η² in its Lindblad form
+and the QND flag are computed on stacks of N estimations, and the
+per-scenario functions are stacks of one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .operators import (
     expectation,
     hermitian_part,
     jordan_product,
-    max_norm,
     spectral_decompose,
     tensor_product,
     validated_states,
@@ -47,13 +47,6 @@ class NoiseReport:
     mean_squared: float
     picture: str
     components: tuple[float, float, float]
-
-
-def delta_A(
-    inst: Instrument, values: ValueAssignment, a: HermitianOperator, rho: DensityOperator
-) -> float:
-    """Mean bias Tr[(A_e[m] - A) rho] of the estimation."""
-    return epsilon_sq_system(inst, values, a, rho).delta
 
 
 def _noise_reports(delta, x, x_sq, a, a_sq, rho) -> list[NoiseReport]:
@@ -123,11 +116,6 @@ def three_state_cross_term(
     return lhs, plus - plain - sandwich
 
 
-def delta_B(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> float:
-    """Mean shift Tr[B (rho' - rho)] caused by the nonselective measurement."""
-    return eta_sq_system(inst, b, rho).delta
-
-
 def eta_sq_stack(kraus, b, rho) -> list[NoiseReport]:
     """Squared disturbance <(B^2)' + B^2 - 2 B' * B> in the system picture of N
     instruments of Kraus stacks ``(N, n_outcomes, L, d, d)``, with B and rho
@@ -154,29 +142,39 @@ def eta_sq_joint(model: IndirectModel, b: HermitianOperator, rho_s: DensityOpera
     return clip_at_floor(value, SECOND_MOMENT_FLOOR, "second moment")
 
 
-def lindblad_perturbation(inst: Instrument, b: np.ndarray) -> np.ndarray:
-    """Perturbation L_k(B) = -sum_l (M† [M, B] - [M†, B] M)/2 of every outcome,
-    ``(n_outcomes, ..., d, d)``; ``b`` may be a stack.  This Lindblad form stays apart
-    from the instrument's channel maps: it is the independent form eta^2 is checked against."""
-    term = lambda m, md: -(md @ (m @ b - b @ m) - (md @ b - b @ md) @ m) / 2
-    return kraus_sum(inst.kraus_stack, term, b.ndim)
+def lindblad_perturbation(kraus: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Perturbation L_k(B) = -sum_l (M† [M, B] - [M†, B] M)/2 of every outcome of N
+    instruments ``(N, n_outcomes, L, d, d)``, one operand per instrument ``(N, ..., d, d)``,
+    as ``(N, n_outcomes, ..., d, d)``.  This Lindblad form stays apart from the channel
+    maps: it is the independent form eta^2 is checked against."""
+    bo = b[:, None]
+    term = lambda m, md: -(md @ (m @ bo - bo @ m) - (md @ bo - bo @ md) @ m) / 2
+    return kraus_sum(kraus, term, b.ndim - 1)
 
 
 def lindblad_decomposition(inst: Instrument, label: str, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     """Split sum_l M† B M into the Jordan part P_k * B and the Lindblad remainder,
     each gated by ``hermitian_part``."""
     jordan = jordan_product(inst.pom_element(label), b)
-    return jordan, hermitian_part(lindblad_perturbation(inst, np.asarray(b))[inst.labels.index(label)])
+    lindblad = lindblad_perturbation(inst.kraus_stack[None], np.asarray(b)[None])[0]
+    return jordan, hermitian_part(lindblad[inst.labels.index(label)])
+
+
+def eta_sq_lindblad_stack(kraus, b, rho) -> list[float]:
+    """Disturbance recomputed from Lindblad perturbations only,
+    sum_k <L_k(B^2) - 2 B * L_k(B)>, of N instruments ``(N, n_outcomes, L, d, d)`` with
+    B and rho ``(N, d, d)``; the outcome terms are summed in declared order."""
+    per_outcome = lindblad_perturbation(kraus, np.stack([b, b @ b], axis=1))
+    l_b, l_b2 = per_outcome[:, :, 0], per_outcome[:, :, 1]
+    bo = b[:, None]
+    # B * L_k(B) spelled out: the gated jordan_product rounds it differently.
+    terms = expectation(l_b2 - (bo @ l_b + l_b @ bo), rho[:, None])
+    return clip_at_floor(sum(terms.T), SECOND_MOMENT_FLOOR, "second moment").tolist()
 
 
 def eta_sq_lindblad(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> float:
-    """Disturbance recomputed from Lindblad perturbations only:
-    sum_k <L_k(B^2) - 2 B * L_k(B)>."""
-    bm = np.asarray(b)
-    per_outcome = lindblad_perturbation(inst, np.array([bm, bm @ bm]))
-    l_b, l_b2 = per_outcome[:, 0], per_outcome[:, 1]
-    total = sum(expectation(l_b2 - (bm @ l_b + l_b @ bm), rho).tolist())
-    return clip_at_floor(total, SECOND_MOMENT_FLOOR, "second moment")
+    """Lindblad-form disturbance of one instrument: :func:`eta_sq_lindblad_stack` on a stack of one."""
+    return eta_sq_lindblad_stack(inst.kraus_stack[None], np.asarray(b)[None], np.asarray(rho)[None])[0]
 
 
 def is_unbiased(a_e, a):
@@ -186,10 +184,16 @@ def is_unbiased(a_e, a):
     return bool(ok) if ok.ndim == 0 else ok.tolist()
 
 
+def is_qnd_stack(kraus, b) -> list[bool]:
+    """Whether every Kraus operator commutes with B (to IDENTITY_TOL), for N instruments
+    ``(N, n_outcomes, L, d, d)`` with B ``(N, d, d)``."""
+    bo = b[:, None, None]
+    return (np.abs(kraus @ bo - bo @ kraus).max(axis=(1, 2, 3, 4)) <= IDENTITY_TOL).tolist()
+
+
 def is_qnd(inst: Instrument, b: HermitianOperator) -> bool:
-    """True iff every Kraus operator commutes with B (to IDENTITY_TOL)."""
-    bm, kraus = np.asarray(b), inst.kraus_stack
-    return max_norm(kraus @ bm - bm @ kraus) <= IDENTITY_TOL
+    """QND flag of one instrument: :func:`is_qnd_stack` on a stack of one."""
+    return is_qnd_stack(inst.kraus_stack[None], np.asarray(b)[None])[0]
 
 
 def unbiased_dispersion(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InternalNumericError,
     InvalidStrength,
     ZeroProbabilityConditioning,
@@ -126,9 +127,12 @@ def _error_table(spec: SpectralDecomposition, inst: Instrument, row, table):
 
 def tmh_error_stack(rho, a, insts, values) -> list[QuasiDistribution]:
     """Joint tables p~(a, k) = <Π_a * P_k> over the eigen-branches of A and the outcomes
-    of N members: states ``(N, d, d)``, N observables A of one branch count, and the
-    instruments with their value rows in outcome order."""
+    of N members: states ``(N, d, d)``, N observables A of one branch count (else
+    DimensionMismatch, before any stacking), and the instruments with their value rows."""
     specs = spectra(a)
+    counts = sorted({len(spec.eigenvalues) for spec in specs})
+    if len(counts) > 1:
+        raise DimensionMismatch(f"a block's error tables need one branch count of A, got {counts}")
     proj = np.stack([spec.projector_stack for spec in specs])
     pom = np.stack([inst.pom_stack for inst in insts])
     tables = expectation(jordan_product(proj[:, :, None], pom[:, None]), rho[:, None, None])

@@ -18,7 +18,7 @@ from qmeasure.inequalities import (
     heisenberg_form_violation_search,
     random_sweep,
 )
-from qmeasure.instruments import Instrument, solve_contextual_values
+from qmeasure.instruments import Instrument, channel, solve_contextual_values
 from qmeasure.metrics import (
     epsilon_sq_joint,
     epsilon_sq_system,
@@ -145,8 +145,8 @@ def test_criterion_04_picture_consistency():
         assert abs(eta_sys - eta_joint) <= 1e-9
         lhs, rhs = three_state_cross_term(inst, values, a, rho)
         assert abs(lhs - rhs) <= 1e-10
-        for label in inst.labels:
-            sandwich = inst.adjoint_apply(label, b)
+        sandwiches = channel(inst.kraus_stack[None], np.asarray(b)[None], dual=True)[0]
+        for label, sandwich in zip(inst.labels, sandwiches):
             jordan_part, lind = lindblad_decomposition(inst, label, b)
             assert max_norm(sandwich - jordan_part - lind) <= 1e-12
         assert abs(eta_sys - eta_sq_lindblad(inst, b, rho)) <= 1e-11

@@ -231,6 +231,22 @@ class TestAnalyze:
         assert (s.observable_B is None) == (name == "weak_probe.json")
 
     @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+    def test_lindblad_qnd_and_m2_built_once(self, name, monkeypatch):
+        # One stacked build each of η²_Lindblad and the QND flag, none without B, and one m^(2) solve.
+        s = load_scenario(os.path.join(SCENARIO_DIR, name))
+        calls = []
+        for builder in ("eta_sq_lindblad_stack", "is_qnd_stack"):
+            real = getattr(metrics, builder)
+            counted = lambda *args, real=real, builder=builder: calls.append(builder) or real(*args)
+            for module in (inequalities, metrics):
+                monkeypatch.setattr(module, builder, counted)
+        real_moments = Instrument.moment_values
+        monkeypatch.setattr(Instrument, "moment_values", lambda *args: calls.append("m2") or real_moments(*args))
+        analyze(s)
+        builders = [] if s.observable_B is None else ["eta_sq_lindblad_stack", "is_qnd_stack"]
+        assert sorted(calls) == sorted(builders + ["m2"])
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
     def test_inequalities_match_evaluate_all(self, name):
         s = load_scenario(os.path.join(SCENARIO_DIR, name))
         assert analyze(s).inequalities == evaluate_all(s)

@@ -1,11 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
-from qmeasure.errors import BiasedInstrument
-from qmeasure.instruments import Instrument, KrausSet
+from qmeasure.errors import BiasedInstrument, MissingIngredient, NotExpressible
+from qmeasure.inequalities import ScenarioContext, _members
+from qmeasure.instruments import Instrument, KrausSet, channel
 from qmeasure.metrics import (
-    delta_A,
-    delta_B,
     epsilon_sq_joint,
     epsilon_sq_system,
     eta_sq_joint,
@@ -25,7 +26,9 @@ from qmeasure.operators import (
     max_norm,
 )
 from qmeasure.scenario import (
+    Scenario,
     _rng,
+    load_scenario,
     projective_instrument,
     random_density,
     random_hermitian,
@@ -43,13 +46,13 @@ SX = HermitianOperator(SIGMA_X)
 class TestBias:
     def test_unbiased_theta_pom(self, ket_plus):
         inst = theta_pom_instrument(THETA)
-        assert delta_A(inst, UNBIASED_M, SZ, ket_plus) == pytest.approx(0.0, abs=1e-12)
+        assert epsilon_sq_system(inst, UNBIASED_M, SZ, ket_plus).delta == pytest.approx(0.0, abs=1e-12)
 
     def test_biased_raw_values(self, ket0):
         # m = +-1 estimates cos(theta) sigma_z, so the bias is (cos(theta)-1)<sigma_z>.
         inst = theta_pom_instrument(THETA)
         expected = np.cos(THETA) - 1.0
-        assert delta_A(inst, {"+": 1.0, "-": -1.0}, SZ, ket0) == pytest.approx(expected, abs=1e-12)
+        assert epsilon_sq_system(inst, {"+": 1.0, "-": -1.0}, SZ, ket0).delta == pytest.approx(expected, abs=1e-12)
 
     def test_is_unbiased_flags(self):
         inst = theta_pom_instrument(THETA)
@@ -113,8 +116,8 @@ class TestEpsilon:
 class TestEta:
     def test_projective_z_disturbs_x(self, ket_plus):
         inst = projective_instrument(SZ)
-        assert delta_B(inst, SX, ket_plus) == pytest.approx(-1.0, abs=1e-12)
         rep = eta_sq_system(inst, SX, ket_plus)
+        assert rep.delta == pytest.approx(-1.0, abs=1e-12)
         assert rep.mean_squared == pytest.approx(2.0, abs=1e-12)
 
     def test_qnd_zero(self):
@@ -144,8 +147,8 @@ class TestLindblad:
         for _ in range(30):
             inst = random_instrument(2, 3, rng)
             b = random_hermitian(2, rng)
-            for label in inst.labels:
-                sandwich = inst.adjoint_apply(label, b)
+            sandwiches = channel(inst.kraus_stack[None], np.asarray(b)[None], dual=True)[0]
+            for label, sandwich in zip(inst.labels, sandwiches):
                 jordan_part, lind = lindblad_decomposition(inst, label, b)
                 assert max_norm(sandwich - jordan_part - lind) < 1e-12
 
@@ -208,3 +211,40 @@ class TestDispersion:
             d = unbiased_dispersion(inst, values, SZ, rho)
             e = epsilon_sq_system(inst, values, SZ, rho).mean_squared
             assert abs(d - e) < 1e-10
+
+
+def _moment_values_or_none(s: Scenario):
+    try:
+        return s.apparatus.moment_values(s.observable_A, 2)
+    except NotExpressible:
+        return None
+
+
+def _d4_indirect() -> Scenario:
+    rng = _rng(41)
+    state, a, b = random_density(4, rng), random_hermitian(4, rng), random_hermitian(4, rng)
+    model = random_indirect_model(4, rng)
+    values = {label: float(i) for i, label in enumerate(model.labels)}
+    return Scenario(4, state, a, Instrument.from_indirect(model), values, observable_B=b, indirect=model)
+
+
+def test_block_metrics_have_the_bits_of_each_scenario():
+    # η² in its Lindblad form, the QND flag and m^(2) of every member, built for the
+    # whole block, equal the per-scenario functions exactly; without B only m^(2) exists.
+    directory = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+    singles = [load_scenario(os.path.join(directory, name)) for name in sorted(os.listdir(directory))]
+    members = [*_members([2, 3, 5, 8], 10, 31, 4), *((s, ScenarioContext([s])) for s in [*singles, _d4_indirect()])]
+    assert max(len(ctx.scenarios) for _, ctx in members) > 1
+    assert sum(s.observable_B is None for s, _ in members) == 1
+    assert {m is None for m in map(_moment_values_or_none, (s for s, _ in members))} == {True, False}
+    for s, ctx in members:
+        i = ctx.position(s)
+        assert ctx.dispersion_m2[i] == _moment_values_or_none(s)
+        if s.observable_B is None:
+            for name in ("eta_lindblad", "qnd"):
+                with pytest.raises(MissingIngredient):
+                    getattr(ctx, name)
+            continue
+        lindblad = eta_sq_lindblad(s.apparatus, s.observable_B, s.state)
+        assert ctx.eta_lindblad[i].hex() == lindblad.hex()
+        assert ctx.qnd[i] is is_qnd(s.apparatus, s.observable_B)

@@ -1,9 +1,11 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from qmeasure.errors import (
+    DimensionMismatch,
     InternalNumericError,
     InvalidStrength,
     MissingIngredient,
@@ -176,6 +178,15 @@ def test_block_tables_have_the_bits_of_each_scenario():
         else:
             own = tmh_disturbance_distribution(s.state, s.observable_B, s.apparatus)
             assert _same_table(ctx.disturbance_distribution[i], own)
+
+
+def test_a_block_of_two_branch_counts_of_a_is_a_dimension_mismatch():
+    # A = 1 has one branch, the other member's A two; the signature does not key on it.
+    s1 = generate_random(2, 4, 1)
+    s2 = dataclasses.replace(generate_random(2, 4, 2), observable_A=HermitianOperator(np.eye(2)))
+    ctx = ScenarioContext([s1, s2])
+    with pytest.raises(DimensionMismatch, match=r"one branch count of A, got \[1, 2\]"):
+        ctx.error_distribution
 
 
 class TestWeakValues:

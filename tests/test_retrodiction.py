@@ -57,30 +57,38 @@ def near_null_instrument() -> Instrument:
     return Instrument.from_kraus([KrausSet("tiny", (tiny,)), KrausSet("rest", (rest,))])
 
 
+def retrodicted_state(inst: Instrument, label: str) -> np.ndarray:
+    """P_k / Tr P_k of one live outcome, from the stacked ``instruments.retrodicted_states``
+    on a block of one; a null outcome raises NullOutcome."""
+    k = inst.live_index(label)
+    return instruments.retrodicted_states(inst.pom_stack[None], inst.pom_traces[None], inst.live_mask)[0, k]
+
+
 class TestRetrodictedState:
     def test_theta_pom(self):
         theta = np.pi / 3
         inst = theta_pom_instrument(theta)
         c = np.cos(theta)
-        assert np.allclose(inst.retrodicted_state("+"), np.diag([(1 + c) / 2, (1 - c) / 2]))
+        assert np.allclose(retrodicted_state(inst, "+"), np.diag([(1 + c) / 2, (1 - c) / 2]))
         assert inst.pom_trace("+") == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_instrument_uniform(self):
-        state = identity_instrument(3).retrodicted_state("0")
+        state = retrodicted_state(identity_instrument(3), "0")
         assert np.allclose(state, np.eye(3) / 3)
 
     def test_null_outcome_raises(self):
         with pytest.raises(NullOutcome):
-            near_null_instrument().retrodicted_state("tiny")
+            retrodicted_state(near_null_instrument(), "tiny")
 
-    def test_stack_is_built_once(self):
-        inst = theta_pom_instrument(np.pi / 3)
-        stack = inst.retrodicted_stack
-        assert inst.retrodicted_stack is stack
-        for k, label in enumerate(inst.live_labels):
-            state = inst.retrodicted_state(label)
-            assert np.shares_memory(state, stack)
-            assert np.array_equal(state, stack[k])
+    def test_stack_has_the_bits_of_each_instrument(self):
+        # A block of instruments gives each member the states of its own call, in live order.
+        insts = [theta_pom_instrument(theta) for theta in (np.pi / 3, 0.4, 1.1)]
+        stack = instruments.retrodicted_states(
+            np.stack([inst.pom_stack for inst in insts]), np.stack([inst.pom_traces for inst in insts]), insts[0].live_mask
+        )
+        for inst, states in zip(insts, stack):
+            for k, label in enumerate(inst.live_labels):
+                assert np.array_equal(states[k], retrodicted_state(inst, label))
 
 
 class TestRetrodictiveError:
@@ -248,7 +256,7 @@ def test_one_call_holds_every_live_outcome():
         assert max_norm(ks.eps[0, k] - eps) < 1e-12
         assert max_norm(ks.table[0, k] - table) < 1e-12
         assert max_norm(ks.restricted[0, k] - rows) < 1e-12
-        assert ks.c_ab[0, k] == commutator_bound(a, b, inst.retrodicted_state(label))
+        assert ks.c_ab[0, k] == commutator_bound(a, b, retrodicted_state(inst, label))
     without_b = outcome_kernels([inst], [a])
     assert np.array_equal(without_b.eps, ks.eps[..., :1])
     assert without_b.table is None and without_b.restricted is None
@@ -455,7 +463,7 @@ class TestHofmannStyleBounds:
             b = random_hermitian(2, rng)
             for label in inst.labels:
                 lhs = retrodictive_error(inst, label, a) * retrodictive_error(inst, label, b)
-                assert lhs >= commutator_bound(a, b, inst.retrodicted_state(label)) - 1e-9
+                assert lhs >= commutator_bound(a, b, retrodicted_state(inst, label)) - 1e-9
 
     def test_disturbance_dominates_error(self):
         # eta_B,k,b' >= eps_B,k,b' cell by cell.
