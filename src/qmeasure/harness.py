@@ -23,12 +23,12 @@ from .errors import InternalNumericError, NotExpressible
 from .inequalities import InequalityRecord, ScenarioContext, evaluate_all
 from .instruments import value_row
 from .metrics import NoiseReport, epsilon_sq_joint, eta_sq_joint
-from .operators import cross_check, expectation, max_norm, spectral_decompose, value_variance
+from .operators import cross_check, expectation, spectral_decompose, value_variance
 from .quasiprob import (
     QuasiDistribution,
     quasi_mean_squared_difference,
-    weak_probe_disturbance_distribution,
-    weak_probe_error_distribution,
+    weak_probe_disturbance_stack,
+    weak_probe_error_stack,
 )
 from .scenario import Scenario
 from .tolerances import POM_PSD_FLOOR, SLOPE_FLOOR
@@ -355,21 +355,20 @@ class WeakSweep:
 def weak_sweep(scenario: Scenario, g_list) -> WeakSweep:
     """Max-norm distance between weak-probe and TMH distributions per strength.
 
-    The TMH tables are read from the scenario's ``ScenarioContext``, and
-    ``weak_probe`` gates each strength.  Fits a log-log slope over the provided
+    The TMH tables are read from the scenario's ``ScenarioContext``; the weak-probe
+    tables of all strengths are one stacked pass per table, whose ``weak_probe`` gates
+    every strength before any probe work.  Fits a log-log slope over the provided
     strengths (skipped when every error is at round-off, e.g. commuting scenarios).
     """
     s = scenario
     ctx = ScenarioContext([s])
-    err_ref = ctx.error_distribution[0]
-    dist_ref = None if s.observable_B is None else ctx.disturbance_distribution[0]
-    g_values, errors, dist_errors = [float(g) for g in g_list], [], []
-    for g in g_values:
-        approx = weak_probe_error_distribution(s.state, s.observable_A, s.apparatus, s.values_m, g)
-        errors.append(max_norm(approx.table - err_ref.table))
-        if dist_ref is not None:
-            approx_d = weak_probe_disturbance_distribution(s.state, s.observable_B, s.apparatus, g)
-            dist_errors.append(max_norm(approx_d.table - dist_ref.table))
+    g_values = [float(g) for g in g_list]
+    approx = weak_probe_error_stack(s.state, s.observable_A, s.apparatus, g_values)
+    errors = np.abs(approx - ctx.error_distribution[0].table).max(axis=(-2, -1)).tolist()
+    dist_errors = []
+    if s.observable_B is not None:
+        approx_d = weak_probe_disturbance_stack(s.state, s.observable_B, s.apparatus, g_values)
+        dist_errors = np.abs(approx_d - ctx.disturbance_distribution[0].table).max(axis=(-2, -1)).tolist()
     rows = tuple(map(SweepRow, g_values, errors, dist_errors or [None] * len(g_values)))
     return WeakSweep(rows, _loglog_slope(g_values, errors), _loglog_slope(g_values, dist_errors))
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import MissingIngredient, NegativeRadicand, NotExpressible
 from .instruments import effective_observables, value_row
-from .metrics import NoiseReport, epsilon_sq_stack, eta_sq_lindblad_stack, eta_sq_stack, is_qnd_stack, is_unbiased
+from .metrics import NoiseReport, eta_sq_lindblad_stack, is_qnd_stack, is_unbiased, noise_stack
 from .operators import (
     SIGMA_X,
     SIGMA_Y,
@@ -136,8 +136,9 @@ class ScenarioContext:
     over a block of N scenarios of one signature (a single scenario is a block of one).
     Each quantity is computed once for all members by stacked code, except m^(2), which
     ``Instrument.moment_values`` solves per member, and is read per member: a list of N
-    values in member order, indexed by :meth:`position`.  ``sources`` are the members'
-    digest sources (see :class:`_Digest`), by default the members.
+    values in member order, indexed by :meth:`position`.  A_e[m], ε_A, ε_B and η_B come
+    from one noise pass, which builds what the block has of them.  ``sources`` are the
+    members' digest sources (see :class:`_Digest`), by default the members.
     """
 
     def __init__(self, scenarios: Sequence[Scenario], sources: Sequence | None = None):
@@ -190,13 +191,26 @@ class ScenarioContext:
         return (expectation(jordan_product(self._a, self._b), self._rho) - mean[:, 0] * mean[:, 1]).tolist()
 
     @cached_property
+    def _noise(self) -> tuple[np.ndarray, list[list[NoiseReport]]]:
+        """A_e of the value rows m and, where the block has B and values_mB, m_B, from one call,
+        and each member's :func:`metrics.noise_stack` reports: ε² of A, then of B, then η² of B."""
+        s, rows = self.scenarios[0], [[m] for m in self._values_m]
+        if s.observable_B is not None and s.values_mB is not None:
+            rows = [[m, m_b] for m, m_b in zip(self._values_m, self._values_mB)]
+        # m_k^2 as float powers, as in epsilon_sq_stack.
+        x = effective_observables(self._pom, [row + [[m**2 for m in r] for r in row] for row in rows])
+        r, with_b = len(rows[0]), s.observable_B is not None
+        obs = np.stack([self._a, self._b], axis=1) if with_b else self._a[:, None]
+        return x, noise_stack(x[:, :r], x[:, r:], obs, self._rho, self._kraus if with_b else None)
+
+    @cached_property
     def effective_A(self) -> np.ndarray:
-        """A_e[m] of every member, built once for ε² and for the unbiasedness decision."""
-        return effective_observables(self._pom, self._values_m)
+        """A_e[m] of every member, from the noise pass, which the unbiasedness decision shares."""
+        return self._noise[0][:, 0]
 
     @cached_property
     def epsilon(self) -> list[NoiseReport]:
-        return epsilon_sq_stack(self._pom, self._values_m, self._a, self._rho, a_e=self.effective_A)
+        return [reports[0] for reports in self._noise[1]]
 
     @cached_property
     def unbiased(self) -> list[bool]:
@@ -208,7 +222,8 @@ class ScenarioContext:
 
     @cached_property
     def eta(self) -> list[NoiseReport]:
-        return eta_sq_stack(self._kraus, self._b, self._rho)
+        self._b  # raises MissingIngredient without B
+        return [reports[-1] for reports in self._noise[1]]
 
     @cached_property
     def eta_lindblad(self) -> list[float]:
@@ -252,7 +267,8 @@ class ScenarioContext:
 
     @cached_property
     def eps_B(self) -> list[float]:
-        return [math.sqrt(r.mean_squared) for r in epsilon_sq_stack(self._pom, self._values_mB, self._b, self._rho)]
+        self._values_mB, self._b  # raise MissingIngredient without values_mB, then without B
+        return [math.sqrt(reports[1].mean_squared) for reports in self._noise[1]]
 
     @cached_property
     def eta_B(self) -> list[float]:

@@ -208,9 +208,9 @@ class Instrument:
         rm = np.asarray(rho)
         return expectation(self.pom_stack, rm[..., None, :, :] if rm.ndim > 2 else rm)
 
-    def _channel(self, x, dual: bool = False) -> np.ndarray:
-        """:func:`channel` of this instrument, ``(n_outcomes, ..., d, d)``."""
-        return channel(self.kraus_stack[None], np.asarray(x)[None], dual)[0]
+    def _channel(self, x) -> np.ndarray:
+        """A_k(x) of every outcome of this instrument by :func:`channel`, ``(n_outcomes, ..., d, d)``."""
+        return channel(self.kraus_stack[None], np.asarray(x)[None])[0]
 
     def apply_nonselective(self, rho) -> np.ndarray:
         """Post-measurement operator with the outcome record discarded: the sum
@@ -219,7 +219,7 @@ class Instrument:
 
     def effective_observable(self, values: ValueAssignment) -> HermitianOperator:
         """Observable sum_k m_k P_k actually estimated by the apparatus."""
-        return HermitianOperator(effective_observables(self.pom_stack[None], [value_row(self, values)])[0])
+        return HermitianOperator(effective_observables(self.pom_stack[None], [[value_row(self, values)]])[0, 0])
 
     def contextual_values(self, target: HermitianOperator) -> dict[str, float]:
         """Minimum-norm values solving sum_k m_k P_k = target, keyed by label."""
@@ -282,7 +282,7 @@ def pom_gate(kraus: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.n
         label = labels[np.argmax(not_psd[np.argmax(member)])]
         raise CompletenessViolation(f"POM element {label!r}{at_index(member)} is not PSD")
     pom = hermitian_part(pom)
-    return pom, np.real(np.trace(pom, axis1=-2, axis2=-1))
+    return pom, pom.trace(axis1=-2, axis2=-1).real
 
 
 def _gated(kraus: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -342,9 +342,9 @@ def channel(kraus: np.ndarray, x, dual: bool = False) -> np.ndarray:
 
 def effective_observables(pom: np.ndarray, values) -> np.ndarray:
     """sum_k m_k P_k in declared outcome order of N POM stacks ``(N, n_outcomes, d, d)``,
-    each with its row of ``values`` ``(N, n_outcomes)``."""
+    each with its R rows of ``values`` ``(N, R, n_outcomes)``, as ``(N, R, d, d)``."""
     m = np.asarray(values, dtype=float)
-    return hermitian_part(sum(m[:, k, None, None] * pom[:, k] for k in range(pom.shape[1])))
+    return hermitian_part(sum(m[..., k, None, None] * pom[:, k, None] for k in range(pom.shape[1])))
 
 
 def retrodicted_states(pom: np.ndarray, traces: np.ndarray, live: np.ndarray) -> np.ndarray:

@@ -51,13 +51,13 @@ class NoiseReport:
 
 def _noise_reports(delta, x, x_sq, a, a_sq, rho) -> list[NoiseReport]:
     """<X_sq + A^2 - 2 X * A> with its three components, in the system picture, of each
-    member of stacks ``(N, d, d)``: the squared noise with X = A_e[m], the squared
-    disturbance with X = B'."""
-    parts = expectation(np.stack([x_sq, a_sq, jordan_product(x, a)], axis=1), rho[:, None])
-    first, second, half_cross = parts.T
+    matrix of stacks ``(N, ..., d, d)`` (row-major) in states that broadcast with them:
+    the squared noise with X = A_e[m], the squared disturbance with X = B'."""
+    parts = expectation(np.stack([x_sq, a_sq, jordan_product(x, a)], axis=-3), rho[..., None, :, :])
+    first, second, half_cross = np.moveaxis(parts, -1, 0)
     cross = 2 * half_cross
     value = clip_at_floor(first + second - cross, SECOND_MOMENT_FLOOR, "second moment")
-    rows = zip(*(np.asarray(col).tolist() for col in (delta, value, first, second, cross)))
+    rows = zip(*(np.ravel(col).tolist() for col in (delta, value, first, second, cross)))
     return [NoiseReport(dl, v, "system", (f, s, c)) for dl, v, f, s, c in rows]
 
 
@@ -70,10 +70,10 @@ def epsilon_sq_stack(pom, values, a, rho, a_e=None) -> list[NoiseReport]:
     from A_e[m]^2 whenever the POM is not projective.  ``a_e`` is A_e[m]
     when the caller has already built it.
     """
-    a_e = effective_observables(pom, values) if a_e is None else a_e
+    a_e = effective_observables(pom, [[row] for row in values]) if a_e is None else np.asarray(a_e)[:, None]
     # m_k^2 as float powers: an array square rounds differently in about one case in a thousand.
-    a_e_sq = effective_observables(pom, [[m**2 for m in row] for row in values])
-    return _noise_reports(expectation(a_e - a, rho), a_e, a_e_sq, a, hermitian_part(a @ a), rho)
+    a_e_sq = effective_observables(pom, [[[m**2 for m in row]] for row in values])
+    return [reports[0] for reports in noise_stack(a_e, a_e_sq, a[:, None], rho)]
 
 
 def epsilon_sq_system(
@@ -119,12 +119,28 @@ def three_state_cross_term(
 def eta_sq_stack(kraus, b, rho) -> list[NoiseReport]:
     """Squared disturbance <(B^2)' + B^2 - 2 B' * B> in the system picture of N
     instruments of Kraus stacks ``(N, n_outcomes, L, d, d)``, with B and rho
-    ``(N, d, d)``; the mean shift is taken against the gated state after."""
-    b_sq = hermitian_part(b @ b)
-    primed = channel(kraus, np.stack([b, b_sq], axis=1), dual=True).swapaxes(0, 1)
-    b_prime, b_sq_prime = hermitian_part(sum(primed)).swapaxes(0, 1)
-    rho_after = validated_states(hermitian_part(sum(channel(kraus, rho).swapaxes(0, 1))))
-    return _noise_reports(expectation(b, rho_after - rho), b_prime, b_sq_prime, b, b_sq, rho)
+    ``(N, d, d)``; the mean shift is taken against the gated state after.  It is
+    :func:`noise_stack` with no estimation rows."""
+    no_rows = b[:, None][:, :0]
+    return [reports[0] for reports in noise_stack(no_rows, no_rows, b[:, None], rho, kraus)]
+
+
+def noise_stack(x, x_sq, obs, rho, kraus=None) -> list[list[NoiseReport]]:
+    """ε² of the estimates A_e[m] ``x`` and A_e[m^2] ``x_sq`` ``(N, R, d, d)`` of the first R
+    observables of ``obs`` ``(N, R_obs, d, d)``, and with the Kraus stacks η² of the last, of N
+    members in states ``(N, d, d)``, in one pass: each observable squared once, one trace of
+    the mean shifts and one ``_noise_reports``.  Each member's reports: ε² in row order, then η²."""
+    obs_sq = hermitian_part(obs @ obs)
+    kinds = [(x[:, j], x_sq[:, j], obs[:, j], obs_sq[:, j], x[:, j] - obs[:, j], rho) for j in range(x.shape[1])]
+    if kraus is not None:
+        b, b_sq = obs[:, -1], obs_sq[:, -1]
+        primed = channel(kraus, np.stack([b, b_sq], axis=1), dual=True).swapaxes(0, 1)
+        b_prime, b_sq_prime = hermitian_part(sum(primed)).swapaxes(0, 1)
+        rho_after = validated_states(hermitian_part(sum(channel(kraus, rho).swapaxes(0, 1))))
+        kinds.append((b_prime, b_sq_prime, b, b_sq, b, rho_after - rho))
+    x, x_sq, target, target_sq, shifted, states = (np.stack(col, axis=1) for col in zip(*kinds))
+    reports = _noise_reports(expectation(shifted, states), x, x_sq, target, target_sq, rho[:, None])
+    return [reports[i : i + len(kinds)] for i in range(0, len(reports), len(kinds))]
 
 
 def eta_sq_system(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> NoiseReport:

@@ -40,7 +40,7 @@ def as_complex_matrix(entries, square: bool = False) -> np.ndarray:
 
 def max_norm(m: np.ndarray) -> float:
     """Entrywise max-abs norm, the gate norm used throughout."""
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def at_index(bad: np.ndarray) -> str:
@@ -109,7 +109,7 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     if an anti-Hermitian part exceeds ``IDENTITY_TOL`` in max-norm; smaller
     ones are round-off.  On a stack, the error names the first failing matrix.
     """
-    mh = np.swapaxes(m, -1, -2).conj()
+    mh = m.swapaxes(-1, -2).conj()
     # One reduction when the gate passes: a non-finite entry makes the defect NaN or inf.
     defect = max_norm(m - mh)
     if not defect <= IDENTITY_TOL:
@@ -134,7 +134,7 @@ def validated_states(m: np.ndarray) -> np.ndarray:
     if not (low >= EIGENVALUE_FLOOR).all():
         bad = ~(low >= EIGENVALUE_FLOOR)
         raise StateValidationError(f"state has eigenvalue {low[bad][0]:.3e}{at_index(bad)} < {EIGENVALUE_FLOOR}")
-    tr = np.real(np.trace(m, axis1=-2, axis2=-1))
+    tr = m.trace(axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0) > TRACE_TOL
     if off.any():
         raise StateValidationError(f"state trace {float(tr[off][0])!r}{at_index(off)} differs from 1 by > {TRACE_TOL}")
@@ -142,7 +142,7 @@ def validated_states(m: np.ndarray) -> np.ndarray:
     if clip.any():
         vecs = evecs[clip]
         rebuilt = (vecs * np.clip(evals[clip], 0.0, None)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-        rebuilt /= np.real(np.trace(rebuilt, axis1=-2, axis2=-1))[:, None, None]
+        rebuilt /= rebuilt.trace(axis1=-2, axis2=-1).real[:, None, None]
         m = m.copy()
         m[clip] = hermitian_part(rebuilt)
         m.setflags(write=False)
@@ -182,11 +182,13 @@ def _operands(*xs) -> list[np.ndarray]:
     anything else must be a finite complex array with ndim >= 2.  The last two
     axes must be one square shape for all operands, and the leading axes must
     broadcast."""
-    mats = [x.matrix if isinstance(x, HermitianOperator) else np.asarray(x, dtype=complex) for x in xs]
-    if not all(np.isfinite(m).all() for m in mats):
-        raise StateValidationError("matrix entries must be finite")
-    shapes = {m.shape[-2:] for m in mats}
-    if any(m.ndim < 2 for m in mats) or len(shapes) != 1 or mats[0].shape[-1] != mats[0].shape[-2]:
+    mats = []
+    for x in xs:
+        mats.append(x.matrix if isinstance(x, HermitianOperator) else np.asarray(x, dtype=complex))
+        if not np.isfinite(mats[-1]).all():
+            raise StateValidationError("matrix entries must be finite")
+    square = mats[0].shape[-2:]
+    if any(m.ndim < 2 or m.shape[-2:] != square for m in mats) or square[0] != square[1]:
         raise DimensionMismatch(f"operands do not share one square shape: {[m.shape for m in mats]}")
     leading = {m.shape[:-2] for m in mats}
     if len(leading) > 1:
@@ -208,7 +210,7 @@ def commutator_bound(a, b, rho):
     """Uncertainty bound C_AB = |<[A, B]> / 2i| in the state ``rho``, a float or,
     for stacks, an array like ``expectation``'s."""
     am, bm, rm = _operands(a, b, rho)
-    t = np.abs(np.trace((am @ bm - bm @ am) @ rm, axis1=-2, axis2=-1)) / 2
+    t = np.abs(((am @ bm - bm @ am) @ rm).trace(axis1=-2, axis2=-1)) / 2
     return float(t) if t.ndim == 0 else np.ascontiguousarray(t)
 
 
@@ -217,7 +219,7 @@ def expectation(x, rho):
     and a C-contiguous float array for broadcasting stacks ``(..., d, d)``; each
     entry of a stack has the bits of its own call."""
     xm, rm = _operands(x, rho)
-    t = np.real(np.trace(xm @ rm, axis1=-2, axis2=-1))
+    t = (xm @ rm).trace(axis1=-2, axis2=-1).real
     # The real part is a strided view, and a dot product with it rounds differently.
     return float(t) if t.ndim == 0 else np.ascontiguousarray(t)
 
@@ -229,7 +231,7 @@ def expectation_and_variance(a, rho):
     its own, outside ``expectation``, so that an A^2 that overflows gives a variance of
     inf or NaN, which raises InternalNumericError, not the finiteness error of an operand."""
     am, rm = _operands(a, rho)
-    mean, second = (np.real(np.trace(x @ rm, axis1=-2, axis2=-1)) for x in (am, am @ am))
+    mean, second = ((x @ rm).trace(axis1=-2, axis2=-1).real for x in (am, am @ am))
     var = clip_at_floor(second - mean * mean, ROUNDOFF_FLOOR, "variance")
     return (float(mean), var) if mean.ndim == 0 else (mean, var)
 

@@ -5,7 +5,8 @@ point, so it is preserved and never clipped.  Each TMH table is one stacked
 Jordan product of two projector or POM stacks, read by one stacked
 ``expectation``, over a block of N scenarios; the per-scenario functions are
 blocks of one, and ``ScenarioContext`` holds the tables of its block.  A
-tunable-strength two-outcome probe reproduces each table with an O(g^2) deviation.
+tunable-strength two-outcome probe reproduces each table with an O(g^2) deviation,
+at any number of strengths in one stacked pass.
 """
 
 from __future__ import annotations
@@ -78,46 +79,43 @@ class QuasiDistribution:
         return self.table.sum(axis=0)
 
 
-def unit_mass(tables: np.ndarray) -> None:
-    """The mass gate on a table or a stack ``(..., rows, cols)`` of tables: a total mass
-    off 1 by more than MASS_TOL, or NaN, raises InternalNumericError naming the first
-    failing table of a stack."""
+def unit_mass(tables: np.ndarray) -> np.ndarray:
+    """The mass gate on a table or a stack ``(..., rows, cols)`` of tables, which it
+    returns: a total mass off 1 by more than MASS_TOL, or NaN, raises
+    InternalNumericError naming the first failing table of a stack."""
     mass = tables.sum(axis=(-2, -1))
     off = ~(np.abs(mass - 1.0) <= MASS_TOL)
     if off.any():
         raise InternalNumericError(f"total mass {float(mass[off][0])!r}{at_index(off)} deviates from 1 beyond {MASS_TOL}")
+    return tables
 
 
-def weak_probe(projectors, g: float) -> tuple[np.ndarray, np.ndarray]:
+def weak_probe(projectors, g) -> tuple[np.ndarray, np.ndarray]:
     """Two-outcome probes of strength g, one per projector Π of a stack ``(n, d, d)``.
 
     Returns the Kraus stack ``(n, 2, d, d)`` of M_± = sqrt((1±g)/2) Π +
     sqrt((1∓g)/2) (1-Π), and the calibration values n_± = (1 ± 1/g)/2 that
     invert each probe POM back onto its Π: n_+ M_+†M_+ + n_- M_-†M_- = Π is
-    checked for every projector to ``CV_RESIDUAL_TOL``.
+    checked for every strength and projector to ``CV_RESIDUAL_TOL``.  For a vector
+    of G strengths, both gain a leading axis of G rows, each with the bits of its own
+    call; a strength outside (0, 1] raises InvalidStrength naming the first.
     """
-    if not 0.0 < g <= 1.0:
-        raise InvalidStrength(f"probe strength {g!r} outside (0, 1]")
+    gv = np.asarray(g, dtype=float)
+    bad = ~((gv > 0.0) & (gv <= 1.0))
+    if bad.any():
+        raise InvalidStrength(f"probe strength {gv[bad].tolist()[0]!r} outside (0, 1]")
     pm = np.asarray(projectors, dtype=complex)
     if max_norm(pm @ pm - pm) > IDENTITY_TOL:
         raise InternalNumericError("probe target is not idempotent")
     comp = np.eye(pm.shape[-1]) - pm
-    m_plus = np.sqrt((1 + g) / 2) * pm + np.sqrt((1 - g) / 2) * comp
-    m_minus = np.sqrt((1 - g) / 2) * pm + np.sqrt((1 + g) / 2) * comp
-    kraus = np.stack([m_plus, m_minus], axis=-3)
-    calibration = np.array([(1 + 1 / g) / 2, (1 - 1 / g) / 2])
+    strong, weak = np.sqrt((1 + gv) / 2)[..., None, None, None], np.sqrt((1 - gv) / 2)[..., None, None, None]
+    kraus = np.stack([strong * pm + weak * comp, weak * pm + strong * comp], axis=-3)
+    calibration = np.stack([(1 + 1 / gv) / 2, (1 - 1 / gv) / 2], axis=-1)
     pom = kraus.conj().swapaxes(-1, -2) @ kraus
-    residual = max_norm((calibration[:, None, None] * pom).sum(axis=-3) - pm)
-    if residual > CV_RESIDUAL_TOL:
-        raise InternalNumericError(f"probe calibration residual {residual:.3e} > {CV_RESIDUAL_TOL}")
+    residual = np.abs((calibration[..., None, :, None, None] * pom).sum(axis=-3) - pm).max(axis=(-3, -2, -1))
+    if (residual > CV_RESIDUAL_TOL).any():
+        raise InternalNumericError(f"probe calibration residual {residual.max():.3e} > {CV_RESIDUAL_TOL}")
     return kraus, calibration
-
-
-def _probed_states(rho: DensityOperator, spec: SpectralDecomposition, g: float):
-    """The unnormalized states (M rho) M† after each outcome ± of the probe on
-    each eigen-branch, a stack ``(n_branches, 2, d, d)``, and the calibration n_±."""
-    kraus, calibration = weak_probe(spec.projector_stack, g)
-    return (kraus @ np.asarray(rho)) @ kraus.conj().swapaxes(-1, -2), calibration
 
 
 def _error_table(spec: SpectralDecomposition, inst: Instrument, row, table):
@@ -179,36 +177,41 @@ def conditional_weak_value(
     return numer / denom
 
 
-def weak_probe_error_distribution(
-    rho: DensityOperator,
-    a: HermitianOperator,
-    inst: Instrument,
-    values: ValueAssignment,
-    g: float,
-) -> QuasiDistribution:
-    """Operational estimate of the error quasidistribution at probe strength g.
+def weak_probe_error_stack(rho: DensityOperator, a: HermitianOperator, inst: Instrument, g_values) -> np.ndarray:
+    """Weak-probe estimates of p~(a, k) at G strengths, tables ``(G, n_branches, n_outcomes)``:
+    for each eigenbranch Π_a, probe first, then run the instrument; the calibrated sum over
+    probe outcomes approximates p~(a, k) with an error that scales as (1 - sqrt(1 - g^2))
+    times the coherence cross term."""
+    kraus, calibration = weak_probe(spectral_decompose(a).projector_stack, g_values)
+    probs = inst.outcome_probabilities((kraus @ np.asarray(rho)) @ kraus.conj().swapaxes(-1, -2))
+    n_plus, n_minus = calibration.T[..., None, None]
+    return unit_mass(n_plus * probs[:, :, 0] + n_minus * probs[:, :, 1])
 
-    For each eigenbranch Π_a, probe first, then run the instrument; the
-    calibrated sum over probe outcomes approximates p~(a, k) with an error
-    that scales as (1 - sqrt(1 - g^2)) times the coherence cross term.
-    """
-    spec = spectral_decompose(a)
-    states, (n_plus, n_minus) = _probed_states(rho, spec, g)
-    probs = inst.outcome_probabilities(states)
-    return _error_table(spec, inst, value_row(inst, values), n_plus * probs[:, 0] + n_minus * probs[:, 1])
+
+def weak_probe_error_distribution(
+    rho: DensityOperator, a: HermitianOperator, inst: Instrument, values: ValueAssignment, g: float
+) -> QuasiDistribution:
+    """Weak-probe error table at one strength: :func:`weak_probe_error_stack` on a block of one."""
+    table = weak_probe_error_stack(rho, a, inst, [g])[0]
+    return _error_table(spectral_decompose(a), inst, value_row(inst, values), table)
+
+
+def weak_probe_disturbance_stack(rho: DensityOperator, b: HermitianOperator, inst: Instrument, g_values) -> np.ndarray:
+    """Weak-probe estimates of p~(b', b) at G strengths, tables ``(G, n_branches, n_branches)``:
+    probe an eigenbranch of B, apply the instrument nonselectively, then measure the
+    eigenbranches of B again; calibrated sums over probe outcomes approximate p~(b', b)."""
+    spec = spectral_decompose(b)
+    kraus, calibration = weak_probe(spec.projector_stack, g_values)
+    after = inst.apply_nonselective(hermitian_part((kraus @ np.asarray(rho)) @ kraus.conj().swapaxes(-1, -2)))
+    reads = expectation(spec.projector_stack[:, None, None], after[:, None])
+    n_plus, n_minus = calibration.T[..., None, None]
+    return unit_mass(n_plus * reads[..., 0] + n_minus * reads[..., 1])
 
 
 def weak_probe_disturbance_distribution(
     rho: DensityOperator, b: HermitianOperator, inst: Instrument, g: float
 ) -> QuasiDistribution:
-    """Operational estimate of the disturbance quasidistribution at strength g.
-
-    Probe an eigenbranch of B, apply the instrument nonselectively, then
-    measure the eigenbranches of B again; calibrated sums over probe
-    outcomes approximate p~(b', b).
-    """
-    spec = spectral_decompose(b)
-    states, (n_plus, n_minus) = _probed_states(rho, spec, g)
-    after = inst.apply_nonselective(hermitian_part(states))
-    reads = expectation(spec.projector_stack[:, None, None], after[None])
-    return QuasiDistribution.on_branches(spec, "b'", "b", n_plus * reads[..., 0] + n_minus * reads[..., 1])
+    """Weak-probe disturbance table at one strength: :func:`weak_probe_disturbance_stack`
+    on a block of one."""
+    table = weak_probe_disturbance_stack(rho, b, inst, [g])[0]
+    return QuasiDistribution.on_branches(spectral_decompose(b), "b'", "b", table)

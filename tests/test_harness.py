@@ -191,15 +191,34 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
     def test_effective_observables_built_once(self, name, monkeypatch):
-        # A_e[m] and A_e[m^2] once each for eps_A, which the unbiasedness
-        # decision shares, and once each for eps_B when values_mB is given.
+        # One call builds A_e of the m and m^2 rows for eps_A, which the unbiasedness
+        # decision shares, and of the m_B and m_B^2 rows for eps_B when values_mB is given.
         s = load_scenario(os.path.join(SCENARIO_DIR, name))
         calls = []
         real = instruments.effective_observables
         for module in (inequalities, metrics):
             monkeypatch.setattr(module, "effective_observables", lambda pom, v: calls.append(1) or real(pom, v))
         analyze(s)
-        assert len(calls) == (2 if s.values_mB is None else 4)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+    def test_one_noise_pass(self, name, monkeypatch):
+        # eps_A, eps_B and eta_B come from one _noise_reports call: eps_A alone
+        # without B, eps_B only with values_mB.
+        s = load_scenario(os.path.join(SCENARIO_DIR, name))
+        sizes = []
+        real = metrics._noise_reports
+
+        def counted(*args):
+            reports = real(*args)
+            sizes.append(len(reports))
+            return reports
+
+        monkeypatch.setattr(metrics, "_noise_reports", counted)
+        analyze(s)
+        with_b = s.observable_B is not None
+        assert sizes == [1 + with_b + (with_b and s.values_mB is not None)]
+        assert (sizes == [1]) == (name == "weak_probe.json")
 
     @pytest.mark.parametrize(
         "name, prefix, message",
@@ -482,9 +501,9 @@ class TestSample:
     def test_negative_pair_probability_raises(self, theta_pom_scenario, monkeypatch):
         real = Instrument._channel
 
-        def negated(self, x, dual=False):
+        def negated(self, x):
             # A_k(rho) of the first outcome negated, the others as they are.
-            out = real(self, x, dual)
+            out = real(self, x)
             return np.concatenate([-out[:1], out[1:]])
 
         monkeypatch.setattr(Instrument, "_channel", negated)
@@ -529,6 +548,11 @@ class TestWeakSweep:
         for row in sweep.rows:
             assert row.disturbance_dist_maxnorm <= 1e-12
         assert sweep.disturbance_slope is None
+
+    def test_no_strengths(self, qnd_scenario):
+        sweep = weak_sweep(qnd_scenario, [])
+        assert sweep.rows == ()
+        assert sweep.error_slope is None and sweep.disturbance_slope is None
 
     def test_invalid_strength(self, weak_probe_scenario):
         from qmeasure.errors import InvalidStrength

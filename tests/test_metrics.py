@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 
 import numpy as np
@@ -7,6 +9,7 @@ from qmeasure.errors import BiasedInstrument, MissingIngredient, NotExpressible
 from qmeasure.inequalities import ScenarioContext, _members
 from qmeasure.instruments import Instrument, KrausSet, channel
 from qmeasure.metrics import (
+    NoiseReport,
     epsilon_sq_joint,
     epsilon_sq_system,
     eta_sq_joint,
@@ -228,12 +231,22 @@ def _d4_indirect() -> Scenario:
     return Scenario(4, state, a, Instrument.from_indirect(model), values, observable_B=b, indirect=model)
 
 
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+
+def _bundled() -> list[Scenario]:
+    return [load_scenario(os.path.join(SCENARIOS, name)) for name in sorted(os.listdir(SCENARIOS))]
+
+
+def _block_members() -> list[tuple[Scenario, ScenarioContext]]:
+    """Sweep members in blocks, and the bundled files and a d = 4 indirect scenario as blocks of one."""
+    return [*_members([2, 3, 5, 8], 10, 31, 4), *((s, ScenarioContext([s])) for s in [*_bundled(), _d4_indirect()])]
+
+
 def test_block_metrics_have_the_bits_of_each_scenario():
     # η² in its Lindblad form, the QND flag and m^(2) of every member, built for the
     # whole block, equal the per-scenario functions exactly; without B only m^(2) exists.
-    directory = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-    singles = [load_scenario(os.path.join(directory, name)) for name in sorted(os.listdir(directory))]
-    members = [*_members([2, 3, 5, 8], 10, 31, 4), *((s, ScenarioContext([s])) for s in [*singles, _d4_indirect()])]
+    members = _block_members()
     assert max(len(ctx.scenarios) for _, ctx in members) > 1
     assert sum(s.observable_B is None for s, _ in members) == 1
     assert {m is None for m in map(_moment_values_or_none, (s for s, _ in members))} == {True, False}
@@ -248,3 +261,42 @@ def test_block_metrics_have_the_bits_of_each_scenario():
         lindblad = eta_sq_lindblad(s.apparatus, s.observable_B, s.state)
         assert ctx.eta_lindblad[i].hex() == lindblad.hex()
         assert ctx.qnd[i] is is_qnd(s.apparatus, s.observable_B)
+
+
+def _bits(report: NoiseReport) -> tuple:
+    return report.picture, report.delta.hex(), report.mean_squared.hex(), [c.hex() for c in report.components]
+
+
+def test_noise_pass_has_the_bits_of_each_scenario():
+    # ε² of A and B, η² of B and A_e[m] of every member, from the block's one noise
+    # pass, equal the per-scenario functions field by field, bit for bit.
+    members = _block_members()
+    assert max(len(ctx.scenarios) for _, ctx in members) > 1
+    kinds = {(s.observable_B is None, s.values_mB is None) for s, _ in members}
+    assert kinds == {(True, True), (False, True), (False, False)}
+    for s, ctx in members:
+        i = ctx.position(s)
+        inst, a, b, rho = s.apparatus, s.observable_A, s.observable_B, s.state
+        assert _bits(ctx.epsilon[i]) == _bits(epsilon_sq_system(inst, s.values_m, a, rho))
+        assert np.array_equal(ctx.effective_A[i], inst.effective_observable(s.values_m).matrix)
+        if s.values_mB is not None:
+            own = epsilon_sq_system(inst, s.values_mB, b, rho)
+            assert _bits(ctx._noise[1][i][1]) == _bits(own)
+            assert ctx.eps_B[i].hex() == math.sqrt(own.mean_squared).hex()
+        if b is not None:
+            assert _bits(ctx.eta[i]) == _bits(eta_sq_system(inst, b, rho))
+
+
+def test_noise_pass_names_a_missing_values_mb_before_a_missing_b():
+    weak, qnd = (load_scenario(os.path.join(SCENARIOS, f"{name}.json")) for name in ("weak_probe", "qnd"))
+    ctx = ScenarioContext([weak])
+    with pytest.raises(MissingIngredient, match="values_mB"):
+        ctx.eps_B
+    with pytest.raises(MissingIngredient, match="observable_B"):
+        ctx.eta
+    with pytest.raises(MissingIngredient, match="observable_B"):
+        ScenarioContext([dataclasses.replace(weak, values_mB=dict(weak.values_m))]).eps_B
+    ctx = ScenarioContext([dataclasses.replace(qnd, values_mB=None)])
+    with pytest.raises(MissingIngredient, match="values_mB"):
+        ctx.eps_B
+    assert _bits(ctx.eta[0]) == _bits(eta_sq_system(qnd.apparatus, qnd.observable_B, qnd.state))

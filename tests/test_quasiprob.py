@@ -33,7 +33,9 @@ from qmeasure.quasiprob import (
     tmh_error_distribution,
     weak_probe,
     weak_probe_disturbance_distribution,
+    weak_probe_disturbance_stack,
     weak_probe_error_distribution,
+    weak_probe_error_stack,
 )
 from qmeasure.scenario import (
     _rng,
@@ -263,6 +265,38 @@ class TestWeakProbe:
                 own_kraus, own_calibration = weak_probe(stack[i : i + 1], g)
                 assert np.array_equal(kraus[i], own_kraus[0])
                 assert np.array_equal(calibration, own_calibration)
+
+
+    def test_strength_vector_has_the_bits_of_each_strength(self):
+        proj = random_hermitian(3, _rng(84)).spectrum.projector_stack
+        strengths = [0.3, 1e-3]
+        kraus, calibration = weak_probe(proj, strengths)
+        assert kraus.shape == (2, len(proj), 2, 3, 3) and calibration.shape == (2, 2)
+        for g, row_kraus, row_calibration in zip(strengths, kraus, calibration):
+            own_kraus, own_calibration = weak_probe(proj, g)
+            assert np.array_equal(row_kraus, own_kraus)
+            assert np.array_equal(row_calibration, own_calibration)
+
+    def test_a_strength_vector_names_its_first_bad_strength(self):
+        with pytest.raises(InvalidStrength, match=r"^probe strength 0\.0 outside \(0, 1\]$"):
+            weak_probe(np.array([np.diag([1.0, 0.0])]), [0.5, 0.0, 2.0])
+
+
+def test_stacked_weak_tables_have_the_bits_of_each_strength():
+    # One stacked pass over the sweep strengths and g = 1 gives, row by row, the
+    # per-strength tables bit for bit.
+    strengths = [0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 1.0]
+    for s, _ in _bundled_members():
+        rho, a, b, inst = s.state, s.observable_A, s.observable_B, s.apparatus
+        error = weak_probe_error_stack(rho, a, inst, strengths)
+        assert len(error) == len(strengths)
+        for g, table in zip(strengths, error):
+            assert np.array_equal(table, weak_probe_error_distribution(rho, a, inst, s.values_m, g).table)
+        if b is not None:
+            disturbance = weak_probe_disturbance_stack(rho, b, inst, strengths)
+            assert len(disturbance) == len(strengths)
+            for g, table in zip(strengths, disturbance):
+                assert np.array_equal(table, weak_probe_disturbance_distribution(rho, b, inst, g).table)
 
 
 def _per_branch_tables(rho, a, b, inst, g):
