@@ -360,9 +360,8 @@ def weak_sweep(scenario: Scenario, g_list) -> WeakSweep:
     every strength before any probe work.  Fits a log-log slope over the provided
     strengths (skipped when every error is at round-off, e.g. commuting scenarios).
     """
-    s = scenario
+    s, g_values = scenario, [float(g) for g in g_list]
     ctx = ScenarioContext([s])
-    g_values = [float(g) for g in g_list]
     approx = weak_probe_error_stack(s.state, s.observable_A, s.apparatus, g_values)
     errors = np.abs(approx - ctx.error_distribution[0].table).max(axis=(-2, -1)).tolist()
     dist_errors = []

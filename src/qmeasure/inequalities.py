@@ -192,21 +192,16 @@ class ScenarioContext:
 
     @cached_property
     def _noise(self) -> tuple[np.ndarray, list[list[NoiseReport]]]:
-        """A_e of the value rows m and, where the block has B and values_mB, m_B, from one call,
-        and each member's :func:`metrics.noise_stack` reports: ε² of A, then of B, then η² of B."""
-        s, rows = self.scenarios[0], [[m] for m in self._values_m]
+        """A_e of the value rows m and, where the block has B and values_mB, m_B, then of their squares,
+        in one call, and each member's :func:`metrics.noise_stack` reports: ε² of A, of B, then η² of B."""
+        s, rows = self.scenarios[0], [self._values_m]
         if s.observable_B is not None and s.values_mB is not None:
-            rows = [[m, m_b] for m, m_b in zip(self._values_m, self._values_mB)]
+            rows.append(self._values_mB)
         # m_k^2 as float powers, as in epsilon_sq_stack.
-        x = effective_observables(self._pom, [row + [[m**2 for m in r] for r in row] for row in rows])
-        r, with_b = len(rows[0]), s.observable_B is not None
-        obs = np.stack([self._a, self._b], axis=1) if with_b else self._a[:, None]
-        return x, noise_stack(x[:, :r], x[:, r:], obs, self._rho, self._kraus if with_b else None)
-
-    @cached_property
-    def effective_A(self) -> np.ndarray:
-        """A_e[m] of every member, from the noise pass, which the unbiasedness decision shares."""
-        return self._noise[0][:, 0]
+        x = effective_observables(self._pom, [[*r, *([m**2 for m in v] for v in r)] for r in zip(*rows)])
+        if s.observable_B is None:
+            return x, noise_stack(x, self._a[:, None], self._rho)
+        return x, noise_stack(x, np.stack([self._a, self._b], axis=1), self._rho, self._kraus)
 
     @cached_property
     def epsilon(self) -> list[NoiseReport]:
@@ -214,7 +209,7 @@ class ScenarioContext:
 
     @cached_property
     def unbiased(self) -> list[bool]:
-        return is_unbiased(self.effective_A, self._a)
+        return is_unbiased(self._noise[0][:, 0], self._a)
 
     @cached_property
     def _kraus(self) -> np.ndarray:

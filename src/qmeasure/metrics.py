@@ -61,19 +61,17 @@ def _noise_reports(delta, x, x_sq, a, a_sq, rho) -> list[NoiseReport]:
     return [NoiseReport(dl, v, "system", (f, s, c)) for dl, v, f, s, c in rows]
 
 
-def epsilon_sq_stack(pom, values, a, rho, a_e=None) -> list[NoiseReport]:
+def epsilon_sq_stack(pom, values, a, rho) -> list[NoiseReport]:
     """Squared noise <A_e[m^2] + A^2 - 2 A_e[m] * A> in the system picture of N
     estimations: POM stacks ``(N, n_outcomes, d, d)``, value rows (N lists of floats in
     outcome order), and A and rho ``(N, d, d)``.
 
     The first term uses the squared spectrum per outcome, which differs
-    from A_e[m]^2 whenever the POM is not projective.  ``a_e`` is A_e[m]
-    when the caller has already built it.
+    from A_e[m]^2 whenever the POM is not projective.
     """
-    a_e = effective_observables(pom, [[row] for row in values]) if a_e is None else np.asarray(a_e)[:, None]
     # m_k^2 as float powers: an array square rounds differently in about one case in a thousand.
-    a_e_sq = effective_observables(pom, [[[m**2 for m in row]] for row in values])
-    return [reports[0] for reports in noise_stack(a_e, a_e_sq, a[:, None], rho)]
+    x = effective_observables(pom, [[row, [m**2 for m in row]] for row in values])
+    return [reports[0] for reports in noise_stack(x, a[:, None], rho)]
 
 
 def epsilon_sq_system(
@@ -117,27 +115,24 @@ def three_state_cross_term(
 
 
 def eta_sq_stack(kraus, b, rho) -> list[NoiseReport]:
-    """Squared disturbance <(B^2)' + B^2 - 2 B' * B> in the system picture of N
-    instruments of Kraus stacks ``(N, n_outcomes, L, d, d)``, with B and rho
-    ``(N, d, d)``; the mean shift is taken against the gated state after.  It is
-    :func:`noise_stack` with no estimation rows."""
-    no_rows = b[:, None][:, :0]
-    return [reports[0] for reports in noise_stack(no_rows, no_rows, b[:, None], rho, kraus)]
+    """Squared disturbance <(B^2)' + B^2 - 2 B' * B> in the system picture of N instruments of
+    Kraus stacks ``(N, n_outcomes, L, d, d)``, with B and rho ``(N, d, d)``; the mean shift is
+    taken against the gated state after.  It is :func:`noise_stack` with no estimation rows."""
+    return [reports[0] for reports in noise_stack(b[:, None][:, :0], b[:, None], rho, kraus)]
 
 
-def noise_stack(x, x_sq, obs, rho, kraus=None) -> list[list[NoiseReport]]:
-    """ε² of the estimates A_e[m] ``x`` and A_e[m^2] ``x_sq`` ``(N, R, d, d)`` of the first R
-    observables of ``obs`` ``(N, R_obs, d, d)``, and with the Kraus stacks η² of the last, of N
-    members in states ``(N, d, d)``, in one pass: each observable squared once, one trace of
-    the mean shifts and one ``_noise_reports``.  Each member's reports: ε² in row order, then η²."""
-    obs_sq = hermitian_part(obs @ obs)
-    kinds = [(x[:, j], x_sq[:, j], obs[:, j], obs_sq[:, j], x[:, j] - obs[:, j], rho) for j in range(x.shape[1])]
+def noise_stack(x, obs, rho, kraus=None) -> list[list[NoiseReport]]:
+    """ε² of the estimates ``x`` ``(N, 2R, d, d)``, A_e[m] of R value rows and then A_e[m^2] of the
+    same rows, of the first R observables of ``obs`` ``(N, R_obs, d, d)``, and with the Kraus stacks
+    η² of the last, of N members in states ``(N, d, d)``, in one pass: each observable squared once,
+    one trace of the mean shifts and one ``_noise_reports``.  Per member: ε² in row order, then η²."""
+    r, obs_sq = x.shape[1] // 2, hermitian_part(obs @ obs)
+    kinds = [(x[:, j], x[:, r + j], obs[:, j], obs_sq[:, j], x[:, j] - obs[:, j], rho) for j in range(r)]
     if kraus is not None:
-        b, b_sq = obs[:, -1], obs_sq[:, -1]
-        primed = channel(kraus, np.stack([b, b_sq], axis=1), dual=True).swapaxes(0, 1)
+        primed = channel(kraus, np.stack([obs[:, -1], obs_sq[:, -1]], axis=1), dual=True).swapaxes(0, 1)
         b_prime, b_sq_prime = hermitian_part(sum(primed)).swapaxes(0, 1)
         rho_after = validated_states(hermitian_part(sum(channel(kraus, rho).swapaxes(0, 1))))
-        kinds.append((b_prime, b_sq_prime, b, b_sq, b, rho_after - rho))
+        kinds.append((b_prime, b_sq_prime, obs[:, -1], obs_sq[:, -1], obs[:, -1], rho_after - rho))
     x, x_sq, target, target_sq, shifted, states = (np.stack(col, axis=1) for col in zip(*kinds))
     reports = _noise_reports(expectation(shifted, states), x, x_sq, target, target_sq, rho[:, None])
     return [reports[i : i + len(kinds)] for i in range(0, len(reports), len(kinds))]

@@ -4,9 +4,8 @@ The joint tables built here may carry negative entries; negativity is the
 point, so it is preserved and never clipped.  Each TMH table is one stacked
 Jordan product of two projector or POM stacks, read by one stacked
 ``expectation``, over a block of N scenarios; the per-scenario functions are
-blocks of one, and ``ScenarioContext`` holds the tables of its block.  A
-tunable-strength two-outcome probe reproduces each table with an O(g^2) deviation,
-at any number of strengths in one stacked pass.
+blocks of one, and ``ScenarioContext`` holds the tables of its block.  A two-outcome
+probe reproduces each table with an O(g^2) deviation, at G strengths in one stacked pass.
 """
 
 from __future__ import annotations
@@ -80,9 +79,9 @@ class QuasiDistribution:
 
 
 def unit_mass(tables: np.ndarray) -> np.ndarray:
-    """The mass gate on a table or a stack ``(..., rows, cols)`` of tables, which it
-    returns: a total mass off 1 by more than MASS_TOL, or NaN, raises
-    InternalNumericError naming the first failing table of a stack."""
+    """A table or a stack ``(..., rows, cols)`` of tables, returned after the mass gate: a
+    total mass off 1 by more than MASS_TOL, or NaN, raises InternalNumericError naming the
+    first failing table of a stack."""
     mass = tables.sum(axis=(-2, -1))
     off = ~(np.abs(mass - 1.0) <= MASS_TOL)
     if off.any():
@@ -101,9 +100,8 @@ def weak_probe(projectors, g) -> tuple[np.ndarray, np.ndarray]:
     call; a strength outside (0, 1] raises InvalidStrength naming the first.
     """
     gv = np.asarray(g, dtype=float)
-    bad = ~((gv > 0.0) & (gv <= 1.0))
-    if bad.any():
-        raise InvalidStrength(f"probe strength {gv[bad].tolist()[0]!r} outside (0, 1]")
+    if bad := [x for x in gv.ravel().tolist() if not 0.0 < x <= 1.0]:
+        raise InvalidStrength(f"probe strength {bad[0]!r} outside (0, 1]")
     pm = np.asarray(projectors, dtype=complex)
     if max_norm(pm @ pm - pm) > IDENTITY_TOL:
         raise InternalNumericError("probe target is not idempotent")
@@ -112,9 +110,9 @@ def weak_probe(projectors, g) -> tuple[np.ndarray, np.ndarray]:
     kraus = np.stack([strong * pm + weak * comp, weak * pm + strong * comp], axis=-3)
     calibration = np.stack([(1 + 1 / gv) / 2, (1 - 1 / gv) / 2], axis=-1)
     pom = kraus.conj().swapaxes(-1, -2) @ kraus
-    residual = np.abs((calibration[..., None, :, None, None] * pom).sum(axis=-3) - pm).max(axis=(-3, -2, -1))
-    if (residual > CV_RESIDUAL_TOL).any():
-        raise InternalNumericError(f"probe calibration residual {residual.max():.3e} > {CV_RESIDUAL_TOL}")
+    residual = max_norm((calibration[..., None, :, None, None] * pom).sum(axis=-3) - pm)
+    if residual > CV_RESIDUAL_TOL:
+        raise InternalNumericError(f"probe calibration residual {residual:.3e} > {CV_RESIDUAL_TOL}")
     return kraus, calibration
 
 
@@ -211,7 +209,6 @@ def weak_probe_disturbance_stack(rho: DensityOperator, b: HermitianOperator, ins
 def weak_probe_disturbance_distribution(
     rho: DensityOperator, b: HermitianOperator, inst: Instrument, g: float
 ) -> QuasiDistribution:
-    """Weak-probe disturbance table at one strength: :func:`weak_probe_disturbance_stack`
-    on a block of one."""
+    """Weak-probe disturbance table at one strength: :func:`weak_probe_disturbance_stack` on a block of one."""
     table = weak_probe_disturbance_stack(rho, b, inst, [g])[0]
     return QuasiDistribution.on_branches(spectral_decompose(b), "b'", "b", table)

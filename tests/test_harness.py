@@ -220,6 +220,38 @@ class TestAnalyze:
         assert sizes == [1 + with_b + (with_b and s.values_mB is not None)]
         assert (sizes == [1]) == (name == "weak_probe.json")
 
+    def test_a_failing_state_after_gate_stops_analyze_before_the_eps_cross_check(self, monkeypatch):
+        # The state after the instrument is gated in the one noise pass, which the first
+        # read of epsilon runs, so with B that gate fails before any epsilon^2 cross-check;
+        # without B the pass has no state after, and analyze completes.
+        def failing_gate(m):
+            raise StateValidationError("state after failed")
+
+        checks = []
+        real = quasiprob.quasi_mean_squared_difference
+        monkeypatch.setattr(metrics, "validated_states", failing_gate)
+        monkeypatch.setattr(harness, "quasi_mean_squared_difference", lambda d: checks.append(d) or real(d))
+        with pytest.raises(StateValidationError, match="^state after failed$"):
+            analyze(load_scenario(os.path.join(SCENARIO_DIR, "qnd.json")))
+        assert checks == []
+        analyze(load_scenario(os.path.join(SCENARIO_DIR, "weak_probe.json")))
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("qnd", r"^second moment 2\.220e-16 at index \(0, 2\) below 1e-12$"),
+            ("cnot_projective", r"^second moment 0\.000e\+00 at index \(0, 0\) below 1e-12$"),
+        ],
+    )
+    def test_the_second_moment_floor_names_member_and_kind(self, name, message, monkeypatch):
+        # The noise pass gates eps_A^2, eps_B^2 and eta_B^2 of a member together, so the
+        # error names (member, kind), kinds in that order: qnd's eta^2 is 2.2e-16 and
+        # cnot_projective's eps_A^2 is 0, both below a raised floor of 1e-12.
+        monkeypatch.setattr(metrics, "SECOND_MOMENT_FLOOR", 1e-12)
+        with pytest.raises(InternalNumericError, match=message):
+            analyze(load_scenario(os.path.join(SCENARIO_DIR, f"{name}.json")))
+
     @pytest.mark.parametrize(
         "name, prefix, message",
         [

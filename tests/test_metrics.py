@@ -278,7 +278,7 @@ def test_noise_pass_has_the_bits_of_each_scenario():
         i = ctx.position(s)
         inst, a, b, rho = s.apparatus, s.observable_A, s.observable_B, s.state
         assert _bits(ctx.epsilon[i]) == _bits(epsilon_sq_system(inst, s.values_m, a, rho))
-        assert np.array_equal(ctx.effective_A[i], inst.effective_observable(s.values_m).matrix)
+        assert np.array_equal(ctx._noise[0][i, 0], inst.effective_observable(s.values_m).matrix)
         if s.values_mB is not None:
             own = epsilon_sq_system(inst, s.values_mB, b, rho)
             assert _bits(ctx._noise[1][i][1]) == _bits(own)

@@ -9,6 +9,7 @@ pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)
 
 PARENT = [10.0, 10.5, 11.0, 10.2, 10.8, 10.4, 10.6, 10.1, 10.9, 10.3]
+NONE_FAILED = {"parent": 0, "change": 0}
 
 
 def _runs(values, metric="pass_ms_p90"):
@@ -27,20 +28,26 @@ def test_quartiles_are_inclusive():
 def test_nine_wins_of_ten_and_a_gain_beyond_the_parent_iqr_meet_a_claim():
     entry = _entry(PARENT, [8.0, 8.5, 9.0, 8.2, 8.8, 8.4, 8.6, 8.1, 11.5, 8.3])
     assert (entry["wins"], entry["losses"], entry["pairs"]) == (9, 1, 10)
-    assert pairs.verdict(entry, all_correct=True)["met"]
-    assert not pairs.verdict(entry, all_correct=False)["met"]
+    assert pairs.verdict(entry, True, NONE_FAILED)["met"]
+    assert not pairs.verdict(entry, False, NONE_FAILED)["met"]
+
+
+def test_more_failed_requests_than_the_parent_do_not():
+    entry = _entry(PARENT, [8.0, 8.5, 9.0, 8.2, 8.8, 8.4, 8.6, 8.1, 8.7, 8.3])
+    assert pairs.verdict(entry, True, {"parent": 2, "change": 2})["met"]
+    assert not pairs.verdict(entry, True, {"parent": 2, "change": 3})["met"]
 
 
 def test_eight_wins_of_ten_do_not():
     entry = _entry(PARENT, [8.0, 8.5, 9.0, 8.2, 8.8, 8.4, 8.6, 8.1, 11.5, 11.0])
     assert entry["wins"] == 8
-    assert not pairs.verdict(entry, all_correct=True)["met"]
+    assert not pairs.verdict(entry, True, NONE_FAILED)["met"]
 
 
 def test_a_gain_inside_the_parent_iqr_does_not():
     entry = _entry(PARENT, [v - 0.1 for v in PARENT])
     assert entry["wins"] == 10
-    verdict = pairs.verdict(entry, all_correct=True)
+    verdict = pairs.verdict(entry, True, NONE_FAILED)
     assert verdict["median_gain"] < verdict["parent_iqr"]
     assert not verdict["met"]
 

@@ -1,15 +1,14 @@
 """Alternating parent/change pairs of the benchmark, summarised in a BENCH_*.json file.
 
     python3 tools/pairs.py --base REV --name NAME --workload W[:PAIRS] ... \\
-        [--seconds S] [--first-seed K] [--claim W:METRIC] [--note TEXT]
+        [--claim W:METRIC] [--note TEXT]
 
 The parent side runs ``perfbench/run.py`` from an export of ``--base`` (``git
 archive``, into a temporary directory that is removed afterwards); the change side
 runs it from this checkout, working tree included.  Pair i (from 0) of a workload
-uses seed ``first_seed + i`` on both sides, the parent first in even pairs and the
-change first in odd ones, one run at a time, each with ``--trace 0`` and the run
-length of BENCHMARK.json unless ``--seconds`` is given.  A workload given as
-``W:PAIRS`` runs that many pairs, otherwise ten.
+uses seed 1 + i on both sides, the parent first in even pairs and the change first
+in odd ones, one run at a time, each with ``--trace 0`` and the run length of
+BENCHMARK.json.  A workload given as ``W:PAIRS`` runs that many pairs, otherwise ten.
 
 The file ``BENCH_<UTC date>-<name>.json`` at the root of the checkout records per
 workload every run (seed, order, exit code, correctness, attempted and failed
@@ -17,9 +16,9 @@ requests, the end-to-end metrics and the ungated per-class figures of its full
 result), each side's median and quartiles (inclusive method) of every end-to-end
 metric, and per metric the pairs the change won (by the metric's direction in
 BENCHMARK.json; ties count for neither side).  With ``--claim``, it prints and
-records the benchmark rule for a gain: every run correct, the change wins at least
-nine tenths of the pairs, and its median beats the parent's by more than the
-parent's interquartile distance.
+records the benchmark rule for a gain: every run correct, the change fails no more
+requests than the parent, the change wins at least nine tenths of the pairs, and its
+median beats the parent's by more than the parent's interquartile distance.
 """
 
 from __future__ import annotations
@@ -104,9 +103,10 @@ def compare(parent: list[dict], change: list[dict], metrics: dict[str, str]) -> 
     return out
 
 
-def verdict(entry: dict, all_correct: bool) -> dict:
-    """The gain rule on one metric's comparison: every run correct, wins >= 9/10 of the
-    pairs, and a median gain larger than the parent's interquartile distance."""
+def verdict(entry: dict, all_correct: bool, failed: dict[str, int]) -> dict:
+    """The gain rule on one metric's comparison: every run correct, the change's failed
+    requests (``failed["change"]``, summed over its runs) no more than the parent's, wins
+    >= 9/10 of the pairs, and a median gain larger than the parent's interquartile distance."""
     p, c = entry["parent"], entry["change"]
     if None in (p["median"], p["q1"], p["q3"], c["median"]):
         return {"wins": f"{entry['wins']}/{entry['pairs']}", "met": False}
@@ -119,7 +119,7 @@ def verdict(entry: dict, all_correct: bool) -> dict:
         "median_gain": gain,
         "ratio": c["median"] / p["median"],
         "parent_iqr": iqr,
-        "met": bool(all_correct and wins_ok and gain > iqr),
+        "met": bool(all_correct and failed["change"] <= failed["parent"] and wins_ok and gain > iqr),
     }
 
 
@@ -128,8 +128,6 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="the parent revision")
     parser.add_argument("--name", required=True, help="the file name's suffix, BENCH_<date>-<name>.json")
     parser.add_argument("--workload", action="append", required=True, help="W or W:PAIRS; may repeat")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--claim", help="W:METRIC whose gain to judge")
     parser.add_argument("--note", default="", help="what the change does, recorded in the file")
     args = parser.parse_args(argv)
@@ -137,7 +135,7 @@ def main(argv=None) -> int:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    seconds = args.seconds if args.seconds is not None else float(spec["run_seconds"])
+    seconds = float(spec["run_seconds"])
     plan = []
     for item in args.workload:
         name, _, count = item.partition(":")
@@ -155,7 +153,7 @@ def main(argv=None) -> int:
         for workload, count in plan:
             sides = {"parent": [], "change": []}
             for i in range(count):
-                seed = args.first_seed + i
+                seed = 1 + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     run = run_once(parent_tree if side == "parent" else ROOT, workload, seed, seconds)
@@ -164,9 +162,9 @@ def main(argv=None) -> int:
                     shown = {k: run["metrics"].get(k) for k in metrics}
                     tag = f"{workload} pair {i + 1}/{count} seed {seed} {side}"
                     print(f"{tag}: exit {run['exit']} {shown}", file=sys.stderr)
-            all_correct = all(run["correct"] for runs in sides.values() for run in runs)
             doc["workloads"][workload] = {
-                "all_correct": all_correct,
+                "all_correct": all(run["correct"] for runs in sides.values() for run in runs),
+                "failed": {side: sum(run.get("failed", 0) for run in runs) for side, runs in sides.items()},
                 "metrics": compare(sides["parent"], sides["change"], metrics),
                 "runs": sides,
             }
@@ -175,7 +173,7 @@ def main(argv=None) -> int:
     if args.claim:
         workload, _, metric = args.claim.partition(":")
         entry = doc["workloads"][workload]
-        judged = verdict(entry["metrics"][metric], entry["all_correct"])
+        judged = verdict(entry["metrics"][metric], entry["all_correct"], entry["failed"])
         doc["claim"] = {"workload": workload, "metric": metric, **judged}
         print(json.dumps(doc["claim"]))
     date = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%d")
