@@ -10,7 +10,6 @@ from .operators import (
     expectation,
     expectation_and_variance,
     jordan_product,
-    partial_trace,
     spectral_decompose,
     tensor_product,
 )

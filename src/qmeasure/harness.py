@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import InternalNumericError, NotExpressible
 from .inequalities import InequalityRecord, ScenarioContext, evaluate_all
-from .instruments import value_row
+from .instruments import channel, value_row
 from .metrics import NoiseReport, epsilon_sq_joint, eta_sq_joint
 from .operators import cross_check, expectation, spectral_decompose, value_variance
 from .quasiprob import (
@@ -30,7 +29,7 @@ from .quasiprob import (
     weak_probe_disturbance_stack,
     weak_probe_error_stack,
 )
-from .scenario import Scenario
+from .scenario import Scenario, checked_int
 from .tolerances import POM_PSD_FLOOR, SLOPE_FLOOR
 
 SCHEMA_VERSION = "1"
@@ -219,11 +218,7 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     So memory is bounded by 2^16 words, not by ``shots``, and the counts equal those
     of one draw of all ``shots`` uniforms, whatever the CPU count.
     """
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
-        raise TypeError(f"shots must be an integer, got {shots!r}")
-    shots = int(shots)  # numpy integers overflow in Philox.advance
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots, seed = checked_int("shots", shots, 1), checked_int("seed", seed, 0)
     s = scenario
     inst, rho = s.apparatus, s.state
     labels = inst.labels
@@ -231,14 +226,15 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     if s.observable_B is not None:
         spec_b = spectral_decompose(s.observable_B)
         cells = [(label, posterior) for label in labels for posterior in spec_b.labels("b'")]
-        probs = expectation(spec_b.projector_stack, inst._channel(rho)[:, None]).ravel()
+        after = channel(inst.kraus_stack[None], np.asarray(rho)[None])[0]
+        probs = expectation(spec_b.projector_stack, after[:, None]).ravel()
     else:
         probs = inst.outcome_probabilities(rho)
     if not (np.isfinite(probs).all() and probs.min() >= POM_PSD_FLOOR):
         raise InternalNumericError(f"cell probability {probs.min():.3e} not finite or below {POM_PSD_FLOOR}")
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
-    binned = _cell_counts(int(seed), shots, probs)
+    binned = _cell_counts(seed, shots, probs)
     outcome_counts = dict(zip(labels, binned.reshape(len(labels), -1).sum(axis=1).tolist()))
     pair_counts = None if s.observable_B is None else dict(zip(cells, binned.tolist()))
 
@@ -260,7 +256,7 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
         pass
 
     return SampleRun(
-        seed=int(seed),
+        seed=seed,
         shots=shots,
         counts=outcome_counts,
         pair_counts=pair_counts,

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import MissingIngredient, NegativeRadicand, NotExpressible
-from .instruments import effective_observables, value_row
+from .instruments import value_row
 from .metrics import NoiseReport, eta_sq_lindblad_stack, is_qnd_stack, is_unbiased, noise_stack
 from .operators import (
     SIGMA_X,
@@ -192,16 +192,14 @@ class ScenarioContext:
 
     @cached_property
     def _noise(self) -> tuple[np.ndarray, list[list[NoiseReport]]]:
-        """A_e of the value rows m and, where the block has B and values_mB, m_B, then of their squares,
-        in one call, and each member's :func:`metrics.noise_stack` reports: ε² of A, of B, then η² of B."""
+        """:func:`metrics.noise_stack` of the value rows m and, where the block has B and values_mB,
+        m_B: A_e of the rows, then of their squares, and each member's reports: ε² of A, of B, then η² of B."""
         s, rows = self.scenarios[0], [self._values_m]
         if s.observable_B is not None and s.values_mB is not None:
             rows.append(self._values_mB)
-        # m_k^2 as float powers, as in epsilon_sq_stack.
-        x = effective_observables(self._pom, [[*r, *([m**2 for m in v] for v in r)] for r in zip(*rows)])
         if s.observable_B is None:
-            return x, noise_stack(x, self._a[:, None], self._rho)
-        return x, noise_stack(x, np.stack([self._a, self._b], axis=1), self._rho, self._kraus)
+            return noise_stack(self._pom, zip(*rows), self._a[:, None], self._rho)
+        return noise_stack(self._pom, zip(*rows), np.stack([self._a, self._b], axis=1), self._rho, self._kraus)
 
     @cached_property
     def epsilon(self) -> list[NoiseReport]:

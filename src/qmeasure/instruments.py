@@ -102,10 +102,6 @@ class IndirectModel:
         object.__setattr__(self, "readout_basis", basis)
         object.__setattr__(self, "labels", labels)
 
-    def readout_observable(self, values: ValueAssignment) -> np.ndarray:
-        """Detector-space observable sum_k m_k |k><k| for the given values."""
-        return sum(m * np.outer(vec, vec.conj()) for m, vec in zip(value_row(self, values), self.readout_basis))
-
 
 @dataclass(frozen=True, eq=False)
 class Instrument:
@@ -208,14 +204,10 @@ class Instrument:
         rm = np.asarray(rho)
         return expectation(self.pom_stack, rm[..., None, :, :] if rm.ndim > 2 else rm)
 
-    def _channel(self, x) -> np.ndarray:
-        """A_k(x) of every outcome of this instrument by :func:`channel`, ``(n_outcomes, ..., d, d)``."""
-        return channel(self.kraus_stack[None], np.asarray(x)[None])[0]
-
     def apply_nonselective(self, rho) -> np.ndarray:
-        """Post-measurement operator with the outcome record discarded: the sum
-        of A_k(rho) over all outcomes, in declared order.  ``rho`` may be unnormalized."""
-        return hermitian_part(sum(self._channel(rho)))
+        """Post-measurement operator with the outcome record discarded: :func:`nonselective`
+        of this instrument.  ``rho`` may be unnormalized."""
+        return nonselective(self.kraus_stack[None], np.asarray(rho)[None])[0]
 
     def effective_observable(self, values: ValueAssignment) -> HermitianOperator:
         """Observable sum_k m_k P_k actually estimated by the apparatus."""
@@ -340,10 +332,17 @@ def channel(kraus: np.ndarray, x, dual: bool = False) -> np.ndarray:
     return hermitian_part(kraus_sum(kraus, sandwich, xm.ndim - 1))
 
 
+def nonselective(kraus: np.ndarray, x, dual: bool = False) -> np.ndarray:
+    """sum_k A_k(x) (``dual``: sum_k A*_k(x)) of N instruments ``(N, n_outcomes, L, d, d)``,
+    one per operand ``(N, ..., d, d)``: the :func:`channel` rows summed in declared
+    outcome order, then gated by ``hermitian_part``."""
+    return hermitian_part(sum(channel(kraus, x, dual).swapaxes(0, 1)))
+
+
 def effective_observables(pom: np.ndarray, values) -> np.ndarray:
     """sum_k m_k P_k in declared outcome order of N POM stacks ``(N, n_outcomes, d, d)``,
-    each with its R rows of ``values`` ``(N, R, n_outcomes)``, as ``(N, R, d, d)``."""
-    m = np.asarray(values, dtype=float)
+    each with its R rows of ``values`` ``(N, R, n_outcomes)``, R possibly 0, as ``(N, R, d, d)``."""
+    m = np.asarray(values, dtype=float).reshape(len(pom), -1, pom.shape[1])
     return hermitian_part(sum(m[..., k, None, None] * pom[:, k, None] for k in range(pom.shape[1])))
 
 

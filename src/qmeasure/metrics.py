@@ -4,10 +4,12 @@ The same quantities are computable in the joint system-detector picture
 (from an explicit unitary model) and in the reduced system picture (from
 the instrument alone); the two must agree to ``CROSS_CHECK_TOL``, which the
 test suite exercises as a cross-picture oracle.  In the system picture, ε²
-and η² are one formula, <X_sq + A^2 - 2 X * A> with X = A_e[m] or B', and
-every trace is ``operators.expectation``.  ε², η², η² in its Lindblad form
-and the QND flag are computed on stacks of N estimations, and the
-per-scenario functions are stacks of one.
+and η² are one formula, <X_sq + A^2 - 2 X * A> with X = A_e[m] or B', which
+:func:`noise_stack` evaluates with the estimates in one pass; in the joint
+picture both are one <Z^2> with Z = U† X U - Y.  Every trace is
+``operators.expectation`` and every outcome sum ``instruments.nonselective``.
+ε², η², η² in its Lindblad form and the QND flag are computed on stacks of N
+members, and the per-scenario functions are stacks of one.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BiasedInstrument
-from .instruments import IndirectModel, Instrument, ValueAssignment, channel, effective_observables, kraus_sum
+from .instruments import IndirectModel, Instrument, ValueAssignment, effective_observables, kraus_sum, nonselective
 from .instruments import value_row
 from .operators import (
     DensityOperator,
@@ -61,25 +63,42 @@ def _noise_reports(delta, x, x_sq, a, a_sq, rho) -> list[NoiseReport]:
     return [NoiseReport(dl, v, "system", (f, s, c)) for dl, v, f, s, c in rows]
 
 
-def epsilon_sq_stack(pom, values, a, rho) -> list[NoiseReport]:
-    """Squared noise <A_e[m^2] + A^2 - 2 A_e[m] * A> in the system picture of N
-    estimations: POM stacks ``(N, n_outcomes, d, d)``, value rows (N lists of floats in
-    outcome order), and A and rho ``(N, d, d)``.
-
-    The first term uses the squared spectrum per outcome, which differs
-    from A_e[m]^2 whenever the POM is not projective.
-    """
+def noise_stack(pom, rows, obs, rho, kraus=None) -> tuple[np.ndarray, list[list[NoiseReport]]]:
+    """ε² of N members and, with their Kraus stacks ``(N, n_outcomes, L, d, d)``, η², in one pass.
+    One :func:`effective_observables` call builds, from the POM stacks ``(N, n_outcomes, d, d)``
+    and each member's R value rows ``(N, R, n_outcomes)``, the estimates ``(N, 2R, d, d)``:
+    A_e[m] of each row, then A_e[m^2].  ε² of row j is taken against observable j of ``obs``
+    ``(N, R_obs, d, d)`` and η² against the last, in states ``(N, d, d)``, by one ``_noise_reports``.
+    Returns the estimates and, per member, ε² in row order, then η² (its δ against the gated state after)."""
     # m_k^2 as float powers: an array square rounds differently in about one case in a thousand.
-    x = effective_observables(pom, [[row, [m**2 for m in row]] for row in values])
-    return [reports[0] for reports in noise_stack(x, a[:, None], rho)]
+    a_e = effective_observables(pom, [[*r, *([m**2 for m in v] for v in r)] for r in rows])
+    r, obs_sq = a_e.shape[1] // 2, hermitian_part(obs @ obs)
+    kinds = [(a_e[:, j], a_e[:, r + j], obs[:, j], obs_sq[:, j], a_e[:, j] - obs[:, j], rho) for j in range(r)]
+    if kraus is not None:
+        primed = nonselective(kraus, np.stack([obs[:, -1], obs_sq[:, -1]], axis=1), dual=True)
+        b_prime, b_sq_prime = primed.swapaxes(0, 1)
+        rho_after = validated_states(nonselective(kraus, rho))
+        kinds.append((b_prime, b_sq_prime, obs[:, -1], obs_sq[:, -1], obs[:, -1], rho_after - rho))
+    x, x_sq, target, target_sq, shifted, states = (np.stack(col, axis=1) for col in zip(*kinds))
+    reports = _noise_reports(expectation(shifted, states), x, x_sq, target, target_sq, rho[:, None])
+    return a_e, [reports[i : i + len(kinds)] for i in range(0, len(reports), len(kinds))]
 
 
 def epsilon_sq_system(
     inst: Instrument, values: ValueAssignment, a: HermitianOperator, rho: DensityOperator
 ) -> NoiseReport:
-    """Squared noise of one estimation: :func:`epsilon_sq_stack` on a stack of one."""
-    am, rm = np.asarray(a)[None], np.asarray(rho)[None]
-    return epsilon_sq_stack(inst.pom_stack[None], [value_row(inst, values)], am, rm)[0]
+    """Squared noise of one estimation: :func:`noise_stack` on a stack of one.  Its first term
+    A_e[m^2] differs from A_e[m]^2 whenever the POM is not projective."""
+    am, rm = np.asarray(a)[None, None], np.asarray(rho)[None]
+    return noise_stack(inst.pom_stack[None], [[value_row(inst, values)]], am, rm)[1][0][0]
+
+
+def _joint_sq(model: IndirectModel, x: np.ndarray, y: np.ndarray, rho_s: DensityOperator) -> float:
+    """<Z^2> with Z = U† X U - Y, of joint operators X and Y, under rho_S ⊗ rho_D."""
+    u = model.unitary
+    z = u.conj().T @ x @ u - y
+    value = expectation(z @ z, tensor_product(rho_s, model.detector_state))
+    return clip_at_floor(value, SECOND_MOMENT_FLOOR, "second moment")
 
 
 def epsilon_sq_joint(
@@ -88,14 +107,11 @@ def epsilon_sq_joint(
     a: HermitianOperator,
     rho_s: DensityOperator,
 ) -> float:
-    """Squared noise <N^2> with N = U†(1 ⊗ M[m])U - A ⊗ 1, under rho_S ⊗ rho_D."""
-    u = model.unitary
-    m_obs = model.readout_observable(values)
-    d_d = model.detector_state.dim
+    """Squared noise <N^2> with N = U†(1 ⊗ M[m])U - A ⊗ 1, under rho_S ⊗ rho_D, where
+    M[m] = sum_k m_k |k><k| is the detector observable the values read out."""
+    m_obs = sum(m * np.outer(vec, vec.conj()) for m, vec in zip(value_row(model, values), model.readout_basis))
     joint_m = tensor_product(np.eye(model.system_dim), m_obs)
-    noise_op = u.conj().T @ joint_m @ u - tensor_product(a, np.eye(d_d))
-    value = expectation(noise_op @ noise_op, tensor_product(rho_s, model.detector_state))
-    return clip_at_floor(value, SECOND_MOMENT_FLOOR, "second moment")
+    return _joint_sq(model, joint_m, tensor_product(a, np.eye(model.detector_state.dim)), rho_s)
 
 
 def three_state_cross_term(
@@ -114,43 +130,16 @@ def three_state_cross_term(
     return lhs, plus - plain - sandwich
 
 
-def eta_sq_stack(kraus, b, rho) -> list[NoiseReport]:
-    """Squared disturbance <(B^2)' + B^2 - 2 B' * B> in the system picture of N instruments of
-    Kraus stacks ``(N, n_outcomes, L, d, d)``, with B and rho ``(N, d, d)``; the mean shift is
-    taken against the gated state after.  It is :func:`noise_stack` with no estimation rows."""
-    return [reports[0] for reports in noise_stack(b[:, None][:, :0], b[:, None], rho, kraus)]
-
-
-def noise_stack(x, obs, rho, kraus=None) -> list[list[NoiseReport]]:
-    """ε² of the estimates ``x`` ``(N, 2R, d, d)``, A_e[m] of R value rows and then A_e[m^2] of the
-    same rows, of the first R observables of ``obs`` ``(N, R_obs, d, d)``, and with the Kraus stacks
-    η² of the last, of N members in states ``(N, d, d)``, in one pass: each observable squared once,
-    one trace of the mean shifts and one ``_noise_reports``.  Per member: ε² in row order, then η²."""
-    r, obs_sq = x.shape[1] // 2, hermitian_part(obs @ obs)
-    kinds = [(x[:, j], x[:, r + j], obs[:, j], obs_sq[:, j], x[:, j] - obs[:, j], rho) for j in range(r)]
-    if kraus is not None:
-        primed = channel(kraus, np.stack([obs[:, -1], obs_sq[:, -1]], axis=1), dual=True).swapaxes(0, 1)
-        b_prime, b_sq_prime = hermitian_part(sum(primed)).swapaxes(0, 1)
-        rho_after = validated_states(hermitian_part(sum(channel(kraus, rho).swapaxes(0, 1))))
-        kinds.append((b_prime, b_sq_prime, obs[:, -1], obs_sq[:, -1], obs[:, -1], rho_after - rho))
-    x, x_sq, target, target_sq, shifted, states = (np.stack(col, axis=1) for col in zip(*kinds))
-    reports = _noise_reports(expectation(shifted, states), x, x_sq, target, target_sq, rho[:, None])
-    return [reports[i : i + len(kinds)] for i in range(0, len(reports), len(kinds))]
-
-
 def eta_sq_system(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> NoiseReport:
-    """Squared disturbance of one instrument: :func:`eta_sq_stack` on a stack of one."""
-    return eta_sq_stack(inst.kraus_stack[None], np.asarray(b)[None], np.asarray(rho)[None])[0]
+    """Squared disturbance of one instrument: :func:`noise_stack` on a stack of one, no value rows."""
+    bm, rm = np.asarray(b)[None, None], np.asarray(rho)[None]
+    return noise_stack(inst.pom_stack[None], [[]], bm, rm, inst.kraus_stack[None])[1][0][0]
 
 
 def eta_sq_joint(model: IndirectModel, b: HermitianOperator, rho_s: DensityOperator) -> float:
     """Squared disturbance <D^2> with D = U†(B ⊗ 1)U - B ⊗ 1."""
-    u = model.unitary
-    d_d = model.detector_state.dim
-    joint_b = tensor_product(b, np.eye(d_d))
-    diff_op = u.conj().T @ joint_b @ u - joint_b
-    value = expectation(diff_op @ diff_op, tensor_product(rho_s, model.detector_state))
-    return clip_at_floor(value, SECOND_MOMENT_FLOOR, "second moment")
+    joint_b = tensor_product(b, np.eye(model.detector_state.dim))
+    return _joint_sq(model, joint_b, joint_b, rho_s)
 
 
 def lindblad_perturbation(kraus: np.ndarray, b: np.ndarray) -> np.ndarray:

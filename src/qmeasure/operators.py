@@ -166,11 +166,6 @@ class SpectralDecomposition:
     def projectors(self) -> tuple[HermitianOperator, ...]:
         return tuple(HermitianOperator(p) for p in self.projector_stack)
 
-    @cached_property
-    def branches(self) -> tuple[tuple[float, HermitianOperator], ...]:
-        """(eigenvalue, projector) per branch, in branch order."""
-        return tuple(zip(self.eigenvalues.tolist(), self.projectors))
-
     def labels(self, prefix: str) -> tuple[str, ...]:
         """Branch labels ``prefix0``, ``prefix1``, ... in branch order: ``a`` for
         the branches of A, ``b`` for B before the measurement, ``b'`` after it."""
@@ -320,26 +315,3 @@ def _branches(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def tensor_product(x, y) -> np.ndarray:
     """Kronecker product with the system factor first (A ⊗ 1 ordering)."""
     return np.kron(as_complex_matrix(x), as_complex_matrix(y))
-
-
-def partial_trace(x, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Trace out one tensor factor of a (d_S * d_D)-dimensional matrix.
-
-    Parameters
-    ----------
-    x : matrix of dimension d_S * d_D
-    dims : (d_S, d_D)
-    keep : "system" to trace out the detector, "detector" for the converse.
-    """
-    xm = as_complex_matrix(x)
-    d_s, d_d = dims
-    if xm.shape != (d_s * d_d, d_s * d_d):
-        raise DimensionMismatch(
-            f"matrix of shape {xm.shape} does not factor as ({d_s}, {d_d})"
-        )
-    x4 = xm.reshape(d_s, d_d, d_s, d_d)
-    if keep == "system":
-        return np.einsum("ikjk->ij", x4)
-    if keep == "detector":
-        return np.einsum("kikj->ij", x4)
-    raise ValueError(f"keep must be 'system' or 'detector', got {keep!r}")

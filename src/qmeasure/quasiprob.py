@@ -20,7 +20,7 @@ from .errors import (
     InvalidStrength,
     ZeroProbabilityConditioning,
 )
-from .instruments import HermitianOperator, Instrument, ValueAssignment, channel, value_row
+from .instruments import HermitianOperator, Instrument, ValueAssignment, nonselective, value_row
 from .operators import (
     DensityOperator,
     SpectralDecomposition,
@@ -148,7 +148,7 @@ def tmh_disturbance_stack(rho, b, kraus) -> list[QuasiDistribution]:
     count, and the Kraus stacks ``(N, n_outcomes, L, d, d)``."""
     specs = spectra(b)
     proj = np.stack([spec.projector_stack for spec in specs])
-    q = hermitian_part(sum(channel(kraus, proj, dual=True).swapaxes(0, 1)))
+    q = nonselective(kraus, proj, dual=True)
     tables = expectation(jordan_product(q[:, :, None], proj[:, None]), rho[:, None, None])
     return [QuasiDistribution.on_branches(spec, "b'", "b", table) for spec, table in zip(specs, tables)]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -431,7 +432,17 @@ def random_indirect_model(dim: int, rng: np.random.Generator) -> IndirectModel:
     )
 
 
+def checked_int(name: str, value, least: int) -> int:
+    """``value`` as a Python int, since numpy integers overflow in Philox.advance: a bool or a
+    non-integral value raises TypeError, and one below ``least`` ValueError; both name it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def subseed(seed: int, index) -> int:
     """Derived per-item seed; order-independent across parallel evaluation."""
-    entropy = (int(seed),) + tuple(int(i) for i in np.atleast_1d(index))
+    entropy = (checked_int("seed", seed, 0),) + tuple(int(i) for i in np.atleast_1d(index))
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])

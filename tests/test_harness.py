@@ -196,8 +196,7 @@ class TestAnalyze:
         s = load_scenario(os.path.join(SCENARIO_DIR, name))
         calls = []
         real = instruments.effective_observables
-        for module in (inequalities, metrics):
-            monkeypatch.setattr(module, "effective_observables", lambda pom, v: calls.append(1) or real(pom, v))
+        monkeypatch.setattr(metrics, "effective_observables", lambda pom, v: calls.append(1) or real(pom, v))
         analyze(s)
         assert len(calls) == 1
 
@@ -345,6 +344,16 @@ class TestSample:
     def test_shots_must_be_an_integer(self, theta_pom_scenario, shots):
         with pytest.raises(TypeError):
             sample(theta_pom_scenario, shots, 1)
+
+    @pytest.mark.parametrize("seed", [True, 1.7, np.float64(2.0)], ids=["bool", "float", "numpy-float"])
+    def test_seed_must_be_an_integer(self, theta_pom_scenario, seed):
+        # A seed of 1.7 used to run, and report, seed 1.
+        with pytest.raises(TypeError, match="seed"):
+            sample(theta_pom_scenario, 1000, seed)
+
+    def test_a_negative_seed_is_named(self, theta_pom_scenario):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            sample(theta_pom_scenario, 1000, -3)
 
     def test_numpy_integer_shots(self, theta_pom_scenario):
         assert sample(theta_pom_scenario, np.int64(1000), 5) == sample(theta_pom_scenario, 1000, 5)
@@ -531,14 +540,14 @@ class TestSample:
         assert sample(s, 1000, 1).empirical_moments is None
 
     def test_negative_pair_probability_raises(self, theta_pom_scenario, monkeypatch):
-        real = Instrument._channel
+        real = harness.channel
 
-        def negated(self, x):
+        def negated(kraus, x):
             # A_k(rho) of the first outcome negated, the others as they are.
-            out = real(self, x)
-            return np.concatenate([-out[:1], out[1:]])
+            out = real(kraus, x)
+            return np.concatenate([-out[:, :1], out[:, 1:]], axis=1)
 
-        monkeypatch.setattr(Instrument, "_channel", negated)
+        monkeypatch.setattr(harness, "channel", negated)
         with pytest.raises(InternalNumericError):
             sample(theta_pom_scenario, 1000, 1)
 

@@ -165,6 +165,14 @@ class TestSweeps:
         with pytest.raises(ValueError):
             random_sweep([2], 0, 1)
 
+    def test_seed_gate(self):
+        # subseed used to truncate: a seed of 2.7 ran seed 2.
+        for seed in (True, 2.7):
+            with pytest.raises(TypeError, match="seed"):
+                random_sweep([2], 2, seed)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            random_sweep([2], 2, -1)
+
     def test_min_margins_are_the_least_margin_of_each_relation(self):
         sweep = random_sweep([2, 3], 5, 41)
         least = {rid: min(r.margin for r in sweep.records if r.relation_id == rid) for rid in RELATION_IDS}

@@ -16,10 +16,12 @@ from qmeasure.errors import (
     UnknownLabel,
     ValidationError,
 )
+from qmeasure.inequalities import _members
 from qmeasure.instruments import (
     IndirectModel,
     Instrument,
     KrausSet,
+    nonselective,
     solve_contextual_values,
 )
 from qmeasure.operators import (
@@ -353,6 +355,21 @@ def test_stacked_call_has_the_bits_of_separate_calls(dim, n_kraus):
     assert np.array_equal(pair_sum, np.array(backward[:4]).reshape(2, 2, dim, dim))
 
 
+def test_nonselective_of_a_block_has_the_bits_of_each_member():
+    # The noise pass and the TMH disturbance table sum the outcomes of a whole block:
+    # forward, each member must come out as its own apply_nonselective, and dual, on
+    # B and B^2, as the Kraus sums of its outcomes one by one.
+    ctx = next(ctx for _, ctx in _members([3], 8, 31, 4))
+    assert len(ctx.scenarios) > 1
+    b = np.stack([ctx._b, ctx._b @ ctx._b], axis=1)
+    forward, backward = nonselective(ctx._kraus, ctx._rho), nonselective(ctx._kraus, b, dual=True)
+    for i, s in enumerate(ctx.scenarios):
+        inst = s.apparatus
+        assert np.array_equal(forward[i], inst.apply_nonselective(s.state))
+        dual = [hermitian_part(sum(_dual_reference(inst, label, x) for label in inst.labels)) for x in b[i]]
+        assert np.array_equal(backward[i], np.array(dual))
+
+
 def test_ragged_stack_against_a_reference():
     # Outcomes with 1, 2 and 3 Kraus operators.  Each row of the stacked maps
     # must be the Kraus sum of that outcome alone, spelled out here in l order.
@@ -380,7 +397,7 @@ def test_ragged_stack_against_a_reference():
                 b = b + (op.conj().T @ x) @ op
             forward.append(hermitian_part(f))
             backward.append(hermitian_part(b))
-        assert np.array_equal(inst._channel(x), np.array(forward))
+        assert np.array_equal(instruments.channel(inst.kraus_stack[None], x[None])[0], np.array(forward))
         assert np.array_equal(instruments.channel(inst.kraus_stack[None], x[None], dual=True)[0], np.array(backward))
         assert np.array_equal(inst.apply_nonselective(x), hermitian_part(sum(forward)))
         assert np.array_equal(hermitian_part(sum(outcome_maps(inst, x, dual=True))), hermitian_part(sum(backward)))
@@ -402,7 +419,8 @@ def test_an_explicit_zero_operator_is_kept_and_adds_nothing():
     assert scenario(padded).digest() != scenario(plain).digest()
     assert np.array_equal(padded.pom_stack, plain.pom_stack)
     x = random_hermitian(2, _rng(91)).matrix
-    assert np.array_equal(padded._channel(x), plain._channel(x))
+    forward = [instruments.channel(inst.kraus_stack[None], x[None])[0] for inst in (padded, plain)]
+    assert np.array_equal(*forward)
     dual = [instruments.channel(inst.kraus_stack[None], x[None], dual=True)[0] for inst in (padded, plain)]
     assert np.array_equal(*dual)
 

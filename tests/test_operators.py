@@ -27,7 +27,6 @@ from qmeasure.operators import (
     hermitian_part,
     jordan_product,
     max_norm,
-    partial_trace,
     spectra,
     spectral_decompose,
     tensor_product,
@@ -187,7 +186,7 @@ class TestSpectralDecompose:
 
     def test_full_degeneracy_merges(self):
         spec = spectral_decompose(HermitianOperator(np.eye(3)))
-        assert len(spec.branches) == 1
+        assert len(spec.eigenvalues) == 1
         assert np.allclose(spec.projectors[0].matrix, np.eye(3))
 
     def test_random_reconstruction(self):
@@ -195,7 +194,7 @@ class TestSpectralDecompose:
         for _ in range(20):
             a = random_hermitian(4, rng)
             spec = spectral_decompose(a)
-            resum = sum(ev * p.matrix for ev, p in spec.branches)
+            resum = sum(ev * p.matrix for ev, p in zip(spec.eigenvalues, spec.projectors))
             assert max_norm(resum - a.matrix) < 1e-9
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 16])
@@ -236,31 +235,6 @@ class TestTensorAndPartialTrace:
     def test_projector_placement(self):
         p = tensor_product(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         assert np.allclose(np.diag(p), [0, 1, 0, 0])
-
-    def test_product_state_recovery(self):
-        rng = _rng(8)
-        rho = random_density(2, rng).matrix
-        sigma = random_density(3, rng).matrix
-        joint = tensor_product(rho, sigma)
-        assert max_norm(partial_trace(joint, (2, 3), "system") - rho) < 1e-12
-        assert max_norm(partial_trace(joint, (2, 3), "detector") - sigma) < 1e-12
-
-    def test_bell_state(self):
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1 / np.sqrt(2)
-        proj = np.outer(bell, bell.conj())
-        assert max_norm(partial_trace(proj, (2, 2), "system") - np.eye(2) / 2) < 1e-12
-
-    def test_trace_preserving(self):
-        rng = _rng(9)
-        x = random_hermitian(6, rng).matrix
-        assert np.trace(partial_trace(x, (2, 3), "system")) == pytest.approx(
-            np.real(np.trace(x)), abs=1e-12
-        )
-
-    def test_bad_factorization(self):
-        with pytest.raises(DimensionMismatch):
-            partial_trace(np.eye(5), (2, 3), "system")
 
 
 class TestUncertaintyProperties:

@@ -1,7 +1,9 @@
-"""The summary and gain-rule arithmetic of tools/pairs.py, on made-up runs."""
+"""The summary, gain-rule and no-regression arithmetic of tools/pairs.py, on made-up runs."""
 
 import importlib.util
 import os
+
+import pytest
 
 _PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "pairs.py")
 _spec = importlib.util.spec_from_file_location("pairs", _PATH)
@@ -61,3 +63,35 @@ def test_a_failed_run_counts_in_no_pair():
     entry = pairs.compare(_runs([1.0, 2.0], "m"), [{"metrics": {}}, {"metrics": {"m": 1.0}}], {"m": "lower"})["m"]
     assert entry["pairs"] == 1
     assert entry["change"]["runs"] == 1
+
+
+def test_a_median_inside_the_bound_holds():
+    # PARENT spreads 0.6 about a median of 10.45, a quartile spread of about 4 %.
+    verdict = pairs.no_regression(_entry(PARENT, [v * 1.2 for v in PARENT]), 0.25)
+    assert verdict["ratio"] == pytest.approx(1.2)
+    assert verdict["worse_by"] == pytest.approx(0.2)
+    assert verdict["status"] == "held"
+
+
+def test_a_median_worse_beyond_the_bound_is_worse():
+    assert pairs.no_regression(_entry(PARENT, [v * 1.3 for v in PARENT]), 0.25)["status"] == "worse"
+    assert pairs.no_regression(_entry(PARENT, PARENT, better="higher"), 0.25)["status"] == "held"
+    assert pairs.no_regression(_entry(PARENT, [v / 1.5 for v in PARENT], better="higher"), 0.25)["status"] == "worse"
+
+
+def test_a_parent_spread_beyond_the_bound_is_unresolved():
+    # Two modes, ~21 and ~31: the quartile spread is ~45 % of the median.
+    parent = [21.0, 31.0, 21.5, 30.5, 22.0, 31.5, 21.2, 30.8, 21.8, 31.2]
+    verdict = pairs.no_regression(_entry(parent, parent), 0.25)
+    assert verdict["parent_spread"] > 0.25
+    assert verdict["status"] == "unresolved"
+    # A change whose every run beats every parent run is resolved all the same.
+    assert pairs.no_regression(_entry(parent, [v - 11.0 for v in parent]), 0.25)["status"] == "held"
+    # One change run slower than the fastest parent run leaves it unresolved.
+    change = [v - 11.0 for v in parent[:-1]] + [21.1]
+    assert pairs.no_regression(_entry(parent, change), 0.25)["status"] == "unresolved"
+
+
+def test_a_metric_without_runs_is_unresolved():
+    entry = pairs.compare(_runs([1.0, 2.0], "m"), [{"metrics": {}}, {"metrics": {}}], {"m": "lower"})["m"]
+    assert pairs.no_regression(entry, 0.25)["status"] == "unresolved"

@@ -310,7 +310,7 @@ def _per_branch_tables(rho, a, b, inst, g):
         for m, n in zip(kraus[0], calibration):
             row += n * inst.outcome_probabilities(m @ rm @ m.conj().T)
         error.append(row)
-    disturbance = np.zeros((len(b.spectrum.branches), len(b.spectrum.branches)))
+    disturbance = np.zeros((len(b.spectrum.eigenvalues), len(b.spectrum.eigenvalues)))
     for j, proj in enumerate(b.spectrum.projectors):
         kraus, calibration = weak_probe(np.array([proj.matrix]), g)
         for m, n in zip(kraus[0], calibration):

@@ -15,10 +15,12 @@ workload every run (seed, order, exit code, correctness, attempted and failed
 requests, the end-to-end metrics and the ungated per-class figures of its full
 result), each side's median and quartiles (inclusive method) of every end-to-end
 metric, and per metric the pairs the change won (by the metric's direction in
-BENCHMARK.json; ties count for neither side).  With ``--claim``, it prints and
-records the benchmark rule for a gain: every run correct, the change fails no more
-requests than the parent, the change wins at least nine tenths of the pairs, and its
-median beats the parent's by more than the parent's interquartile distance.
+BENCHMARK.json; ties count for neither side) and its no-regression status against
+the metric's bound in BENCHMARK.json (``no_regression``).  With ``--claim``, it
+prints and records the benchmark rule for a gain: every run correct, the change
+fails no more requests than the parent, the change wins at least nine tenths of the
+pairs, and its median beats the parent's by more than the parent's interquartile
+distance.
 """
 
 from __future__ import annotations
@@ -123,6 +125,32 @@ def verdict(entry: dict, all_correct: bool, failed: dict[str, int]) -> dict:
     }
 
 
+def no_regression(entry: dict, bound: float) -> dict:
+    """The no-regression rule on one metric's comparison, against the metric's ``bound`` in
+    BENCHMARK.json: the change/parent median ratio, the fraction by which the change's median
+    reads worse (negative when better), and the parent's interquartile distance over its median.
+    The status is "worse" when the change reads worse by more than the bound; otherwise
+    "unresolved" when the parent's spread exceeds the bound, unless every change run beats
+    every parent run; otherwise "held"."""
+    p, c = entry["parent"], entry["change"]
+    if None in (p["median"], p["q1"], p["q3"], c["median"]) or p["median"] == 0:
+        return {"bound": bound, "status": "unresolved"}
+    sign = 1 if entry["better"] == "lower" else -1
+    worse_by = sign * (c["median"] - p["median"]) / p["median"]
+    spread = (p["q3"] - p["q1"]) / p["median"]
+    parent_runs = [x for x in p["runs_by_pair"] if x is not None]
+    change_runs = [y for y in c["runs_by_pair"] if y is not None]
+    beats_all = all(sign * (x - y) > 0 for x in parent_runs for y in change_runs)
+    status = "worse" if worse_by > bound else "unresolved" if spread > bound and not beats_all else "held"
+    return {
+        "ratio": c["median"] / p["median"],
+        "worse_by": worse_by,
+        "parent_spread": spread,
+        "bound": bound,
+        "status": status,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the parent revision")
@@ -135,6 +163,7 @@ def main(argv=None) -> int:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seconds = float(spec["run_seconds"])
     plan = []
     for item in args.workload:
@@ -162,10 +191,13 @@ def main(argv=None) -> int:
                     shown = {k: run["metrics"].get(k) for k in metrics}
                     tag = f"{workload} pair {i + 1}/{count} seed {seed} {side}"
                     print(f"{tag}: exit {run['exit']} {shown}", file=sys.stderr)
+            compared = compare(sides["parent"], sides["change"], metrics)
+            for name, entry in compared.items():
+                entry["no_regression"] = no_regression(entry, bounds[name])
             doc["workloads"][workload] = {
                 "all_correct": all(run["correct"] for runs in sides.values() for run in runs),
                 "failed": {side: sum(run.get("failed", 0) for run in runs) for side, runs in sides.items()},
-                "metrics": compare(sides["parent"], sides["change"], metrics),
+                "metrics": compared,
                 "runs": sides,
             }
     first = next((run for w in doc["workloads"].values() for run in w["runs"]["change"] if "provenance" in run), None)
@@ -183,8 +215,8 @@ def main(argv=None) -> int:
         fh.write("\n")
     for workload, entry in doc["workloads"].items():
         for name, m in entry["metrics"].items():
-            p, c = m["parent"]["median"], m["change"]["median"]
-            print(f"{workload:15s} {name:14s} {p} -> {c}  change won {m['wins']}/{m['pairs']}")
+            p, c, status = m["parent"]["median"], m["change"]["median"], m["no_regression"]["status"]
+            print(f"{workload:15s} {name:14s} {p} -> {c}  change won {m['wins']}/{m['pairs']}  {status}")
     print(f"wrote {path.relative_to(ROOT)}")
     return 0 if args.claim is None or doc["claim"]["met"] else 1
 
