@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InternalNumericError, NotExpressible
+from .errors import InternalNumericError
 from .inequalities import InequalityRecord, ScenarioContext, evaluate_all
-from .instruments import channel, value_row
+from .instruments import channel, contextual_value_rows, symmetrized_powers, value_row
 from .metrics import NoiseReport, epsilon_sq_joint, eta_sq_joint
 from .operators import cross_check, expectation, spectral_decompose, value_variance
 from .quasiprob import (
@@ -30,7 +30,7 @@ from .quasiprob import (
     weak_probe_error_stack,
 )
 from .scenario import Scenario, checked_int
-from .tolerances import POM_PSD_FLOOR, SLOPE_FLOOR
+from .tolerances import CV_RESIDUAL_TOL, POM_PSD_FLOOR, SLOPE_FLOOR
 
 SCHEMA_VERSION = "1"
 
@@ -243,17 +243,15 @@ def sample(scenario: Scenario, shots: int, seed: int) -> SampleRun:
     mean = float(m @ p_hat)
     mean_se = _stream_se(m, p_hat, shots)
 
-    moments = None
-    eps_sq = eps_sq_se = None
-    try:
-        m_n = {n: np.array(value_row(inst, inst.moment_values(s.observable_A, n))) for n in range(1, 5)}
-        moments = {n: float(v @ p_hat) for n, v in m_n.items()}
+    moments = eps_sq = eps_sq_se = None
+    powers = symmetrized_powers(np.asarray(s.observable_A)[None], range(1, 5))
+    m_n, residual = contextual_value_rows(inst.pom_stack[None], powers)
+    if not (residual > CV_RESIDUAL_TOL).any():
+        moments = {n: float(v @ p_hat) for n, v in enumerate(m_n[0], 1)}
         # eps^2 = sum_k (m_k^2 - m^(2)_k) p_k, with m^(2) the n = 2 moment values.
-        v = m**2 - m_n[2]
+        v = m**2 - m_n[0, 1]
         eps_sq = float(v @ p_hat)
         eps_sq_se = _stream_se(v, p_hat, shots)
-    except NotExpressible:
-        pass
 
     return SampleRun(
         seed=seed,

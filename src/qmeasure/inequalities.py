@@ -26,8 +26,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import MissingIngredient, NegativeRadicand, NotExpressible
-from .instruments import value_row
+from .errors import MissingIngredient, NegativeRadicand
+from .instruments import contextual_value_rows, symmetrized_powers, value_row
 from .metrics import NoiseReport, eta_sq_lindblad_stack, is_qnd_stack, is_unbiased, noise_stack
 from .operators import (
     SIGMA_X,
@@ -45,7 +45,7 @@ from .operators import (
 from .quasiprob import QuasiDistribution, tmh_disturbance_stack, tmh_error_stack
 from .retrodiction import _BLOCK_ENTRIES, OutcomeKernels, outcome_kernels
 from .scenario import Scenario, generate_random, generate_window, projective_instrument, subseed
-from .tolerances import ROUNDOFF_FLOOR, SATISFACTION_TOL
+from .tolerances import CV_RESIDUAL_TOL, ROUNDOFF_FLOOR, SATISFACTION_TOL
 
 RELATION_IDS = (
     "heisenberg",
@@ -134,11 +134,11 @@ def _signature(s: Scenario) -> tuple:
 class ScenarioContext:
     """The one owner of the per-scenario quantities that relations and ``analyze`` share,
     over a block of N scenarios of one signature (a single scenario is a block of one).
-    Each quantity is computed once for all members by stacked code, except m^(2), which
-    ``Instrument.moment_values`` solves per member, and is read per member: a list of N
-    values in member order, indexed by :meth:`position`.  A_e[m], ε_A, ε_B and η_B come
-    from one noise pass, which builds what the block has of them.  ``sources`` are the
-    members' digest sources (see :class:`_Digest`), by default the members.
+    Each quantity is computed once for all members by stacked code, and is read per
+    member: a list of N values in member order, indexed by :meth:`position`.  A_e[m],
+    ε_A, ε_B and η_B come from one noise pass, which builds what the block has of them.
+    ``sources`` are the members' digest sources (see :class:`_Digest`), by default the
+    members.
     """
 
     def __init__(self, scenarios: Sequence[Scenario], sources: Sequence | None = None):
@@ -231,15 +231,13 @@ class ScenarioContext:
 
     @cached_property
     def dispersion_m2(self) -> list[dict[str, float] | None]:
-        """The contextual values m^(2) of A^2 of every member, read through
-        ``Instrument.moment_values``; None where A^2 lies outside the POM span."""
-        m2 = []
-        for s in self.scenarios:
-            try:
-                m2.append(s.apparatus.moment_values(s.observable_A, 2))
-            except NotExpressible:
-                m2.append(None)
-        return m2
+        """The contextual values m^(2) of A^2 of every member, from one solve for the
+        block; None where A^2 lies outside the POM span."""
+        values, residual = contextual_value_rows(self._pom, symmetrized_powers(self._a, [2]))
+        return [
+            None if r > CV_RESIDUAL_TOL else dict(zip(s.apparatus.labels, m.tolist()))
+            for s, m, r in zip(self.scenarios, values[:, 0], residual[:, 0])
+        ]
 
     @cached_property
     def error_distribution(self) -> list[QuasiDistribution]:

@@ -33,7 +33,6 @@ from .operators import (
     hermitian_part,
     max_norm,
     prebuilt,
-    validated_states,
 )
 from .tolerances import CV_RESIDUAL_TOL, IDENTITY_TOL, POM_PSD_FLOOR, ZERO_WEIGHT
 
@@ -220,15 +219,12 @@ class Instrument:
 
     def moment_values(self, a: HermitianOperator, n: int) -> dict[str, float]:
         """Contextual values m^(n) of the n-th moment, the symmetrized power
-        (A^n + A^n†)/2; only that power is solved.  Raises NotExpressible if
-        it lies outside the POM span."""
+        (A^n + A^n†)/2, from :func:`symmetrized_powers` of one operator and one
+        order.  Raises NotExpressible if it lies outside the POM span."""
         if n < 1:
             raise ValueError(f"moment order must be >= 1, got {n}")
-        am = np.asarray(a)
-        power = am
-        for _ in range(n - 1):
-            power = power @ am
-        return self.contextual_values(HermitianOperator((power + power.conj().T) / 2))
+        m = solve_contextual_values(self.pom_stack, symmetrized_powers(np.asarray(a)[None], [n])[0, 0])
+        return dict(zip(self.labels, m.tolist()))
 
 
 def value_row(inst: Instrument | IndirectModel, values: ValueAssignment) -> list[float]:
@@ -346,11 +342,6 @@ def effective_observables(pom: np.ndarray, values) -> np.ndarray:
     return hermitian_part(sum(m[..., k, None, None] * pom[:, k, None] for k in range(pom.shape[1])))
 
 
-def retrodicted_states(pom: np.ndarray, traces: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """P_k / Tr P_k of the live outcomes of POM stacks ``(..., n_outcomes, d, d)``."""
-    return validated_states(hermitian_part(pom[..., live, :, :] / traces[..., live, None, None]))
-
-
 def solve_contextual_values(pom, target: HermitianOperator) -> np.ndarray:
     """Minimum-Euclidean-norm solution of sum_k m_k P_k = target.
 
@@ -368,6 +359,17 @@ def solve_contextual_values(pom, target: HermitianOperator) -> np.ndarray:
             f"target outside POM span (residual {residual[0, 0]:.3e} > {CV_RESIDUAL_TOL})"
         )
     return m_vals[0, 0]
+
+
+def symmetrized_powers(a: np.ndarray, orders) -> np.ndarray:
+    """(A^n + A^n†)/2 of each operator of ``a`` ``(N, d, d)`` for each order n >= 1 of
+    ``orders``, as ``(N, T, d, d)``: A, A^2, ... are built once, each from the last, and
+    each symmetrized power passes the gates of :class:`HermitianOperator`."""
+    powers = [a]
+    for _ in range(max(orders) - 1):
+        powers.append(powers[-1] @ a)
+    power = np.stack([powers[n - 1] for n in orders], axis=1)
+    return np.array([[HermitianOperator(x).matrix for x in row] for row in (power + power.conj().swapaxes(-1, -2)) / 2])
 
 
 def contextual_value_rows(pom: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

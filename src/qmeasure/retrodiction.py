@@ -20,13 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroPosterior
-from .instruments import Instrument, channel, retrodicted_states
+from .instruments import Instrument, channel
 from .operators import (
     HermitianOperator,
     clip_at_floor,
     commutator_bound,
     expectation,
     expectation_and_variance,
+    hermitian_part,
     spectra,
     validated_states,
 )
@@ -79,12 +80,13 @@ def outcome_kernels(
     b: Sequence[HermitianOperator] | None = None,
 ) -> OutcomeKernels:
     """The single-outcome quantities of the live outcomes of N ≥ 1 instruments of one
-    Kraus stack shape and live mask, each with its own A and, if given, its own B.  The
-    instrument and outcome axes are stack axes, ``(N, n_live, n_b, d, d)``, and every
-    product a stacked ``matmul``, so every value has the bits of its per-matrix
-    computation, whatever the block; each gate runs once, on a stacked output, and
-    names the first failing (member, outcome).  A block that is empty, or whose counts
-    of instruments, A and B differ, raises DimensionMismatch before any stacking.
+    Kraus stack shape and live mask, each with its own A and, if given, its own B.  Their
+    states form one grid ``(N, n_live, 1 + n_b, d, d)``, and every product is a stacked
+    ``matmul``, so every value has the bits of its per-matrix computation, whatever the
+    block; A and B are squared once per member.  Each gate runs once, on a stacked
+    output, and names the first failing (member, outcome), or (member, outcome, column)
+    on the grid.  A block that is empty, or whose counts of instruments, A and B differ,
+    raises DimensionMismatch before any stacking.
     """
     counts = (len(insts), len(a)) + (() if b is None else (len(b),))
     if not insts or len(set(counts)) > 1:
@@ -92,17 +94,11 @@ def outcome_kernels(
     live = insts[0].live_mask
     if len({(inst.kraus_stack.shape, inst.live_mask.tobytes()) for inst in insts}) > 1:
         raise DimensionMismatch("outcome_kernels needs instruments of one Kraus stack shape and live mask")
-    n_inst, n = len(insts), int(live.sum())
-    traces = np.stack([inst.pom_traces for inst in insts])
-    tr = traces[:, live]
-    states = retrodicted_states(np.stack([inst.pom_stack for inst in insts]), traces, live)
-    states = states.reshape((-1,) + states.shape[-2:])
-    member = np.repeat(np.arange(n_inst), n)
-    am = np.stack([np.asarray(x) for x in a])
-    obs = am[:, None]
+    tr = np.stack([inst.pom_traces for inst in insts])[:, live]
+    # The state grid (N, n_live, 1 + n_b, d, d): column 0 holds the retrodictive state P_k / Tr P_k.
+    states = hermitian_part(np.stack([inst.pom_stack for inst in insts])[:, live] / tr[:, :, None, None])[:, :, None]
+    obs = np.stack([np.stack([np.asarray(x) for x in ops]) for ops in ([a] if b is None else [a, b])], axis=1)
     if b is not None:
-        bm = np.stack([np.asarray(x) for x in b])
-        obs = np.stack([am, bm], axis=1)
         specs = spectra(b)
         values = np.stack([spec.eigenvalues for spec in specs])
         proj = np.stack([spec.projector_stack for spec in specs])
@@ -117,26 +113,27 @@ def outcome_kernels(
         backward = channel(kraus, proj, dual=True) / tr[:, :, None, None, None]
         weights = np.real(np.trace(backward, axis1=-2, axis2=-1))
         posterior = weights > ZERO_WEIGHT
-        conditioned = validated_states(backward[posterior] / weights[posterior][:, None, None])
-        states = np.concatenate([states, conditioned])
-        member = np.concatenate([member, np.nonzero(posterior)[0]])
-    # Rows: the retrodictive states of every instrument, then its live conditioned
-    # states, instrument by instrument and outcome by outcome.
-    mean, var = expectation_and_variance(obs[member], states[:, None])
+        # Columns 1 + b' hold the conditioned states, and the state 1/d where p(b'|k) is
+        # zero: that filler passes the gate like any state, and its results are masked out.
+        divisor = np.where(posterior, weights, 1.0)[..., None, None]
+        conditioned = np.where(posterior[..., None, None], backward / divisor, np.eye(insts[0].dim) / insts[0].dim)
+        states = np.concatenate([states, conditioned], axis=2)
+    states = validated_states(states)
+    mean, var = expectation_and_variance(obs[:, None, None], states[..., None, :, :])
     sd = np.sqrt(var)
-    eps = sd[: n_inst * n].reshape(n_inst, n, -1)
+    eps = sd[:, :, 0]
     if b is None:
         return OutcomeKernels(eps)
     diff = values[:, :, None] - values[:, None, :]
     msd = clip_at_floor(np.sum(diff[:, None] ** 2 * table, axis=(-2, -1)), SECOND_MOMENT_FLOOR, "second moment")
     unit_mass(table)
     # η_B,k,b' in Python floats: (B_b' - mean)**2 is a libm power, which rounds unlike an array square.
-    mean_b, var_b = mean[n_inst * n :, 1], var[n_inst * n :, 1]
-    branch = np.broadcast_to(values[:, None], posterior.shape)[posterior]
-    eta_b = [math.sqrt(v + (x - m) ** 2) for v, x, m in zip(var_b.tolist(), branch.tolist(), mean_b.tolist())]
-    restricted = np.full(posterior.shape + (5,), np.nan)
-    restricted[posterior] = np.column_stack([weights[posterior], sd[n_inst * n :], eta_b, mean_b])
-    c_ab = commutator_bound(am[:, None], bm[:, None], states[: n_inst * n].reshape(tr.shape + am.shape[-2:]))
+    mean_b, var_b = mean[:, :, 1:, 1], var[:, :, 1:, 1]
+    branch = np.broadcast_to(values[:, None], posterior.shape)
+    eta_b = [math.sqrt(v + (x - m) ** 2) for v, x, m in zip(*(y.ravel().tolist() for y in (var_b, branch, mean_b)))]
+    fields = np.stack([weights, sd[:, :, 1:, 0], sd[:, :, 1:, 1], np.reshape(eta_b, posterior.shape), mean_b], axis=-1)
+    restricted = np.where(posterior[..., None], fields, np.nan)
+    c_ab = commutator_bound(obs[:, None, 0], obs[:, None, 1], states[:, :, 0])
     return OutcomeKernels(eps, c_ab, np.sqrt(msd), table, weights, posterior, restricted)
 
 

@@ -375,13 +375,17 @@ def generate_window(dim: int, n_outcomes: int, seeds) -> list[Scenario]:
     this order.  All that follows, every constructor gate included, runs once
     on the window's stacks.  Value assignments come from the contextual-value
     solver when the target lies in the POM span; otherwise raw outcome
-    indices are used.
+    indices are used.  A seed is an int or a tuple of ints, each gated by
+    :func:`checked_int` as ``seed`` >= 0.
     """
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
     if n_outcomes < 1:
         raise ValueError(f"need at least one outcome, got {n_outcomes}")
     seeds, big = list(seeds), dim * n_outcomes
+    for seed in seeds:
+        for part in seed if isinstance(seed, tuple) else (seed,):
+            checked_int("seed", part, 0)
     # One standard_normal call per seed yields the values of the per-matrix calls of
     # random_density, random_hermitian (twice) and random_unitary, in their order.
     draws = np.array([_rng(seed).standard_normal(6 * dim * dim + 2 * big * big) for seed in seeds])

@@ -40,6 +40,25 @@ def test_each_member_has_the_bits_of_its_own_scenario(dim, n_outcomes):
         assert (member.values_m, member.values_mB, member.meta) == (alone.values_m, alone.values_mB, alone.meta)
 
 
+@pytest.mark.parametrize(
+    "generate", [generate_random, lambda d, n, seed: generate_window(d, n, [5, seed])], ids=["random", "window"]
+)
+@pytest.mark.parametrize("seed", [True, 2.5, (83, 2.5)], ids=["bool", "float", "float-in-tuple"])
+def test_a_non_integral_seed_is_rejected(generate, seed):
+    # Before the gate, True ran the stream of seed 1 and recorded "True" as its seed.
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        generate(2, 4, seed)
+
+
+@pytest.mark.parametrize(
+    "generate", [generate_random, lambda d, n, seed: generate_window(d, n, [5, seed])], ids=["random", "window"]
+)
+@pytest.mark.parametrize("seed", [-1, (83, -1)], ids=["int", "int-in-tuple"])
+def test_a_negative_seed_is_named(generate, seed):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        generate(2, 4, seed)
+
+
 def test_a_window_runs_each_gate_once(gate_calls, monkeypatch):
     windows, window = [], inequalities.generate_window
 

@@ -13,6 +13,7 @@ from qmeasure.errors import (
     DuplicateLabel,
     MissingLabel,
     NotExpressible,
+    StateValidationError,
     UnknownLabel,
     ValidationError,
 )
@@ -503,6 +504,19 @@ class TestContextualValues:
                 recon = np.array([m_n[l] for l in inst.labels]) @ p
                 exact = expectation(HermitianOperator(power), rho)
                 assert abs(recon - exact) < 1e-10
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_moment_values_gate_their_power(self):
+        # (1e200)^2 overflows: the power is gated as a HermitianOperator input is.
+        inst = theta_pom_instrument(0.4)
+        with pytest.raises(StateValidationError, match="must be finite"):
+            inst.moment_values(HermitianOperator(1e200 * SIGMA_Z), 2)
+        with pytest.raises(ValueError, match="moment order must be >= 1"):
+            inst.moment_values(HermitianOperator(SIGMA_Z), 0)
+        with pytest.raises(NotExpressible):
+            inst.moment_values(HermitianOperator(SIGMA_X), 1)
+        with pytest.raises(DimensionMismatch):
+            inst.moment_values(HermitianOperator(np.eye(3)), 2)
 
 
 @pytest.mark.parametrize(

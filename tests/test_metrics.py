@@ -7,7 +7,14 @@ import pytest
 
 from qmeasure.errors import BiasedInstrument, MissingIngredient, NotExpressible
 from qmeasure.inequalities import ScenarioContext, _members
-from qmeasure.instruments import Instrument, KrausSet, channel
+from qmeasure.instruments import (
+    Instrument,
+    KrausSet,
+    channel,
+    contextual_value_rows,
+    solve_contextual_values,
+    symmetrized_powers,
+)
 from qmeasure.metrics import (
     NoiseReport,
     epsilon_sq_joint,
@@ -39,6 +46,7 @@ from qmeasure.scenario import (
     random_instrument,
     theta_pom_instrument,
 )
+from qmeasure.tolerances import CV_RESIDUAL_TOL
 
 THETA = np.pi / 3
 UNBIASED_M = {"+": 1 / np.cos(THETA), "-": -1 / np.cos(THETA)}
@@ -216,11 +224,18 @@ class TestDispersion:
             assert abs(d - e) < 1e-10
 
 
-def _moment_values_or_none(s: Scenario):
+def _moment_values_or_none(s: Scenario, n: int = 2):
+    """m^(n) of one scenario by its own solve: A^n by repeated products, symmetrized
+    through HermitianOperator; None where it lies outside the POM span."""
+    am = s.observable_A.matrix
+    power = am
+    for _ in range(n - 1):
+        power = power @ am
     try:
-        return s.apparatus.moment_values(s.observable_A, 2)
+        m = solve_contextual_values(s.apparatus.pom_stack, HermitianOperator((power + power.conj().T) / 2))
     except NotExpressible:
         return None
+    return dict(zip(s.apparatus.labels, m.tolist()))
 
 
 def _d4_indirect() -> Scenario:
@@ -261,6 +276,25 @@ def test_block_metrics_have_the_bits_of_each_scenario():
         lindblad = eta_sq_lindblad(s.apparatus, s.observable_B, s.state)
         assert ctx.eta_lindblad[i].hex() == lindblad.hex()
         assert ctx.qnd[i] is is_qnd(s.apparatus, s.observable_B)
+
+
+def test_moment_values_of_every_order_have_the_bits_of_per_order_solves():
+    # One contextual_value_rows call per block solves orders 1-4, each with the bits of
+    # its own (member, order) solve; Instrument.moment_values is the block of one.
+    solved, expressible = {}, set()
+    for s, ctx in _block_members():
+        if id(ctx) not in solved:
+            solved[id(ctx)] = contextual_value_rows(ctx._pom, symmetrized_powers(ctx._a, range(1, 5)))
+        values, residual = solved[id(ctx)]
+        i = ctx.position(s)
+        for n in range(1, 5):
+            own = _moment_values_or_none(s, n)
+            expressible.add(own is not None)
+            assert bool(residual[i, n - 1] <= CV_RESIDUAL_TOL) is (own is not None)
+            if own is not None:
+                assert [v.hex() for v in values[i, n - 1].tolist()] == [v.hex() for v in own.values()]
+                assert s.apparatus.moment_values(s.observable_A, n) == own
+    assert expressible == {True, False}
 
 
 def _bits(report: NoiseReport) -> tuple:

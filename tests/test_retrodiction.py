@@ -16,8 +16,11 @@ from qmeasure.operators import (
     HermitianOperator,
     commutator_bound,
     expectation,
+    expectation_and_variance,
+    hermitian_part,
     max_norm,
     spectra,
+    validated_states,
 )
 from qmeasure.retrodiction import (
     RestrictedMetrics,
@@ -58,10 +61,11 @@ def near_null_instrument() -> Instrument:
 
 
 def retrodicted_state(inst: Instrument, label: str) -> np.ndarray:
-    """P_k / Tr P_k of one live outcome, from the stacked ``instruments.retrodicted_states``
-    on a block of one; a null outcome raises NullOutcome."""
-    k = inst.live_index(label)
-    return instruments.retrodicted_states(inst.pom_stack[None], inst.pom_traces[None], inst.live_mask)[0, k]
+    """P_k / Tr P_k of one live outcome, gated as a state: the reference for column 0 of
+    the kernel's state grid; a null outcome raises NullOutcome."""
+    inst.live_index(label)
+    k = inst.labels.index(label)
+    return validated_states(hermitian_part(inst.pom_stack[k] / inst.pom_traces[k])[None])[0]
 
 
 class TestRetrodictedState:
@@ -81,14 +85,17 @@ class TestRetrodictedState:
             retrodicted_state(near_null_instrument(), "tiny")
 
     def test_stack_has_the_bits_of_each_instrument(self):
-        # A block of instruments gives each member the states of its own call, in live order.
+        # Column 0 of a block's grid is each member's own state, in live order: ε_A,k, ε_B,k
+        # and C_AB,k have the bits of the moments in the reference state.
         insts = [theta_pom_instrument(theta) for theta in (np.pi / 3, 0.4, 1.1)]
-        stack = instruments.retrodicted_states(
-            np.stack([inst.pom_stack for inst in insts]), np.stack([inst.pom_traces for inst in insts]), insts[0].live_mask
-        )
-        for inst, states in zip(insts, stack):
+        rng = _rng(58)
+        a, b = random_hermitian(2, rng), random_hermitian(2, rng)
+        ks = outcome_kernels(insts, [a] * 3, [b] * 3)
+        for i, inst in enumerate(insts):
             for k, label in enumerate(inst.live_labels):
-                assert np.array_equal(states[k], retrodicted_state(inst, label))
+                rho = retrodicted_state(inst, label)
+                assert ks.eps[i, k].tolist() == [np.sqrt(expectation_and_variance(x, rho)[1]) for x in (a, b)]
+                assert ks.c_ab[i, k] == commutator_bound(a, b, rho)
 
 
 class TestRetrodictiveError:
@@ -170,6 +177,11 @@ class TestInterdictive:
                 assert abs(d.table.sum() - 1.0) < 1e-10
 
 
+def _block(window: list[Scenario]) -> tuple[list, list, list]:
+    """The instruments, A and B of generated members, as ``outcome_kernels`` takes them."""
+    return [s.apparatus for s in window], [s.observable_A for s in window], [s.observable_B for s in window]
+
+
 class TestKernelGates:
     def test_sub_floor_posterior_eigenvalue_raises(self, monkeypatch):
         # A traceless kick of 1e-6 on every Hermitian-gated output leaves the
@@ -183,26 +195,57 @@ class TestKernelGates:
 
     def test_zero_weight_posterior_is_skipped(self):
         # Measuring z projectively never yields the other z branch afterwards:
-        # one live posterior per outcome, and the other one raises.
+        # one live posterior per outcome, and the other one raises.  The grid
+        # holds the filler state 1/d there, and nothing of it is read.
         inst = projective_instrument(SZ)
-        s = Scenario(
-            dimension=2,
-            state=DensityOperator(np.eye(2) / 2),
-            observable_A=SX,
-            observable_B=SZ,
-            apparatus=inst,
-            values_m={"0": 0.0, "1": 0.0},
-        )
-        rec = evaluate("hofmann2", s)
-        assert len(rec.sub_records) == len(inst.live_labels) == 2
-        ks = outcome_kernels([inst], [SX], [SZ])
-        rows = zip(inst.live_labels, ks.weights[0], ks.posterior[0], ks.restricted[0])
-        for label, weights, posterior, restricted in rows:
-            dead = np.flatnonzero(~posterior)
-            assert len(dead) == 1 and weights[dead[0]] <= 1e-12
-            assert np.isnan(restricted[dead[0]]).all() and not np.isnan(restricted[posterior]).any()
-            with pytest.raises(ZeroPosterior):
-                restricted_metrics(inst, label, dead[0], SX, SZ)
+        for a in (SX, SZ):
+            s = Scenario(
+                dimension=2,
+                state=DensityOperator(np.eye(2) / 2),
+                observable_A=a,
+                observable_B=SZ,
+                apparatus=inst,
+                values_m={"0": 0.0, "1": 0.0},
+            )
+            rec = evaluate("hofmann2", s)
+            assert len(rec.sub_records) == len(inst.live_labels) == 2
+            ks = outcome_kernels([inst], [a], [SZ])
+            rows = zip(inst.live_labels, ks.weights[0], ks.posterior[0], ks.restricted[0])
+            for label, weights, posterior, restricted in rows:
+                dead = np.flatnonzero(~posterior)
+                assert len(dead) == 1 and weights[dead[0]] <= 1e-12
+                assert np.isnan(restricted[dead[0]]).all() and not np.isnan(restricted[posterior]).any()
+                with pytest.raises(ZeroPosterior):
+                    restricted_metrics(inst, label, dead[0], a, SZ)
+
+    def test_the_grid_gate_names_member_outcome_and_column(self, monkeypatch):
+        # A*_k(Π_b') of member 1, outcome 0, branch b' = 1 replaced by a Hermitian matrix of
+        # the same trace with a negative eigenvalue: its conditioned state sits in column 2.
+        window = generate_window(3, 4, [subseed(5, i) for i in range(3)])
+        channel = retrodiction.channel
+
+        def broken(kraus, x, dual=False):
+            out = channel(kraus, x, dual)
+            if dual:
+                out = out.copy()
+                out[1, 0, 1] = np.trace(out[1, 0, 1]) * np.diag([1.5, -0.5, 0.0])
+            return out
+
+        monkeypatch.setattr(retrodiction, "channel", broken)
+        with pytest.raises(StateValidationError, match=r"eigenvalue -.* at index \(1, 0, 2\)"):
+            outcome_kernels(*_block(window))
+
+    def test_one_gate_and_one_square_per_member(self, gate_calls, monkeypatch):
+        # One validated_states call gates the whole grid, and A and B enter the moments
+        # once per member, not once per state.
+        window = generate_window(3, 4, [subseed(5, i) for i in range(3)])
+        shapes, moments = [], retrodiction.expectation_and_variance
+        spy = lambda x, rho: shapes.append(x.shape) or moments(x, rho)
+        monkeypatch.setattr(retrodiction, "expectation_and_variance", spy)
+        gate_calls.clear()
+        outcome_kernels(*_block(window))
+        assert gate_calls["validated_states"] == 1
+        assert shapes == [(3, 1, 1, 2, 3, 3)]
 
 
 def _loop_reference(inst, label, a, b):
@@ -399,7 +442,7 @@ def test_the_mass_gate_names_the_first_bad_member_and_outcome(monkeypatch):
 
     monkeypatch.setattr(retrodiction, "channel", heavy)
     with pytest.raises(InternalNumericError, match=r"total mass .* at index \(1, 2\)"):
-        outcome_kernels([s.apparatus for s in window], [s.observable_A for s in window], [s.observable_B for s in window])
+        outcome_kernels(*_block(window))
 
 
 class TestRestrictedMetrics:
