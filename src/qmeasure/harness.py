@@ -352,7 +352,8 @@ def weak_sweep(scenario: Scenario, g_list) -> WeakSweep:
     The TMH tables are read from the scenario's ``ScenarioContext``; the weak-probe
     tables of all strengths are one stacked pass per table, whose ``weak_probe`` gates
     every strength before any probe work.  Fits a log-log slope over the provided
-    strengths (skipped when every error is at round-off, e.g. commuting scenarios).
+    strengths (None, a blank CSV cell, with fewer than two distinct strengths or when an
+    error is at round-off, e.g. commuting scenarios).
     """
     s, g_values = scenario, [float(g) for g in g_list]
     ctx = ScenarioContext([s])
@@ -367,7 +368,7 @@ def weak_sweep(scenario: Scenario, g_list) -> WeakSweep:
 
 
 def _loglog_slope(g_values, errors) -> float | None:
-    if len(errors) != len(g_values) or len(errors) < 2:
+    if len(errors) != len(g_values) or len(set(g_values)) < 2:
         return None
     if any(e <= SLOPE_FLOOR for e in errors):
         return None

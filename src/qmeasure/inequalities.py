@@ -197,9 +197,10 @@ class ScenarioContext:
         s, rows = self.scenarios[0], [self._values_m]
         if s.observable_B is not None and s.values_mB is not None:
             rows.append(self._values_mB)
+        rows = np.stack(rows, axis=1)
         if s.observable_B is None:
-            return noise_stack(self._pom, zip(*rows), self._a[:, None], self._rho)
-        return noise_stack(self._pom, zip(*rows), np.stack([self._a, self._b], axis=1), self._rho, self._kraus)
+            return noise_stack(self._pom, rows, self._a[:, None], self._rho)
+        return noise_stack(self._pom, rows, np.stack([self._a, self._b], axis=1), self._rho, self._kraus)
 
     @cached_property
     def epsilon(self) -> list[NoiseReport]:

@@ -66,12 +66,11 @@ def _noise_reports(delta, x, x_sq, a, a_sq, rho) -> list[NoiseReport]:
 def noise_stack(pom, rows, obs, rho, kraus=None) -> tuple[np.ndarray, list[list[NoiseReport]]]:
     """ε² of N members and, with their Kraus stacks ``(N, n_outcomes, L, d, d)``, η², in one pass.
     One :func:`effective_observables` call builds, from the POM stacks ``(N, n_outcomes, d, d)``
-    and each member's R value rows ``(N, R, n_outcomes)``, the estimates ``(N, 2R, d, d)``:
+    the value rows, one array ``(N, R, n_outcomes)`` squared as an array, the estimates ``(N, 2R, d, d)``:
     A_e[m] of each row, then A_e[m^2].  ε² of row j is taken against observable j of ``obs``
     ``(N, R_obs, d, d)`` and η² against the last, in states ``(N, d, d)``, by one ``_noise_reports``.
     Returns the estimates and, per member, ε² in row order, then η² (its δ against the gated state after)."""
-    # m_k^2 as float powers: an array square rounds differently in about one case in a thousand.
-    a_e = effective_observables(pom, [[*r, *([m**2 for m in v] for v in r)] for r in rows])
+    a_e = effective_observables(pom, np.concatenate([rows, rows**2], axis=1))
     r, obs_sq = a_e.shape[1] // 2, hermitian_part(obs @ obs)
     kinds = [(a_e[:, j], a_e[:, r + j], obs[:, j], obs_sq[:, j], a_e[:, j] - obs[:, j], rho) for j in range(r)]
     if kraus is not None:
@@ -90,7 +89,7 @@ def epsilon_sq_system(
     """Squared noise of one estimation: :func:`noise_stack` on a stack of one.  Its first term
     A_e[m^2] differs from A_e[m]^2 whenever the POM is not projective."""
     am, rm = np.asarray(a)[None, None], np.asarray(rho)[None]
-    return noise_stack(inst.pom_stack[None], [[value_row(inst, values)]], am, rm)[1][0][0]
+    return noise_stack(inst.pom_stack[None], np.array([[value_row(inst, values)]]), am, rm)[1][0][0]
 
 
 def _joint_sq(model: IndirectModel, x: np.ndarray, y: np.ndarray, rho_s: DensityOperator) -> float:
@@ -133,7 +132,7 @@ def three_state_cross_term(
 def eta_sq_system(inst: Instrument, b: HermitianOperator, rho: DensityOperator) -> NoiseReport:
     """Squared disturbance of one instrument: :func:`noise_stack` on a stack of one, no value rows."""
     bm, rm = np.asarray(b)[None, None], np.asarray(rho)[None]
-    return noise_stack(inst.pom_stack[None], [[]], bm, rm, inst.kraus_stack[None])[1][0][0]
+    return noise_stack(inst.pom_stack[None], np.empty((1, 0, len(inst.labels))), bm, rm, inst.kraus_stack[None])[1][0][0]
 
 
 def eta_sq_joint(model: IndirectModel, b: HermitianOperator, rho_s: DensityOperator) -> float:
@@ -166,9 +165,7 @@ def eta_sq_lindblad_stack(kraus, b, rho) -> list[float]:
     B and rho ``(N, d, d)``; the outcome terms are summed in declared order."""
     per_outcome = lindblad_perturbation(kraus, np.stack([b, b @ b], axis=1))
     l_b, l_b2 = per_outcome[:, :, 0], per_outcome[:, :, 1]
-    bo = b[:, None]
-    # B * L_k(B) spelled out: the gated jordan_product rounds it differently.
-    terms = expectation(l_b2 - (bo @ l_b + l_b @ bo), rho[:, None])
+    terms = expectation(l_b2 - 2 * jordan_product(b[:, None], l_b), rho[:, None])
     return clip_at_floor(sum(terms.T), SECOND_MOMENT_FLOOR, "second moment").tolist()
 
 

@@ -230,13 +230,11 @@ def expectation_and_variance(a, rho):
 
 
 def value_variance(values, probs):
-    """Variance v²·p - (v·p)² of values v under weights p along the last axis: a float
-    for vectors and an array for stacks; round-off down to ROUNDOFF_FLOOR reads 0."""
+    """Variance ((v - v·p)²)·p of values v under weights p along the last axis, in two
+    passes, so values that are all equal give 0: a float for vectors and an array for
+    stacks; round-off down to ROUNDOFF_FLOOR reads 0."""
     v, p = np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
-    second, mean = np.vecdot(v**2, p), np.vecdot(v, p)
-    # (v·p)² as a float power: it rounds unlike the array square in about one case in a thousand.
-    var = [s - m**2 for s, m in zip(np.ravel(second).tolist(), np.ravel(mean).tolist())]
-    return clip_at_floor(np.reshape(var, np.shape(mean)), ROUNDOFF_FLOOR, "variance")
+    return clip_at_floor(np.vecdot((v - np.vecdot(v, p)[..., None]) ** 2, p), ROUNDOFF_FLOOR, "variance")
 
 
 def clip_at_floor(value, floor: float, what: str):

@@ -13,7 +13,6 @@ outcome; a null outcome raises NullOutcome before the pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,11 +126,9 @@ def outcome_kernels(
     diff = values[:, :, None] - values[:, None, :]
     msd = clip_at_floor(np.sum(diff[:, None] ** 2 * table, axis=(-2, -1)), SECOND_MOMENT_FLOOR, "second moment")
     unit_mass(table)
-    # η_B,k,b' in Python floats: (B_b' - mean)**2 is a libm power, which rounds unlike an array square.
     mean_b, var_b = mean[:, :, 1:, 1], var[:, :, 1:, 1]
-    branch = np.broadcast_to(values[:, None], posterior.shape)
-    eta_b = [math.sqrt(v + (x - m) ** 2) for v, x, m in zip(*(y.ravel().tolist() for y in (var_b, branch, mean_b)))]
-    fields = np.stack([weights, sd[:, :, 1:, 0], sd[:, :, 1:, 1], np.reshape(eta_b, posterior.shape), mean_b], axis=-1)
+    eta_b = np.sqrt(var_b + (values[:, None] - mean_b) ** 2)
+    fields = np.stack([weights, sd[:, :, 1:, 0], sd[:, :, 1:, 1], eta_b, mean_b], axis=-1)
     restricted = np.where(posterior[..., None], fields, np.nan)
     c_ab = commutator_bound(obs[:, None, 0], obs[:, None, 1], states[:, :, 0])
     return OutcomeKernels(eps, c_ab, np.sqrt(msd), table, weights, posterior, restricted)

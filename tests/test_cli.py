@@ -12,6 +12,7 @@ SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 THETA_POM = os.path.join(SCENARIO_DIR, "theta_pom.json")
 WEAK_PROBE = os.path.join(SCENARIO_DIR, "weak_probe.json")
 CNOT = os.path.join(SCENARIO_DIR, "cnot_projective.json")
+QND = os.path.join(SCENARIO_DIR, "qnd.json")
 
 
 class TestValidate:
@@ -178,6 +179,14 @@ class TestSample:
         second = capsys.readouterr().out
         assert first == second
         assert "empirical mean" in first
+
+    def test_a_constant_dispersion_estimator_has_no_spread(self, capsys):
+        # On qnd.json m_k^2 - m^(2)_k is the same on both outcomes, so eps^2 has a standard error of 0.
+        assert main(["sample", QND, "--shots", "1000", "--seed", "7"]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("empirical eps^2"))
+        value, se = line.split("=")[1].split("+-")
+        assert float(value) == 3.0
+        assert float(se) <= 1e-15
 
 
 class TestSweep:

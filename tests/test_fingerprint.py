@@ -12,8 +12,8 @@ from pathlib import Path
 
 FINGERPRINT = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 LINES = (
-    "b177b602b05374026ba46e4e743f922115e1d90db1207d142dde27d6a0b3f936",
-    "c624d7000046c315d26b86a1566460291ff6f6592bbae08edaef1ed531bd42b6",
+    "5f85b181487bc614061d7a6a2016346b1da11930ba70190244990163f4e645ea",
+    "eea7cd472117d56b639c87621f98ce20f658adb5d2bc9f1e0032bd8af3ef90cd",
 )
 
 

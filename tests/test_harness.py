@@ -4,6 +4,7 @@ import os
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -589,6 +590,15 @@ class TestWeakSweep:
         for row in sweep.rows:
             assert row.disturbance_dist_maxnorm <= 1e-12
         assert sweep.disturbance_slope is None
+
+    def test_one_repeated_strength_has_no_slope(self, weak_probe_scenario, tmp_path):
+        # Two equal strengths have no slope: no fit is made, so numpy warns of nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = weak_sweep(weak_probe_scenario, [0.2, 0.2])
+        assert sweep.error_slope is None and sweep.disturbance_slope is None
+        write_sweep_csv(sweep, tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_text().strip().splitlines()[-1] == "slope-fit,,"
 
     def test_no_strengths(self, qnd_scenario):
         sweep = weak_sweep(qnd_scenario, [])

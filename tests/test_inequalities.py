@@ -38,7 +38,7 @@ from qmeasure.scenario import (
 
 THETA = np.pi / 3
 HOFMANN_SWEEP_SHA256 = "2e580f6938e16c470bd98fc3e167e787f00f5a27329df053468debee27333504"
-SWEEP_LHS_RHS_SHA256 = "e36e4c8db1b068edcbc5d1d858e20856821583d56c1a1e471ce486993517efca"
+SWEEP_LHS_RHS_SHA256 = "699fda1df1a7f54370894f86e0d5399ff0db3352627599e25888f9550e85aca6"
 
 
 def theta_scenario(rho_matrix) -> Scenario:

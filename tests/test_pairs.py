@@ -95,3 +95,14 @@ def test_a_parent_spread_beyond_the_bound_is_unresolved():
 def test_a_metric_without_runs_is_unresolved():
     entry = pairs.compare(_runs([1.0, 2.0], "m"), [{"metrics": {}}, {"metrics": {}}], {"m": "lower"})["m"]
     assert pairs.no_regression(entry, 0.25)["status"] == "unresolved"
+
+
+def test_a_change_spread_beyond_the_bound_is_unresolved():
+    # Four pairs with two slow change runs, as a host's noise makes them: the median reads
+    # 1.29x worse, but the change's own quartile spread is ~45 % of its median.
+    parent, change = [10.0, 10.2, 10.1, 10.3], [10.1, 16.0, 10.2, 16.5]
+    verdict = pairs.no_regression(_entry(parent, change), 0.25)
+    assert verdict["worse_by"] > 0.25 and verdict["parent_spread"] < 0.25 < verdict["change_spread"]
+    assert verdict["status"] == "unresolved"
+    # A change that is slow in every run, with a tight spread, still reads worse.
+    assert pairs.no_regression(_entry(parent, [v * 1.3 for v in parent]), 0.25)["status"] == "worse"

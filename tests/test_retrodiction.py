@@ -7,7 +7,7 @@ import pytest
 from qmeasure import instruments, retrodiction
 from qmeasure.errors import DimensionMismatch, InternalNumericError, NullOutcome, StateValidationError, ZeroPosterior
 from qmeasure.harness import analyze
-from qmeasure.inequalities import evaluate
+from qmeasure.inequalities import ScenarioContext, _members, evaluate
 from qmeasure.instruments import Instrument, KrausSet
 from qmeasure.operators import (
     SIGMA_X,
@@ -37,6 +37,7 @@ from qmeasure.scenario import (
     generate_window,
     load_scenario,
     projective_instrument,
+    random_density,
     random_hermitian,
     random_indirect_model,
     random_instrument,
@@ -522,3 +523,72 @@ class TestHofmannStyleBounds:
                     except ZeroPosterior:
                         continue
                     assert rm.eta_B >= rm.eps_B - 1e-12
+
+
+def _classical_table(inst: Instrument, op: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The branch values of ``op`` and the classical table p(x, k, b') ``(n_x, n_live, n_b)`` of a
+    prepare-and-measure run: branch x of ``op`` prepared with the maximally mixed prior Tr Π_x / d,
+    the apparatus run, and B read afterwards, p(x, k, b') = Tr[Π_b' A_k(Π_x)] / d, from one ``channel`` call."""
+    spec = op.spectrum
+    after = instruments.channel(inst.kraus_stack[None], spec.projector_stack[None])[0][inst.live_mask]
+    joint = expectation(b.spectrum.projector_stack[:, None, None], after[None]) / inst.dim
+    return spec.eigenvalues, joint.transpose(2, 1, 0)
+
+
+def _posterior(values: np.ndarray, joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and two-pass variance of ``values`` under the posterior p(x | ...) ∝ ``joint`` (n_x, ...)."""
+    p = joint / joint.sum(axis=0)
+    shape = (-1,) + (1,) * (joint.ndim - 1)
+    mean = (values.reshape(shape) * p).sum(axis=0)
+    return mean, ((values.reshape(shape) - mean) ** 2 * p).sum(axis=0)
+
+
+def _classical_members():
+    """Every bundled file with B, the members of _members([2, 3, 5], 20, 31, 4) with their
+    contexts, and a d = 4 indirect scenario."""
+    root = Path(__file__).resolve().parents[1] / "scenarios"
+    bundled = [load_scenario(path) for path in sorted(root.glob("*.json"))]
+    rng = _rng(41)
+    state, a, b = random_density(4, rng), random_hermitian(4, rng), random_hermitian(4, rng)
+    model = random_indirect_model(4, rng)
+    values = {label: float(i) for i, label in enumerate(model.labels)}
+    indirect = Scenario(4, state, a, Instrument.from_indirect(model), values, observable_B=b, indirect=model)
+    singles = [(s, ScenarioContext([s])) for s in [*bundled, indirect] if s.observable_B is not None]
+    return [*singles, *_members([2, 3, 5], 20, 31, 4)]
+
+
+def test_the_single_outcome_layer_from_ordinary_counts():
+    """Every OutcomeKernels field of a live outcome k is a statistic of classical tables: with
+    A's branches prepared, ε_A,k is the spread of a given k and the restricted ε_A that of a
+    given (k, b'); with B's, T_k is p(b, b' | k), p(b'|k) its column sum, η_B,k the rms of
+    b - b' given k, and the restricted ε_B, η_B and mean B those given (k, b'); with the
+    branches of i[A, B], C_AB,k is half the absolute mean of c given k."""
+    members = _classical_members()
+    assert len(members) == 3 + 1 + 60
+    for s, ctx in members:
+        inst, a, b = s.apparatus, s.observable_A, s.observable_B
+        ks, i = ctx.kernels, ctx.position(s)
+        c = HermitianOperator(1j * (a.matrix @ b.matrix - b.matrix @ a.matrix))
+        (a_vals, p_a), (b_vals, p_b), (c_vals, p_c) = (_classical_table(inst, op, b) for op in (a, b, c))
+        table = p_b / p_b.sum(axis=(0, 2))[None, :, None]
+        eta = np.sqrt(((b_vals[:, None] - b_vals[None, :]) ** 2 * table.transpose(1, 0, 2)).sum(axis=(-2, -1)))
+        eps = np.stack([np.sqrt(_posterior(vals, p.sum(axis=-1))[1]) for vals, p in ((a_vals, p_a), (b_vals, p_b))], -1)
+        expected = {
+            "eps": eps,
+            "eta": eta,
+            "c_ab": np.abs(_posterior(c_vals, p_c.sum(axis=-1))[0]) / 2,
+            "table": table.transpose(1, 0, 2),
+            "weights": table.sum(axis=0),
+        }
+        for name, value in expected.items():
+            assert max_norm(getattr(ks, name)[i] - value) < 1e-12, (s.meta, name)
+        post = ks.posterior[i]
+        mean_b, var_b = _posterior(b_vals, p_b[:, post])
+        rows = [
+            table.sum(axis=0)[post],
+            np.sqrt(_posterior(a_vals, p_a[:, post])[1]),
+            np.sqrt(var_b),
+            np.sqrt(var_b + (np.broadcast_to(b_vals, post.shape)[post] - mean_b) ** 2),
+            mean_b,
+        ]
+        assert max_norm(ks.restricted[i][post] - np.stack(rows, axis=-1)) < 1e-12, s.meta

@@ -16,7 +16,8 @@ requests, the end-to-end metrics and the ungated per-class figures of its full
 result), each side's median and quartiles (inclusive method) of every end-to-end
 metric, and per metric the pairs the change won (by the metric's direction in
 BENCHMARK.json; ties count for neither side) and its no-regression status against
-the metric's bound in BENCHMARK.json (``no_regression``).  With ``--claim``, it
+the metric's bound in BENCHMARK.json (``no_regression``), which weighs both sides'
+spreads.  With ``--claim``, it
 prints and records the benchmark rule for a gain: every run correct, the change
 fails no more requests than the parent, the change wins at least nine tenths of the
 pairs, and its median beats the parent's by more than the parent's interquartile
@@ -128,26 +129,28 @@ def verdict(entry: dict, all_correct: bool, failed: dict[str, int]) -> dict:
 def no_regression(entry: dict, bound: float) -> dict:
     """The no-regression rule on one metric's comparison, against the metric's ``bound`` in
     BENCHMARK.json: the change/parent median ratio, the fraction by which the change's median
-    reads worse (negative when better), and the parent's interquartile distance over its median.
-    The status is "worse" when the change reads worse by more than the bound; otherwise
-    "unresolved" when the parent's spread exceeds the bound, unless every change run beats
-    every parent run; otherwise "held"."""
+    reads worse (negative when better), and each side's interquartile distance over its median.
+    The status is "unresolved" when either side's spread exceeds the bound, unless every
+    change run beats every parent run; otherwise "worse" when the change reads worse by more
+    than the bound; otherwise "held".  So a noisy side never reads "held", and a few slow runs
+    on the change side read "unresolved", not "worse"."""
     p, c = entry["parent"], entry["change"]
-    if None in (p["median"], p["q1"], p["q3"], c["median"]) or p["median"] == 0:
+    if None in (p["median"], p["q1"], p["q3"], c["median"], c["q1"], c["q3"]) or 0 in (p["median"], c["median"]):
         return {"bound": bound, "status": "unresolved"}
     sign = 1 if entry["better"] == "lower" else -1
     worse_by = sign * (c["median"] - p["median"]) / p["median"]
-    spread = (p["q3"] - p["q1"]) / p["median"]
+    spread, change_spread = ((side["q3"] - side["q1"]) / side["median"] for side in (p, c))
     parent_runs = [x for x in p["runs_by_pair"] if x is not None]
     change_runs = [y for y in c["runs_by_pair"] if y is not None]
     beats_all = all(sign * (x - y) > 0 for x in parent_runs for y in change_runs)
-    status = "worse" if worse_by > bound else "unresolved" if spread > bound and not beats_all else "held"
+    noisy = max(spread, change_spread) > bound and not beats_all
     return {
         "ratio": c["median"] / p["median"],
         "worse_by": worse_by,
         "parent_spread": spread,
+        "change_spread": change_spread,
         "bound": bound,
-        "status": status,
+        "status": "unresolved" if noisy else "worse" if worse_by > bound else "held",
     }
 
 
